@@ -13,8 +13,10 @@ from .errors import (
     RegimeWarning,
 )
 from .params import ModelParams
-from .polynomial import BACKEND as POLY_BACKEND
 from .polynomial import PhasePolynomial
+
+# Kept for run records that name the polynomial arithmetic they measured.
+POLY_BACKEND = "pure-python"
 
 __all__ = [
     "AccuracyError",

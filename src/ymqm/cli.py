@@ -124,6 +124,8 @@ def _cached_kernel(k):
 
 def eval_zk_route(route, k, params, cfg):
     """One route's value of the order-k partition term (planar model)."""
+    if params.n_model != 2:
+        raise DomainError("the order-k routes cover the planar model only")
     if route == "closed":
         if k == 0:
             return heatkernel.tf_partition_n2(params)
@@ -296,6 +298,10 @@ def rows_spectrum(cfg, grid):
     for p in grid:
         key = (p.g, p.v, p.hbar, p.n_model)
         by_static.setdefault(key, []).append(p)
+    if cfg.save_spectrum and len(by_static) > 1:
+        raise ConfigError(
+            "--save-spectrum keeps one spectrum: sweep only t, not g, v or hbar"
+        )
     for key, plist in sorted(by_static.items()):
         p0 = plist[0]
         omega = cfg.omega
@@ -444,16 +450,25 @@ def manifest_lines(cfg, summary=None):
     return [f"# {k}: {v}" for k, v in items.items()]
 
 
+def _columns(rows):
+    """Every key of every row, in first-seen order."""
+    return list(dict.fromkeys(c for r in rows for c in r))
+
+
+def _cell(row, col):
+    return _fmt(row[col]) if col in row else ""
+
+
 def write_csv(rows, cfg, fh, summary=None):
     for line in manifest_lines(cfg, summary):
         fh.write(line + "\n")
     if not rows:
         fh.write("\n")
         return
-    cols = list(rows[0].keys())
+    cols = _columns(rows)
     fh.write(",".join(cols) + "\n")
     for r in rows:
-        fh.write(",".join(_fmt(r.get(c)) for c in cols) + "\n")
+        fh.write(",".join(_cell(r, c) for c in cols) + "\n")
 
 
 def write_json(rows, cfg, fh, summary=None):
@@ -473,8 +488,8 @@ def report(rows, summary=None):
     lines = []
     n_flag = 0
     if rows:
-        cols = list(rows[0].keys())
-        table = [[_fmt(r.get(c)) for c in cols] for r in rows]
+        cols = _columns(rows)
+        table = [[_cell(r, c) for c in cols] for r in rows]
         widths = [
             max(len(c), *(len(row[i]) for row in table)) for i, c in enumerate(cols)
         ]
@@ -579,17 +594,15 @@ def _apply_option(cfg, name, val):
         setattr(cfg, name, float(val))
     elif name == "full_sums":
         cfg.full_sums = str(val).lower() in ("1", "true", "yes")
-    elif name in ("model", "g", "v", "hbar", "t", "quantity", "out", "save_spectrum"):
+    elif name in ("model", "g", "v", "hbar", "t", "quantity", "out"):
         setattr(cfg, name, val)
-    elif name == "study":
-        cfg.study = bool(val)
     else:
         raise ConfigError(f"unknown option {name}")
 
 
 def build_config(argv):
     ns = make_parser().parse_args(argv)
-    cfg = RunConfig(command=ns.command)
+    cfg = RunConfig(command=ns.command, model="n3" if ns.command == "n3" else "n2")
     if ns.config:
         load_config_file(ns.config, cfg)
     for name in (
@@ -624,6 +637,8 @@ def build_config(argv):
         _apply_option(cfg, "k", ns.k)
     if cfg.model not in ("n2", "n3"):
         raise ConfigError(f"bad model {cfg.model!r}")
+    if cfg.command == "n3" and cfg.model != "n3":
+        raise ConfigError("the n3 command computes the three-coordinate model only")
     for name in ("g", "v", "hbar", "t"):
         _parse_axis(getattr(cfg, name))  # validate early: bad specs are config errors
     return cfg

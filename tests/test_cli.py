@@ -1,10 +1,12 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import ymqm
 from ymqm.cli import ConfigError, build_config, main, report, run
 from ymqm.special import EULER_GAMMA
 
@@ -141,6 +143,22 @@ class TestOutputs:
         assert "(no rows)" in text and n_flag == 0
         assert text.strip().endswith("0 FLAG")
 
+    def test_rows_with_different_columns(self, tmp_path):
+        # k=0 and k=2 rows carry different value columns; none may be dropped
+        out = tmp_path / "k.csv"
+        _, rows, _, text = run_cli(
+            ["compare", "--routes", "closed", "--k", "0,2", "--g", "1", "--v", "1",
+             "--t", "1", "--out", str(out)]
+        )
+        z2 = repr(rows[1]["z2_closed"])
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        header = lines[0].split(",")
+        assert {"z0_closed", "z2_closed"} <= set(header)
+        k2 = dict(zip(header, lines[2].split(",")))
+        assert k2["z2_closed"] == z2 and k2["z0_closed"] == ""
+        assert "None" not in out.read_text()
+        assert z2 in text and "None" not in text
+
     def test_manifest_in_csv(self, tmp_path):
         out = tmp_path / "m.csv"
         run_cli(
@@ -185,13 +203,35 @@ class TestExitCodes:
         assert json.loads(err.splitlines()[-1])["error"] == "route"
 
     def test_entry_point_runs(self):
+        # the child imports the same ymqm as this process, installed or not
+        src = os.path.dirname(os.path.dirname(ymqm.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "ymqm.cli", "tf", "--g", "1", "--v", "0.5", "--hbar", "1", "--t", "1"],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0
         assert "0 FLAG" in proc.stdout
+
+    def test_compare_rejects_three_coordinates(self, capsys):
+        code = main(
+            ["compare", "--model", "n3", "--routes", "closed", "--k", "2", "--g", "1",
+             "--v", "1", "--t", "1"]
+        )
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert code == 2
+        assert err["error"] == "route" and err["type"] == "DomainError"
+
+    def test_save_spectrum_needs_one_group(self, tmp_path):
+        out = tmp_path / "levels.txt"
+        code = main(
+            ["spectrum", "--g", "1:2:2", "--v", "1", "--t", "1", "--omega", "1",
+             "--basis-n", "8", "--save-spectrum", str(out)]
+        )
+        assert code == 3
+        assert not out.exists()
 
     def test_regime_flag_sets_exit_one(self):
         assert main(["tf", "--g", "1", "--v", "1", "--hbar", "1", "--t", "1"]) == 1
@@ -208,6 +248,13 @@ class TestSweepAndN3:
             ["sweep", "--quantity", "tf", "--g", "1", "--v", "0.5:2:6", "--hbar", "1", "--t", "1"]
         )
         assert rows1 == rows2
+
+    def test_n3_command_implies_model(self, tmp_path):
+        out = tmp_path / "n3.csv"
+        status, rows, _, _ = run_cli(["n3", "--g", "1", "--t", "0.3", "--out", str(out)])
+        assert status == 0 and math.isfinite(rows[0]["z2_n3"])
+        assert "# model: n3" in out.read_text().splitlines()
+        assert main(["n3", "--model", "n2", "--g", "1", "--t", "0.3"]) == 3
 
     def test_n3_columns(self):
         _, rows, _, _ = run_cli(

@@ -1,5 +1,6 @@
 """The symbolic expansion hierarchy against its exact anchors."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -72,6 +73,26 @@ class TestRecursionBasics:
         pot = potential(2)
         W = conventional_kernels(pot, 0)
         assert W[0].n_terms == 1 and W[0].coefficient() == 1
+
+
+class TestOrderEightSnapshot:
+    """The exact order-8 kernels, pinned by the sha256 of their canonical
+    ``dump_text`` so that any change to the polynomial arithmetic or to the
+    recursion that alters a single coefficient is caught."""
+
+    @pytest.mark.parametrize(
+        "dims, quartic, higgs, digest",
+        [
+            (1, False, True, "e1878dfb81245b4d91b10cfec7550b7bb6a3a557c2980e683170dd852238a0e7"),
+            (2, True, False, "3e8069a0b9f43c1a897570464f25003d3579adcddb820cfb0288086a8434fba2"),
+            (2, True, True, "80bbee8632a30529544efac4f19612baabcd3911212489570b8316c66df29584"),
+            (3, True, True, "e69fbcc4dc41088c6dc61229dfaa4be32667c8647d95f69cf01ad61eeae74665"),
+        ],
+    )
+    def test_dump_text_digest(self, dims, quartic, higgs, digest):
+        S = resummed_kernels(potential(dims, quartic=quartic, higgs=higgs), 8)
+        text = S[8].dump_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def PhasePolynomialOne(d):

@@ -4,17 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ymqm import _poly_py
-from ymqm.polynomial import BACKEND, PhasePolynomial
-
-try:
-    from ymqm import _polycore
-except ImportError:
-    _polycore = None
-
-
-def test_backend_reported():
-    assert BACKEND in ("compiled", "pure-python")
+from ymqm.polynomial import PhasePolynomial
 
 
 class TestBasics:
@@ -113,46 +103,3 @@ class TestAlgebraProperties:
     def test_diff_of_integral(self, p):
         assert p.integrate_t().diff("t") == p
 
-
-@pytest.mark.skipif(_polycore is None, reason="compiled backend not built")
-class TestBackendEquivalence:
-    def test_same_results(self):
-        import random
-
-        rng = random.Random(7)
-
-        def rand_dict(n):
-            d = {}
-            for _ in range(n):
-                key = _poly_py.pack([rng.randrange(6) for _ in range(5)])
-                d[key] = _poly_py._norm(rng.randrange(-50, 50) or 1, rng.randrange(1, 9))
-            return d
-
-        for _ in range(25):
-            A, B = rand_dict(8), rand_dict(8)
-            assert _poly_py.add(A, B) == _polycore.add(A, B)
-            assert _poly_py.mul(A, B) == _polycore.mul(A, B)
-            assert _poly_py.diff(A, 7) == _polycore.diff(A, 7)
-            assert _poly_py.integrate_unit(A, 14) == _polycore.integrate_unit(A, 14)
-            assert _poly_py.scale(A, 3, 4) == _polycore.scale(A, 3, 4)
-
-    def test_kernel_construction_matches(self):
-        import os
-        import subprocess
-        import sys
-
-        # build the k<=4 planar kernels under the pure backend in a fresh
-        # interpreter and compare canonical dumps
-        code = (
-            "from ymqm.kernels import potential, conventional_kernels\n"
-            "W = conventional_kernels(potential(2), 4)\n"
-            "print(W[4].dump_text())"
-        )
-        env = dict(os.environ, YMQM_PURE_POLY="1")
-        pure = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        ).stdout
-        from ymqm.kernels import conventional_kernels, potential
-
-        here = conventional_kernels(potential(2), 4)[4].dump_text()
-        assert pure.strip() == here.strip()
