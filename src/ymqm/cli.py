@@ -639,6 +639,8 @@ def build_config(argv):
         raise ConfigError(f"bad model {cfg.model!r}")
     if cfg.command == "n3" and cfg.model != "n3":
         raise ConfigError("the n3 command computes the three-coordinate model only")
+    if cfg.command == "spectrum" and cfg.study and cfg.save_spectrum:
+        raise ConfigError("--study solves a basis ladder; --save-spectrum keeps one spectrum")
     for name in ("g", "v", "hbar", "t"):
         _parse_axis(getattr(cfg, name))  # validate early: bad specs are config errors
     return cfg

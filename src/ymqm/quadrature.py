@@ -1,9 +1,19 @@
 """Brute-force numerical evaluation of every integral the closed forms claim.
 
 Momentum integrals are exact Gaussians, so only coordinate integrals are
-numeric: nested adaptive quadrature over the (semi-)infinite domain, with a
-hyperbolic-coordinate alternate route for the channel-dominated small-v
-regime, and the radial reductions of the three-coordinate model.
+numeric.  Every multi-dimensional one -- the moment integrals I_mn, the
+phase-space integral of a reduced kernel in two or three coordinates and
+the raw three-coordinate structures -- is one adaptive cubature of a
+vectorized integrand over the box [0, R]^d (the weight is even in every
+coordinate), with R chosen so the Gaussian tail beyond it stays below
+rel_tol / _TAIL_SAFETY.  Two integrals are one-dimensional and use
+adaptive ``quad``: the channel-aligned route for I_mn, which does the
+hyperbolic-angle integral exactly as a Bessel K, and the radial reductions
+of the three-coordinate model.
+
+Every :class:`OracleValue` error is the engine's own estimate plus the tail
+bound its cutoff was chosen for; an engine that does not converge raises
+:class:`AccuracyError`.
 """
 
 from __future__ import annotations
@@ -11,27 +21,22 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import combinations, permutations
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy import special as sp
+from scipy.integrate import IntegrationWarning, cubature, quad
 
 from .errors import AccuracyError, DivergentIntegralError, DomainError
 from .reduction import integrate_momenta
 
 _TAIL_SAFETY = 10.0  # tail-truncation bound kept below rel_tol / safety
+_QUAD_LIMIT = 200  # subintervals per one-dimensional quad
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     rel_tol: float = 1e-9
-    abs_tol: float = 1e-300
-    max_subdivisions: int = 200
-    domain_cutoff: float = math.inf
-
-    def quad_opts(self):
-        return dict(
-            epsabs=self.abs_tol, epsrel=self.rel_tol, limit=self.max_subdivisions
-        )
 
 
 @dataclass(frozen=True)
@@ -43,15 +48,34 @@ class OracleValue:
         return self.value
 
 
-def _quad(f, a, b, spec, inner=False):
-    opts = spec.quad_opts()
-    if inner:
-        # nested integrals: keep the inner error subdominant
-        opts["epsrel"] = max(opts["epsrel"] * 0.02, 3e-13)
+def _cubature(f, d, cut, spec):
+    """(value, error) of int_[0, cut]^d f for f mapping (npoints, d) to
+    (npoints,)."""
+    res = cubature(f, np.zeros(d), np.full(d, cut), rtol=spec.rel_tol / _TAIL_SAFETY)
+    if res.status != "converged":
+        raise AccuracyError(
+            f"{d}-D cubature not converged: error {float(res.error):.3g} "
+            f"on {float(res.estimate):.6g}"
+        )
+    return float(res.estimate), float(res.error)
+
+
+def _line_integral(f, a, b, spec, points=None):
+    """(value, error) of a one-dimensional integral by adaptive quad."""
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(f, a, b, **opts)
-    return val, err
+        warnings.simplefilter("error", IntegrationWarning)
+        try:
+            return quad(
+                f, a, b, epsabs=0.0, epsrel=spec.rel_tol / _TAIL_SAFETY,
+                limit=_QUAD_LIMIT, points=points,
+            )
+        except IntegrationWarning as exc:
+            raise AccuracyError(f"quadrature did not converge: {exc}") from None
+
+
+def _oracle(value, error, spec):
+    """Engine error plus the relative tail bound the cutoffs were chosen for."""
+    return OracleValue(value, abs(error) + abs(value) * spec.rel_tol / _TAIL_SAFETY)
 
 
 def _weight_params(params, effective):
@@ -70,43 +94,24 @@ def _weight_params(params, effective):
     return g2, v2, extra
 
 
+def _weight(X, t, g2, v2):
+    """exp(-t [v2 |x|^2/2 + (g2/2) sum over coordinate pairs x_i^2 x_j^2]) at
+    the rows of X."""
+    sq = X * X
+    quart = sum(sq[:, i] * sq[:, j] for i, j in combinations(range(X.shape[1]), 2))
+    return np.exp(-0.5 * t * (v2 * sq.sum(axis=1) + g2 * quart))
+
+
 def imn_quadrature(m, n, params, spec=QuadratureSpec(), effective=False):
     """I_mn = 4 int_0^inf int_0^inf x^2m y^2n exp[-(t/2)(v^2(x^2+y^2)+g^2x^2y^2)]
-    by nested adaptive quadrature. ``effective`` switches on the resummed
-    regulator (the tilde variant). Returns an :class:`OracleValue`."""
-    if m < 0 or n < 0:
-        raise DomainError("m, n must be non-negative")
-    g2, v2, _ = _weight_params(params, effective)
-    if v2 <= 0:
-        raise DivergentIntegralError(
-            "moment integrals diverge along the channels at v = 0"
-        )
-    t = params.t
-    cut = _gauss_cutoff(0.5 * t * v2, max(m, n), spec)
-    cut = min(cut, spec.domain_cutoff)
-    inner_err = 0.0
+    by cubature over the quadrant.  ``effective`` switches on the resummed
+    regulator (the tilde variant).  Returns an :class:`OracleValue`.
 
-    def inner(x):
-        nonlocal inner_err
-        ax = 0.5 * t * (v2 + g2 * x * x)
-        val, err = _quad(
-            lambda y: y ** (2 * n) * math.exp(-ax * y * y), 0.0, cut, spec, inner=True
-        )
-        inner_err = max(inner_err, err / max(abs(val), 1e-300))
-        return x ** (2 * m) * math.exp(-0.5 * t * v2 * x * x) * val
-
-    val, err = _quad(inner, 0.0, cut, spec)
-    total = 4.0 * val
-    rel_err = err / max(abs(val), 1e-300) + inner_err + spec.rel_tol / _TAIL_SAFETY
-    return OracleValue(total, abs(total) * rel_err)
-
-
-def imn_quadrature_channel(m, n, params, spec=QuadratureSpec(), effective=False):
-    """Alternate route in hyperbolic coordinates u = x y, w = ln(x/y), which
-    aligns the mesh with the channels:
-
-        I_mn = 2 int_0^inf du int_-inf^inf dw u^(m+n) e^((m-n) w)
-               exp[-(t/2)(g^2 u^2 + 2 u v^2 cosh w)].
+    Deep in the channel regime (z = t v^4 / (2 g^2) -> 0) the weight is
+    pinned to the axes out to R ~ 1/v and the rectangular mesh no longer
+    resolves it while its error estimate stays small: at v = 0.05 with
+    g = t = 1 (z = 3e-6) the value is off by 1.4e-5 relative with about
+    1e-10 reported.  Use :func:`imn_quadrature_channel` there.
     """
     if m < 0 or n < 0:
         raise DomainError("m, n must be non-negative")
@@ -117,25 +122,37 @@ def imn_quadrature_channel(m, n, params, spec=QuadratureSpec(), effective=False)
         )
     t = params.t
 
-    def inner(u):
-        a = t * v2 * u  # cosh-confined in w
+    def f(X):
+        return X[:, 0] ** (2 * m) * X[:, 1] ** (2 * n) * _weight(X, t, g2, v2)
 
-        def fw(w):
-            return math.exp((m - n) * w - a * (math.cosh(w) - 1.0))
+    val, err = _cubature(f, 2, _gauss_cutoff(0.5 * t * v2, max(m, n), spec), spec)
+    return _oracle(4.0 * val, 4.0 * err, spec)
 
-        wmax = math.acosh(1.0 + _gauss_cutoff_exponent(spec) / max(a, 1e-300))
-        val, _ = _quad(fw, -wmax, wmax, spec, inner=True)
-        return u ** (m + n) * math.exp(-0.5 * t * g2 * u * u - a) * val
 
-    ucut = min(
-        _gauss_cutoff(0.5 * t * g2, m + n, spec) if g2 > 0 else spec.domain_cutoff,
-        spec.domain_cutoff,
-    )
-    if not math.isfinite(ucut):
-        raise DomainError("needs g > 0 or a finite domain_cutoff")
-    val, err = _quad(inner, 0.0, ucut, spec)
-    total = 2.0 * val
-    return OracleValue(total, abs(total) * (err / max(abs(val), 1e-300) + spec.rel_tol))
+def imn_quadrature_channel(m, n, params, spec=QuadratureSpec(), effective=False):
+    """Alternate route in hyperbolic coordinates u = x y, w = ln(x/y), which
+    aligns with the channels.  The w-integral is a Bessel K, so
+
+        I_mn = 4 int_0^inf u^(m+n) e^(-t g^2 u^2/2) K_|m-n|(t v^2 u) du,
+
+    one adaptive quad over the half-line (exponentially scaled K).
+    """
+    if m < 0 or n < 0:
+        raise DomainError("m, n must be non-negative")
+    g2, v2, _ = _weight_params(params, effective)
+    if v2 <= 0:
+        raise DivergentIntegralError(
+            "moment integrals diverge along the channels at v = 0"
+        )
+    t = params.t
+    nu = abs(m - n)
+
+    def f(u):
+        a = t * v2 * u
+        return u ** (m + n) * math.exp(-0.5 * t * g2 * u * u - a) * sp.kve(nu, a)
+
+    val, err = _line_integral(f, 0.0, math.inf, spec)
+    return OracleValue(4.0 * val, 4.0 * err)
 
 
 def _gauss_cutoff_exponent(spec):
@@ -156,82 +173,42 @@ def phase_space_quadrature(poly, params, spec=QuadratureSpec(), effective=False)
     applied exactly, then one numeric coordinate integral of the reduced
     polynomial against the coordinate weight (no moment-by-moment
     decomposition, so the route is independent of the closed forms)."""
-    red = integrate_momenta(poly)
     d = poly.dims
+    if d not in (2, 3):
+        raise DomainError("phase-space quadrature supports 2 or 3 coordinates")
     g2, v2, extra = _weight_params(params, effective)
+    if v2 <= 0:
+        raise DivergentIntegralError("phase-space integral diverges at v = 0")
     t = params.t
     gg2 = params.g**2
     vv2 = params.v**2
+    # each entry's symmetrized moment is the mean over its distinct
+    # permutations; collect the coefficient of every coordinate monomial
+    coeffs = {}
+    for e in integrate_momenta(poly).entries:
+        perms = set(permutations(e.moments))
+        base = float(e.coeff) * t**e.e_t * gg2**e.e_g2 * vv2**e.e_v2
+        for perm in perms:
+            coeffs[perm] = coeffs.get(perm, 0.0) + base / len(perms)
+    if not coeffs:
+        return OracleValue(0.0, 0.0)
+    powers = 2 * np.array(list(coeffs), dtype=float)
+    weights = np.array(list(coeffs.values()))
 
-    def poly_at(coords):
-        total = 0.0
-        for e in red.entries:
-            base = float(e.coeff) * t**e.e_t * gg2**e.e_g2 * vv2**e.e_v2
-            acc = 0.0
-            # symmetrized moments: average over distinct permutations
-            for perm in _distinct_permutations(e.moments):
-                term = 1.0
-                for c, p in zip(coords, perm):
-                    term *= c ** (2 * p)
-                acc += term
-            acc /= _n_permutations(e.moments)
-            total += base * acc
-        return total
+    def f(X):
+        monomials = np.prod(X[:, None, :] ** powers, axis=2)
+        return (monomials @ weights) * _weight(X, t, g2, v2)
 
-    if v2 <= 0:
-        raise DivergentIntegralError("phase-space integral diverges at v = 0")
-    if d == 2:
-
-        def weight(x, y):
-            return math.exp(-0.5 * t * (v2 * (x * x + y * y) + g2 * x * x * y * y))
-
-        cut = _gauss_cutoff(0.5 * t * v2, poly.max_exponent("x") // 2 + 1, spec)
-
-        def inner(x):
-            val, _ = _quad(lambda y: poly_at((x, y)) * weight(x, y), 0.0, cut, spec, inner=True)
-            return val
-
-        val, err = _quad(inner, 0.0, cut, spec)
-        val *= 4.0
-    elif d == 3:
-
-        def weight3(x, y, z):
-            quart = x * x * y * y + y * y * z * z + z * z * x * x
-            return math.exp(-0.5 * t * (v2 * (x * x + y * y + z * z) + g2 * quart))
-
-        cut = _gauss_cutoff(0.5 * t * v2, poly.max_exponent("x") // 2 + 1, spec)
-
-        def inner2(x, y):
-            val, _ = _quad(
-                lambda z: poly_at((x, y, z)) * weight3(x, y, z), 0.0, cut, spec, inner=True
-            )
-            return val
-
-        def inner1(x):
-            val, _ = _quad(lambda y: inner2(x, y), 0.0, cut, spec, inner=True)
-            return val
-
-        val, err = _quad(inner1, 0.0, cut, spec)
-        val *= 8.0
-    else:
-        raise DomainError("phase-space quadrature supports 2 or 3 coordinates")
+    cut = _gauss_cutoff(0.5 * t * v2, poly.max_exponent("x") // 2 + 1, spec)
+    val, err = _cubature(f, d, cut, spec)
     norm = (
-        params.hbar ** (poly.i_power - d)
+        2.0**d
+        * params.hbar ** (poly.i_power - d)
         * (2.0 * math.pi) ** (-d)
         * (2.0 * math.pi / t) ** (d / 2.0)
         * extra
     )
-    return OracleValue(norm * val, abs(norm * val) * (err / max(abs(val), 1e-300) + spec.rel_tol))
-
-
-def _distinct_permutations(moments):
-    from itertools import permutations
-
-    return set(permutations(moments))
-
-
-def _n_permutations(moments):
-    return len(_distinct_permutations(moments))
+    return _oracle(norm * val, norm * err, spec)
 
 
 # -- three-coordinate radial integrals ----------------------------------------
@@ -275,62 +252,60 @@ def radial_quadrature_n3(which, params, spec=QuadratureSpec(), effective=False):
     if v2 <= 0 and g2 <= 0:
         raise DivergentIntegralError("no decay in the radial weight")
     t = params.t
-    tail = 0.0
+    # the quartic scale: beyond r0 the Bessel factor has eaten the quartic
+    # exponential and only the algebraic r^-2 channel tail is left
+    r0 = math.inf
+    if g2 > 0:
+        r0 = max((8.0 * _gauss_cutoff_exponent(spec) / (t * g2)) ** 0.25, 10.0)
+    tail = tail_err = 0.0
     if v2 > 0:
-        # the Bessel factor eats the quartic exponential (algebraic decay
-        # only), so the harmonic factor sets the cutoff
+        # the harmonic factor sets the cutoff; at small v it lies far
+        # beyond r0, which becomes a breakpoint so quad sees the bulk
         rcut = _gauss_cutoff(0.5 * t * v2, 2, spec)
     else:
-        # which = 2 at v = 0: algebraic r^-2 tail (channel escape), add the
-        # asymptotic tail int_R^inf r^3 (2 pi w)^(-1/2) (g^2 r^2)^(-3/2) dr
-        # analytically, with w = t g^2 r^4/16
-        rcut = max((8.0 * _gauss_cutoff_exponent(spec) / (t * g2)) ** 0.25, 10.0)
+        # which = 2 at v = 0: add the asymptotic tail
+        # int_R^inf r^3 e^-w I_0(w) (g^2 r^2)^(-3/2) dr, w = t g^2 r^4/16, from
+        # e^-w I_0(w) ~ (2 pi w)^(-1/2) (1 + 1/(8w) + 9/(128w^2) + 225/(3072w^3));
+        # the last term is left out and bounds the error
+        rcut = r0
         A = math.sqrt(16.0 / (2.0 * math.pi * t * g2)) / g2**1.5
-        tail = A * (1.0 / rcut + (2.0 / (t * g2)) / (5.0 * rcut**5))
-    rcut = min(rcut, spec.domain_cutoff)
-    val, err = _quad(lambda r: radial_integrand_n3(which, r, params, effective), 0.0, rcut, spec)
-    total = (2.0 * math.pi / t) ** 1.5 * (val + tail)
-    return OracleValue(total, abs(total) * (err / max(abs(val), 1e-300) + spec.rel_tol))
+        s = 1.0 / (t * g2 * rcut**4)
+        tail = A / rcut * (1.0 + 0.4 * s + 2.0 * s * s)
+        tail_err = A / rcut * 300.0 / 13.0 * s**3
+    points = [r0] if r0 < rcut else None
+    val, err = _line_integral(
+        lambda r: radial_integrand_n3(which, r, params, effective), 0.0, rcut, spec, points
+    )
+    norm = (2.0 * math.pi / t) ** 1.5
+    return _oracle(norm * (val + tail), norm * (err + tail_err), spec)
 
 
 def raw_coordinate_n3(which, params, spec=QuadratureSpec(), effective=False):
     """The same structures as a raw 3-D coordinate integral (full space,
-    octant times 8) for cross-checking the radial reduction."""
+    octant times 8) for cross-checking the radial reduction.  Needs a
+    harmonic weight (v > 0 or ``effective``): at v = 0 the x^2 structure
+    diverges and x^2 (y^2+z^2) has an algebraic channel tail no box holds."""
     if which not in (1, 2):
         raise DomainError("which must be 1 or 2")
     g2, v2, _ = _weight_params(params, effective)
-    if which == 1 and v2 <= 0:
-        raise DivergentIntegralError(
-            "the x^2 coordinate integral diverges along the channels at v = 0"
+    if v2 <= 0:
+        if which == 1:
+            raise DivergentIntegralError(
+                "the x^2 coordinate integral diverges along the channels at v = 0"
+            )
+        raise DomainError(
+            "the raw box misses the algebraic channel tail at v = 0: "
+            "use radial_quadrature_n3 or effective=True"
         )
     t = params.t
 
-    def weight(x, y, z):
-        quart = x * x * y * y + y * y * z * z + z * z * x * x
-        return math.exp(-0.5 * t * (v2 * (x * x + y * y + z * z) + g2 * quart))
+    def f(X):
+        sq = X * X
+        moment = sq[:, 0] if which == 1 else sq[:, 0] * (sq[:, 1] + sq[:, 2])
+        return moment * _weight(X, t, g2, v2)
 
-    def f(x, y, z):
-        if which == 1:
-            return x * x * weight(x, y, z)
-        return x * x * (y * y + z * z) * weight(x, y, z)
-
-    if v2 > 0:
-        cut = _gauss_cutoff(0.5 * t * v2, 3, spec)
-    else:
-        cut = (8.0 * _gauss_cutoff_exponent(spec) / (t * g2)) ** 0.25 + 6.0
-    cut = min(cut, spec.domain_cutoff)
-
-    def inner2(x, y):
-        val, _ = _quad(lambda z: f(x, y, z), 0.0, cut, spec, inner=True)
-        return val
-
-    def inner1(x):
-        val, _ = _quad(lambda y: inner2(x, y), 0.0, cut, spec, inner=True)
-        return val
-
-    val, err = _quad(inner1, 0.0, cut, spec)
-    total = 8.0 * val
-    return OracleValue(total, abs(total) * (err / max(abs(val), 1e-300) + spec.rel_tol))
+    val, err = _cubature(f, 3, _gauss_cutoff(0.5 * t * v2, 3, spec), spec)
+    return _oracle(8.0 * val, 8.0 * err, spec)
 
 
 def imn_factorized_g0(m, n, params):

@@ -204,6 +204,16 @@ def _natural_scale(params):
     return max(base, params.v, 1e-3)
 
 
+def _complete_count(merged, sector_data):
+    """Length of the prefix of the merged spectrum with no level missing: a
+    sector solved iteratively returns only its lowest levels, so above its
+    top one the merge may skip levels of that sector."""
+    tops = [w[-1] for _, w, _, T, _ in sector_data if len(w) < T.shape[0]]
+    if not tops:
+        return len(merged)
+    return int(np.searchsorted(merged, min(tops), side="right"))
+
+
 def eigenvalues(handle, how_many, conv_tol=1e-6):
     """Lowest eigenvalues with a basis-enlargement convergence study.
 
@@ -216,15 +226,19 @@ def eigenvalues(handle, how_many, conv_tol=1e-6):
         raise DomainError("how_many exceeds the dimension/4 safety margin")
     ev, sectors = handle.solve()
     big = HamiltonianBlocks(handle.params, handle.basis.enlarged(8))
-    ev_big, _ = big.solve()
-    n = min(len(ev), len(ev_big))
+    ev_big, sectors_big = big.solve()
+    n = min(_complete_count(ev, sectors), _complete_count(ev_big, sectors_big))
     diffs = np.abs(ev[:n] - ev_big[:n])
     bad = np.nonzero(diffs > conv_tol)[0]
     count = int(bad[0]) if bad.size else n
     if count < how_many:
+        why = (
+            f"changed by {diffs[count]:.3g} under basis enlargement"
+            if count < n
+            else "higher levels of an iteratively solved sector were not computed"
+        )
         raise ConvergenceError(
-            f"eigenvalue {count} not converged to {conv_tol:g} "
-            f"(changed by {diffs[count]:.3g} under basis enlargement)",
+            f"eigenvalue {count} not converged to {conv_tol:g} ({why})",
             first_unconverged=count,
         )
     return SpectrumResult(

@@ -58,6 +58,8 @@ class TestCompare:
         assert "0 FLAG" in text
 
     def test_flagged_row_counts(self):
+        # at v = 1 the two routes agree to the last bit, so no tolerance
+        # flags that point; at v = 1.1 they differ by 8e-16
         status, rows, _, text = run_cli(
             [
                 "compare",
@@ -68,7 +70,7 @@ class TestCompare:
                 "--g",
                 "1",
                 "--v",
-                "1",
+                "1.1",
                 "--hbar",
                 "1",
                 "--t",
@@ -229,6 +231,15 @@ class TestExitCodes:
         code = main(
             ["spectrum", "--g", "1:2:2", "--v", "1", "--t", "1", "--omega", "1",
              "--basis-n", "8", "--save-spectrum", str(out)]
+        )
+        assert code == 3
+        assert not out.exists()
+
+    def test_save_spectrum_rejected_with_study(self, tmp_path):
+        out = tmp_path / "study.txt"
+        code = main(
+            ["spectrum", "--study", "--g", "1", "--v", "0", "--hbar", "1", "--t", "0.3",
+             "--basis-n", "40", "--save-spectrum", str(out)]
         )
         assert code == 3
         assert not out.exists()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -29,9 +30,10 @@ def params(**kw):
 class TestMomentQuadrature:
     def test_free_gaussian_factorization(self):
         p = params(g=0.0, v=1.3, t=0.7)
-        for m, n in ((0, 0), (1, 0), (2, 2)):
-            got = imn_quadrature(m, n, p)
-            assert got.value == pytest.approx(imn_factorized_g0(m, n, p), rel=1e-9)
+        for route in (imn_quadrature, imn_quadrature_channel):
+            for m, n in ((0, 0), (1, 0), (2, 2)):
+                got = route(m, n, p)
+                assert got.value == pytest.approx(imn_factorized_g0(m, n, p), rel=1e-9)
 
     def test_cross_route_closed_form(self):
         p = params(v=2.0**0.25)  # z = 1
@@ -112,6 +114,48 @@ class TestPhaseSpaceQuadrature:
         # below; here just positivity and scale sanity against the harmonic
         # bound Z <= (hbar v t)^-3
         assert 0.0 < got.value < 1.0
+
+
+def criterion2_grid():
+    """The (g, t, z) grid of acceptance criterion 2."""
+    for g in (0.7, 1.0, 1.5):
+        for t in (0.6, 1.0, 1.7):
+            for z in (0.1, 1.0, 10.0):
+                yield params(g=g, v=(2.0 * z * g * g / t) ** 0.25, t=t)
+
+
+class TestErrorBrackets:
+    """A reported OracleValue.error bounds the distance to the truth."""
+
+    def test_moment_integrals(self):
+        for p in criterion2_grid():
+            for m in range(5):
+                for n in range(m + 1):
+                    got = imn_quadrature(m, n, p)
+                    assert abs(got.value - hk.integral_Imn_closed(m, n, p)) <= got.error
+
+    def test_phase_space_kernels(self):
+        W = conventional_kernels(potential(2), 2)
+        for p in criterion2_grid():
+            for k, closed in ((0, hk.tf_partition_n2(p)), (2, hk.z2_closed_n2(p))):
+                got = phase_space_quadrature(W[k], p)
+                assert abs(got.value - closed) <= got.error
+
+    def test_channel_route(self):
+        for v in (1.0, 0.2, 0.05):
+            p = params(v=v)
+            for m in range(5):
+                for n in range(m + 1):
+                    got = imn_quadrature_channel(m, n, p)
+                    assert abs(got.value - hk.integral_Imn_closed(m, n, p)) <= got.error
+
+    @pytest.mark.parametrize("which,v,effective", [(1, 1.0, False), (2, 0.0, True)])
+    def test_raw_and_radial_three_coordinate(self, which, v, effective):
+        p = ModelParams(g=1.0, v=v, hbar=1.0, t=1.0, n_model=3)
+        spec = QuadratureSpec(rel_tol=1e-6)
+        raw = raw_coordinate_n3(which, p, spec, effective=effective)
+        radial = radial_quadrature_n3(which, p, spec, effective=effective)
+        assert abs(raw.value - radial.value) <= raw.error + radial.error
 
 
 class TestReductionAgainstBruteForce:
@@ -211,6 +255,17 @@ class TestRadialThreeCoordinate:
         p = ModelParams(g=1.0, v=0.0, hbar=1.0, t=1.0, n_model=3)
         val = radial_quadrature_n3(2, p)
         assert math.isfinite(val.value) and val.value > 0
+        # a box cutoff drops the r^-2 channel tail (13% at these couplings)
+        with pytest.raises(DomainError):
+            raw_coordinate_n3(2, p)
+
+    def test_second_structure_continuous_at_small_v(self):
+        # the harmonic cutoff lies near 1/v, far beyond the quartic bulk
+        at_zero = radial_quadrature_n3(2, replace(self.P3, v=0.0)).value
+        for v in (1e-4, 1e-5):
+            got = radial_quadrature_n3(2, replace(self.P3, v=v)).value
+            assert got > 0
+            assert got == pytest.approx(at_zero, rel=1e-3)
 
     def test_harmonic_dominance_factorizes(self):
         # g -> 0: I_1 -> Gamma moments of a pure Gaussian

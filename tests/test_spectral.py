@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ymqm import spectral
 from ymqm.errors import ConvergenceError, DomainError
 from ymqm.params import ModelParams
 from ymqm.spectral import (
@@ -136,6 +137,19 @@ class TestEigenvalues:
         with pytest.raises(ConvergenceError) as exc:
             eigenvalues(h, how_many=60, conv_tol=1e-10)
         assert exc.value.first_unconverged is not None
+
+    def test_iterative_sectors_claim_only_computed_levels(self, monkeypatch):
+        # every sector above the cap is solved iteratively for its 64 lowest
+        # levels, so the merge is complete only below the lowest sector top
+        p = ModelParams(g=0.05, v=1.0, hbar=1.0, t=1.0)
+        dense = eigenvalues(build_hamiltonian(p, BasisSpec(40, 1.0)), how_many=4)
+        monkeypatch.setattr(spectral, "DENSE_BLOCK_CAP", 100)
+        capped = eigenvalues(build_hamiltonian(p, BasisSpec(40, 1.0)), how_many=4)
+        n = capped.count_converged
+        assert 4 <= n <= dense.count_converged
+        np.testing.assert_allclose(
+            capped.converged(), dense.eigenvalues[:n], rtol=0, atol=dense.conv_tol
+        )
 
     def test_how_many_margin(self):
         h = build_hamiltonian(QUARTIC, BasisSpec(8, 1.0))
