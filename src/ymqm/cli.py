@@ -14,9 +14,7 @@ import argparse
 import configparser
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,7 +129,10 @@ def eval_zk_route(route, k, params, cfg):
             return heatkernel.tf_partition_n2(params)
         if k == 2:
             return heatkernel.z2_closed_n2(params)
-        raise DomainError("closed forms cover k in {0, 2}")
+        red, _ = _cached_kernel(k)
+        return red.partition_value(
+            params, lambda mn: heatkernel.integral_Imn_closed(max(mn), min(mn), params)
+        )
     if route == "symbolic":
         red, _ = _cached_kernel(k)
         spec = cfg.quad_spec()
@@ -394,16 +395,11 @@ def rows_sweep(cfg, grid):
     if cfg.quantity not in fns:
         raise ConfigError(f"unknown sweep quantity {cfg.quantity!r}")
     fn = fns[cfg.quantity]
-    max_workers = max(1, int(os.environ.get("YMQM_THREADS", "4")))
     import warnings
 
-    def one(p):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return fn(p)
-
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        values = list(pool.map(one, grid))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        values = [fn(p) for p in grid]
     rows = []
     for p, val in zip(grid, values):
         rows.append(
@@ -442,7 +438,6 @@ def manifest_lines(cfg, summary=None):
         "tol_quad": repr(cfg.tol_quad),
         "tol_conv": repr(cfg.tol_conv),
         "disc_tol": repr(cfg.disc_tol),
-        "threads": os.environ.get("YMQM_THREADS", "4"),
         "seed": "none",
     }
     if summary:

@@ -32,6 +32,9 @@ from .reduction import integrate_momenta
 
 _TAIL_SAFETY = 10.0  # tail-truncation bound kept below rel_tol / safety
 _QUAD_LIMIT = 200  # subintervals per one-dimensional quad
+#: below this z = t v^4 / (2 g^2) of the weight, imn_quadrature hands over
+#: to the channel route (the box cubature misses the channels from z ~ 3e-5)
+_CHANNEL_Z = 1e-3
 
 
 @dataclass(frozen=True)
@@ -110,8 +113,9 @@ def imn_quadrature(m, n, params, spec=QuadratureSpec(), effective=False):
     Deep in the channel regime (z = t v^4 / (2 g^2) -> 0) the weight is
     pinned to the axes out to R ~ 1/v and the rectangular mesh no longer
     resolves it while its error estimate stays small: at v = 0.05 with
-    g = t = 1 (z = 3e-6) the value is off by 1.4e-5 relative with about
-    1e-10 reported.  Use :func:`imn_quadrature_channel` there.
+    g = t = 1 (z = 3e-6) the cubature is off by 1.4e-5 relative with about
+    1e-10 reported.  Below z = 1e-3 of the weight the call therefore goes
+    to :func:`imn_quadrature_channel`.
     """
     if m < 0 or n < 0:
         raise DomainError("m, n must be non-negative")
@@ -121,6 +125,8 @@ def imn_quadrature(m, n, params, spec=QuadratureSpec(), effective=False):
             "moment integrals diverge along the channels at v = 0"
         )
     t = params.t
+    if t * v2 * v2 < 2.0 * _CHANNEL_Z * g2:
+        return imn_quadrature_channel(m, n, params, spec, effective)
 
     def f(X):
         return X[:, 0] ** (2 * m) * X[:, 1] ** (2 * n) * _weight(X, t, g2, v2)
@@ -257,27 +263,35 @@ def radial_quadrature_n3(which, params, spec=QuadratureSpec(), effective=False):
     r0 = math.inf
     if g2 > 0:
         r0 = max((8.0 * _gauss_cutoff_exponent(spec) / (t * g2)) ** 0.25, 10.0)
-    tail = tail_err = 0.0
+    norm = (2.0 * math.pi / t) ** 1.5
+
+    def integral(rcut):
+        points = [r0] if r0 < rcut else None
+        return _line_integral(
+            lambda r: radial_integrand_n3(which, r, params, effective), 0.0, rcut, spec, points
+        )
+
     if v2 > 0:
         # the harmonic factor sets the cutoff; at small v it lies far
         # beyond r0, which becomes a breakpoint so quad sees the bulk
-        rcut = _gauss_cutoff(0.5 * t * v2, 2, spec)
-    else:
-        # which = 2 at v = 0: add the asymptotic tail
-        # int_R^inf r^3 e^-w I_0(w) (g^2 r^2)^(-3/2) dr, w = t g^2 r^4/16, from
-        # e^-w I_0(w) ~ (2 pi w)^(-1/2) (1 + 1/(8w) + 9/(128w^2) + 225/(3072w^3));
-        # the last term is left out and bounds the error
-        rcut = r0
-        A = math.sqrt(16.0 / (2.0 * math.pi * t * g2)) / g2**1.5
+        val, err = integral(_gauss_cutoff(0.5 * t * v2, 2, spec))
+        return _oracle(norm * val, norm * err, spec)
+    # which = 2 at v = 0: add the asymptotic tail
+    # int_R^inf r^3 e^-w I_0(w) (g^2 r^2)^(-3/2) dr, w = t g^2 r^4/16, from
+    # e^-w I_0(w) ~ (2 pi w)^(-1/2) (1 + 1/(8w) + 9/(128w^2) + 225/(3072w^3));
+    # the last term is left out and bounds the error.  It falls as R^-13,
+    # so R grows until it is below the tail bound of rel_tol
+    A = math.sqrt(16.0 / (2.0 * math.pi * t * g2)) / g2**1.5
+    rcut = r0
+    while True:
         s = 1.0 / (t * g2 * rcut**4)
         tail = A / rcut * (1.0 + 0.4 * s + 2.0 * s * s)
         tail_err = A / rcut * 300.0 / 13.0 * s**3
-    points = [r0] if r0 < rcut else None
-    val, err = _line_integral(
-        lambda r: radial_integrand_n3(which, r, params, effective), 0.0, rcut, spec, points
-    )
-    norm = (2.0 * math.pi / t) ** 1.5
-    return _oracle(norm * (val + tail), norm * (err + tail_err), spec)
+        val, err = integral(rcut)
+        target = abs(val + tail) * spec.rel_tol / _TAIL_SAFETY
+        if tail_err <= target:
+            return _oracle(norm * (val + tail), norm * (err + tail_err), spec)
+        rcut *= 1.05 * (tail_err / target) ** (1.0 / 13.0)
 
 
 def raw_coordinate_n3(which, params, spec=QuadratureSpec(), effective=False):

@@ -7,9 +7,12 @@ defining Laplace-type integral
                       * int_0^inf u^{mu-kappa-1/2} (1+u)^{mu+kappa-1/2} e^{-zu} du,
 
 valid for mu - kappa + 1/2 > 0, by adaptive quadrature on a split domain.
-This is the representation all the closed-form moment integrals reduce to,
-so consistency with it is the normative contract.  Everything else is a
-thin, domain-checked layer over scipy.special.
+Every closed-form moment integral is a Whittaker function, but the hot
+path, ``heatkernel.integral_Imn_closed``, evaluates the moments as
+exact-rational combinations of the scaled Bessel functions e^u K_0(u) and
+e^u K_1(u).  The Laplace integral is the oracle those combinations are
+tested against and their fallback where they cancel.
+Everything else is a thin, domain-checked layer over scipy.special.
 """
 
 from __future__ import annotations
@@ -124,6 +127,13 @@ def bessel_k0_scaled(z):
     if not z > 0:
         raise DomainError("K_0 requires z > 0")
     return float(sp.k0e(z))
+
+
+def bessel_k1_scaled(z):
+    """e^z K_1(z), stable for large z."""
+    if not z > 0:
+        raise DomainError("K_1 requires z > 0")
+    return float(sp.k1e(z))
 
 
 def bessel_i0(z):

@@ -24,7 +24,7 @@ from ymqm.reduction import (
     harmonic_partition_exact,
     integrate_momenta,
 )
-from ymqm.special import EULER_GAMMA, gamma_fn
+from ymqm.special import EULER_GAMMA, double_factorial, gamma_fn
 
 
 def _report(tag, ok, detail=""):
@@ -83,9 +83,6 @@ class TestCriterion1ExactConstants:
     def test_1d_resummed_quartic_constants(self):
         p = ModelParams(g=0.01, v=0.0, hbar=1.0, t=1.0)
         K = hk.prefactor_K(p)
-        c2 = hk.resummed_term(2, p) / K
-        c4 = hk.resummed_term(4, p) / K
-        const = 5 * math.log(2.0) - EULER_GAMMA + 427.0 / 180.0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             from ymqm.kernels import potential as _pot
@@ -95,17 +92,28 @@ class TestCriterion1ExactConstants:
             table = {
                 k: extract_coefficients(integrate_momenta(S[k]), k) for k in (2, 4)
             }
+            # c_k = 2^k Gamma(k/2) sum_n a_n^(k) (2n-1)!!, exactly, from the table
+            derived = {
+                k: 2**k
+                * math.factorial(k // 2 - 1)
+                * sum(a * double_factorial(2 * n - 1) for n, a in table[k].items())
+                for k in (2, 4)
+            }
+            c2 = hk.resummed_term(2, p) / K
+            c4 = hk.resummed_term(4, p) / K
             _, total = hk.series_assemble(p, 4, table)
         assembled = total / K + math.log(p.lam2)
+        const = 5 * math.log(2.0) - EULER_GAMMA + float(derived[2] + derived[4])
         ok = (
-            abs(c2 - 5.0 / 3.0) < 1e-14
-            and abs(c4 - 127.0 / 180.0) < 1e-14
+            derived == {2: Fraction(5, 3), 4: Fraction(127, 180)}
+            and abs(c2 - float(derived[2])) < 1e-14
+            and abs(c4 - float(derived[4])) < 1e-14
             and abs(assembled - const) < 1e-12
         )
         _report(
             "1d resummed quartic constants 5/3, 127/180, 5ln2-C+427/180",
             ok,
-            f"c2={c2!r} c4={c4!r} assembled={assembled!r}",
+            f"derived={derived} c2={c2!r} c4={c4!r} assembled={assembled!r}",
         )
 
     def test_1e_fourth_order_coefficients(self, quartic_resummed):

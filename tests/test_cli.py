@@ -82,6 +82,17 @@ class TestCompare:
         assert status == 1
         assert "1 FLAG" in text
 
+    def test_closed_route_at_higher_orders(self):
+        # k >= 4: the symbolic reduction evaluated on closed-form moments
+        for g, v, t in (("0.8", "0.9", "0.7"), ("1.2", "1.6", "1.5")):
+            status, rows, _, text = run_cli(
+                ["compare", "--routes", "closed,symbolic", "--k", "4,6",
+                 "--g", g, "--v", v, "--hbar", "1", "--t", t]
+            )
+            assert status == 0 and "0 FLAG" in text
+            assert [r["k"] for r in rows] == [4, 6]
+            assert all(math.isfinite(r[f"z{r['k']}_closed"]) for r in rows)
+
 
 class TestResum:
     def test_constant_column(self):
@@ -249,16 +260,12 @@ class TestExitCodes:
 
 
 class TestSweepAndN3:
-    def test_threaded_sweep_deterministic(self, monkeypatch):
-        monkeypatch.setenv("YMQM_THREADS", "3")
-        _, rows1, _, _ = run_cli(
-            ["sweep", "--quantity", "tf", "--g", "1", "--v", "0.5:2:6", "--hbar", "1", "--t", "1"]
-        )
-        monkeypatch.setenv("YMQM_THREADS", "1")
-        _, rows2, _, _ = run_cli(
-            ["sweep", "--quantity", "tf", "--g", "1", "--v", "0.5:2:6", "--hbar", "1", "--t", "1"]
-        )
-        assert rows1 == rows2
+    def test_sweep_deterministic(self):
+        argv = ["sweep", "--quantity", "z2", "--g", "1", "--v", "0.5:2:6", "--hbar", "1",
+                "--t", "0.2:0.4:3"]
+        _, rows1, _, _ = run_cli(argv)
+        _, rows2, _, _ = run_cli(argv)
+        assert len(rows1) == 18 and rows1 == rows2
 
     def test_n3_command_implies_model(self, tmp_path):
         out = tmp_path / "n3.csv"

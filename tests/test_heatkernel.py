@@ -123,6 +123,34 @@ class TestMomentIntegralsClosed:
     def test_index_order_enforced(self):
         with pytest.raises(DomainError):
             hk.integral_Imn_closed(1, 2, P1)
+        with pytest.raises(DomainError):
+            hk.integral_Imn_whittaker(1, 2, P1)
+
+    def test_bessel_form_matches_whittaker(self):
+        g, t = 1.2, 0.8
+        for z in np.logspace(-12, math.log10(50.0), 15):
+            p = params(g=g, t=t, v=(2.0 * z * g * g / t) ** 0.25)
+            for m in range(9):
+                for n in range(m + 1):
+                    closed = hk.integral_Imn_closed(m, n, p)
+                    oracle = hk.integral_Imn_whittaker(m, n, p)
+                    assert closed == pytest.approx(oracle, rel=1e-10), (m, n, z)
+
+    def test_cancellation_guard_falls_back(self, monkeypatch):
+        calls = []
+        oracle = hk.integral_Imn_whittaker
+
+        def recorded(m, n, p):
+            calls.append((m, n))
+            return oracle(m, n, p)
+
+        monkeypatch.setattr(hk, "integral_Imn_whittaker", recorded)
+        at_50 = params(v=100.0**0.25)  # z = t v^4 / (2 g^2) = 50
+        hk.integral_Imn_closed(2, 1, params(v=1.0))
+        assert calls == []
+        # (8, 8) at z = 50 cancels by about sixteen digits
+        assert hk.integral_Imn_closed(8, 8, at_50) == oracle(8, 8, at_50)
+        assert calls == [(8, 8)]
 
 
 class TestSingularFamilies:

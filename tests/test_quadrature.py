@@ -128,7 +128,9 @@ class TestErrorBrackets:
     """A reported OracleValue.error bounds the distance to the truth."""
 
     def test_moment_integrals(self):
-        for p in criterion2_grid():
+        # plus the channel regime: z = 4e-3 stays on the cubature, z = 3e-6
+        # goes to the channel route
+        for p in [*criterion2_grid(), params(v=0.3), params(v=0.05)]:
             for m in range(5):
                 for n in range(m + 1):
                     got = imn_quadrature(m, n, p)
@@ -258,6 +260,14 @@ class TestRadialThreeCoordinate:
         # a box cutoff drops the r^-2 channel tail (13% at these couplings)
         with pytest.raises(DomainError):
             raw_coordinate_n3(2, p)
+
+    def test_second_structure_meets_tolerance_at_zero_v(self):
+        # at small t the cutoff must grow for the omitted tail term to meet rel_tol
+        p = ModelParams(g=1.0, v=0.0, hbar=1.0, t=0.3, n_model=3)
+        tight = radial_quadrature_n3(2, p, QuadratureSpec(rel_tol=1e-12))
+        assert tight.error <= 1e-12 * tight.value
+        loose = radial_quadrature_n3(2, p)
+        assert abs(tight.value - loose.value) <= loose.error
 
     def test_second_structure_continuous_at_small_v(self):
         # the harmonic cutoff lies near 1/v, far beyond the quartic bulk

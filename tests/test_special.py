@@ -12,6 +12,7 @@ from ymqm.special import (
     bessel_i0,
     bessel_k0,
     bessel_k0_scaled,
+    bessel_k1_scaled,
     digamma,
     double_factorial,
     gamma_fn,
@@ -140,10 +141,15 @@ class TestBessel:
 
     def test_scaled_variants(self):
         assert bessel_k0_scaled(3.0) == pytest.approx(math.exp(3.0) * bessel_k0(3.0), rel=1e-13)
+        for z in (1e-10, 0.5, 5.0, 50.0):
+            ref = float(mpmath.exp(z) * mpmath.besselk(1, z))
+            assert bessel_k1_scaled(z) == pytest.approx(ref, rel=1e-14)
 
     def test_domains(self):
         with pytest.raises(DomainError):
             bessel_k0(0.0)
+        with pytest.raises(DomainError):
+            bessel_k1_scaled(0.0)
         with pytest.raises(DomainError):
             bessel_i0(-1.0)
 
