@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import sys
@@ -26,7 +27,7 @@ from .quadrature import QuadratureSpec, imn_quadrature, phase_space_quadrature, 
 from .reduction import integrate_momenta
 
 COMMANDS = ("tf", "wk", "resum", "singular-scan", "n3", "spectrum", "compare", "sweep")
-ROUTES = ("closed", "symbolic", "quadrature", "spectral")
+ROUTES = ("closed", "symbolic", "quadrature")
 
 
 class ConfigError(Exception):
@@ -111,13 +112,9 @@ def _kernel_reduction(k, dims=2):
     return integrate_momenta(W[k]), W[k]
 
 
-_REDUCTION_CACHE = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _cached_kernel(k):
-    if k not in _REDUCTION_CACHE:
-        _REDUCTION_CACHE[k] = _kernel_reduction(k)
-    return _REDUCTION_CACHE[k]
+    return _kernel_reduction(k)
 
 
 def eval_zk_route(route, k, params, cfg):
@@ -189,8 +186,6 @@ def rows_wk_compare(cfg, grid):
             row = {**_param_cols(p), "k": k}
             vals = {}
             for route in cfg.routes:
-                if route == "spectral":
-                    continue
                 vals[route] = float(eval_zk_route(route, k, p, cfg))
                 row[f"z{k}_{route}"] = vals[route]
             disc = 0.0

@@ -24,8 +24,6 @@ from fractions import Fraction
 from .errors import DomainError
 from .polynomial import PhasePolynomial
 
-MAX_TESTED_ORDER = 8
-
 _COORDS = ("x", "y", "z")
 _MOMENTA = ("px", "py", "pz")
 

@@ -47,12 +47,6 @@ class MomentReduction:
     order_k: int
     entries: list = field(default_factory=list)
 
-    def by_moments(self):
-        out = {}
-        for e in self.entries:
-            out.setdefault(e.moments, []).append(e)
-        return out
-
     def evaluate(self, params, moment_fn):
         """Numeric value given a moment evaluator ``moment_fn(moments) -> float``."""
         g2 = params.g**2

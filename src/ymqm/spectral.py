@@ -4,8 +4,12 @@ The quantum Hamiltonians are assembled in a product basis of harmonic
 oscillator levels (frequency ``omega`` per axis, a numerical knob), where
 x^2 and p^2 have exact ladder-operator matrix elements and the pairwise
 quartic couplings are tensor products of 1-D x^2 matrices.  Per-axis parity
-is conserved, so the matrix splits into 2^d blocks solved independently:
-dense below a size cap, iterative extremal solver above.
+is conserved, so the matrix splits into 2^d blocks, each assembled sparse
+from the tridiagonal 1-D factors and solved independently.  A block at or
+below a size cap is solved completely by dense LAPACK; when two of its axes
+share a parity, the swap of those axes is a symmetry of the block, and it is
+solved as its symmetric and antisymmetric halves.  Above the cap an
+iterative extremal solver returns only the lowest levels of the whole block.
 
 Every computed eigenvalue is variational (an upper bound that decreases
 monotonically with the cutoff), hence every truncated partition sum is a
@@ -22,6 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import eigsh
 
 from .errors import ConvergenceError, DomainError
 from .params import ModelParams
@@ -79,8 +85,54 @@ def _parity_slices(N):
     return {0: np.arange(0, N, 2), 1: np.arange(1, N, 2)}
 
 
+def _kron_sum(terms):
+    """CSR matrix of sum_k c_k A_k1 (x) A_k2 (x) ... for ``terms`` of
+    (c_k, [A_k1, A_k2, ...]) with square factors: the nonzeros of each
+    Kronecker product come from index arithmetic on those of its (banded)
+    factors."""
+    n = math.prod(m.shape[0] for m in terms[0][1])
+    rows, cols, vals = [], [], []
+    for coeff, factors in terms:
+        r, c, v = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp), np.array([coeff])
+        for m in factors:
+            fr, fc = np.nonzero(m)
+            r = (r[:, None] * m.shape[0] + fr).ravel()
+            c = (c[:, None] * m.shape[0] + fc).ravel()
+            v = (v[:, None] * m[fr, fc]).ravel()
+        rows.append(r)
+        cols.append(c)
+        vals.append(v)
+    return csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    )
+
+
+def _swap_halves(H, sec, N):
+    """Dense symmetric and antisymmetric halves of the sparse block H of
+    parity sector ``sec`` (N levels per axis) under the swap of its first
+    two axes of equal parity, which leaves H and the sector unchanged;
+    ``None`` when every axis has its own parity."""
+    pair = next(((i, j) for i, j in itertools.combinations(range(len(sec)), 2)
+                 if sec[i] == sec[j]), None)
+    if pair is None:
+        return None
+    idx = np.arange(H.shape[0])
+    shape = [len(range(p, N, 2)) for p in sec]
+    sigma = np.swapaxes(idx.reshape(shape), *pair).ravel()
+    # basis (e_r + e_sr)/sqrt(2) over r < sr and e_r over the fixed points
+    r = np.nonzero(idx <= sigma)[0]
+    c = np.where(r == sigma[r], math.sqrt(0.5), 1.0)
+    Hr = H[r]
+    sym = (Hr[:, r] + Hr[:, sigma[r]]).toarray() * np.outer(c, c)
+    a = np.nonzero(idx < sigma)[0]
+    Ha = H[a]
+    anti = (Ha[:, a] - Ha[:, sigma[a]]).toarray()
+    return sym, anti
+
+
 class HamiltonianBlocks:
-    """Parity-blocked matrices of H = T + V, with T and V kept separate."""
+    """Parity-blocked sparse matrices of H = T + V, with T and V kept
+    separate."""
 
     def __init__(self, params, basis):
         d = params.n_model
@@ -94,6 +146,7 @@ class HamiltonianBlocks:
         xb = {p: x2[np.ix_(sl[p], sl[p])] for p in (0, 1)}
         pb = {p: p2[np.ix_(sl[p], sl[p])] for p in (0, 1)}
         g2, v2 = params.g**2, params.v**2
+        pairs = [(0, 1)] if d == 2 else [(0, 1), (1, 2), (2, 0)]
         self.blocks = []
         sectors = (
             [basis.symmetry_sector]
@@ -101,52 +154,36 @@ class HamiltonianBlocks:
             else list(itertools.product((0, 1), repeat=d))
         )
         for sec in sectors:
-            mats_x = [xb[p] for p in sec]
-            mats_p = [pb[p] for p in sec]
-            eyes = [np.eye(m.shape[0]) for m in mats_x]
+            eyes = [np.eye(len(sl[p])) for p in sec]
 
-            def embed(ops, pos):
-                out = None
-                for i in range(d):
-                    m = ops[i] if i in pos else eyes[i]
-                    out = m if out is None else np.kron(out, m)
-                return out
+            def embed(ops):
+                return [ops.get(i, eyes[i]) for i in range(d)]
 
-            T = sum(embed({i: mats_p[i]}, {i}) for i in range(d)) * 0.5
-            V = sum(embed({i: mats_x[i]}, {i}) for i in range(d)) * (0.5 * v2)
-            pairs = [(0, 1)] if d == 2 else [(0, 1), (1, 2), (2, 0)]
-            for i, j in pairs:
-                V = V + 0.5 * g2 * embed({i: mats_x[i], j: mats_x[j]}, {i, j})
+            T = _kron_sum([(0.5, embed({i: pb[sec[i]]})) for i in range(d)])
+            V = _kron_sum(
+                [(0.5 * v2, embed({i: xb[sec[i]]})) for i in range(d)]
+                + [(0.5 * g2, embed({i: xb[sec[i]], j: xb[sec[j]]})) for i, j in pairs]
+            )
             self.blocks.append((sec, T, V))
 
     @property
     def dimension(self):
         return sum(T.shape[0] for _, T, _ in self.blocks)
 
-    def solve(self, how_many=None, with_vectors=False):
-        """Sorted merged spectrum (and per-sector data)."""
+    def solve(self, how_many=None):
+        """Sorted merged spectrum and per-sector ``(sec, w, T, V)``."""
         evs = []
         sector_data = []
         for sec, T, V in self.blocks:
             H = T + V
             if H.shape[0] <= DENSE_BLOCK_CAP:
-                if with_vectors:
-                    w, U = eigh(H)
-                else:
-                    w = eigh(H, eigvals_only=True)
-                    U = None
+                parts = _swap_halves(H, sec, self.basis.cutoff_per_axis) or (H.toarray(),)
+                w = np.sort(np.concatenate([eigh(h, eigvals_only=True) for h in parts]))
             else:
-                from scipy.sparse import csr_matrix
-                from scipy.sparse.linalg import eigsh
-
                 kk = min(how_many or 64, H.shape[0] - 2)
-                w, U = eigsh(csr_matrix(H), k=kk, which="SA")
-                order = np.argsort(w)
-                w, U = w[order], U[:, order]
-                if not with_vectors:
-                    U = None
+                w = np.sort(eigsh(H, k=kk, which="SA", return_eigenvectors=False))
             evs.append(w)
-            sector_data.append((sec, w, U, T, V))
+            sector_data.append((sec, w, T, V))
         merged = np.sort(np.concatenate(evs))
         return merged, sector_data
 
@@ -181,7 +218,9 @@ def trace_minimizing_omega(params, N):
 def trace_maximizing_omega(params, t_ref, N_scan=28, grid=None):
     """Basis frequency maximizing the truncated partition sum at ``t_ref``;
     every truncated sum is a lower bound, so the maximum is the tightest.
-    Scanned at a small prescan basis."""
+    Scanned at a small prescan basis, which must be solved completely:
+    raises :class:`ConvergenceError` when a sector's higher levels are
+    missing."""
     if grid is None:
         lo = math.log(0.05 * _natural_scale(params))
         hi = math.log(20.0 * _natural_scale(params))
@@ -189,7 +228,14 @@ def trace_maximizing_omega(params, t_ref, N_scan=28, grid=None):
     best, best_om = -np.inf, None
     for om in grid:
         h = HamiltonianBlocks(params, BasisSpec(N_scan, float(om)))
-        ev, _ = h.solve()
+        ev, sectors = h.solve()
+        n = _complete_count(ev, sectors)
+        if n < len(ev):
+            raise ConvergenceError(
+                f"omega scan basis N = {N_scan} solved only partly "
+                f"(complete below level {n} of {len(ev)})",
+                first_unconverged=n,
+            )
         z = float(np.sum(np.exp(-t_ref * ev)))
         if z > best:
             best, best_om = z, float(om)
@@ -208,7 +254,7 @@ def _complete_count(merged, sector_data):
     """Length of the prefix of the merged spectrum with no level missing: a
     sector solved iteratively returns only its lowest levels, so above its
     top one the merge may skip levels of that sector."""
-    tops = [w[-1] for _, w, _, T, _ in sector_data if len(w) < T.shape[0]]
+    tops = [w[-1] for _, w, T, _ in sector_data if len(w) < T.shape[0]]
     if not tops:
         return len(merged)
     return int(np.searchsorted(merged, min(tops), side="right"))
@@ -247,7 +293,7 @@ def eigenvalues(handle, how_many, conv_tol=1e-6):
         conv_tol=conv_tol,
         count_converged=count,
         params=handle.params,
-        sectors=[(sec, w) for sec, w, _, _, _ in sectors],
+        sectors=[(sec, w) for sec, w, _, _ in sectors],
     )
 
 
@@ -255,10 +301,10 @@ def ground_state_expectations(handle):
     """(E0, <T>, <V>) from the lowest eigenvector across sectors."""
     best = None
     for sec, T, V in handle.blocks:
-        w, U = eigh(T + V)
+        w, U = eigh((T + V).toarray())
         if best is None or w[0] < best[0]:
             vec = U[:, 0]
-            best = (float(w[0]), float(vec @ T @ vec), float(vec @ V @ vec))
+            best = (float(w[0]), float(vec @ (T @ vec)), float(vec @ (V @ vec)))
     return best
 
 
@@ -349,7 +395,9 @@ def leading_log_study(
     axis; the basis deficit is modeled jointly as (a + b x) (n_top/N)^p and
     removed, which is what turns the variationally biased raw sums into a
     usable estimate of the true trace.  The asymptotic flag restricts the
-    window to lam2 <= 0.1.
+    window to lam2 <= 0.1.  Each sum runs over the complete prefix of its
+    basis's spectrum; the ``complete_spectra`` flag is False when a sector
+    solved iteratively cut that prefix short.
     """
     if params.n_model != 2:
         raise DomainError("the leading-log study is defined for the planar model")
@@ -367,10 +415,14 @@ def leading_log_study(
         omega = trace_maximizing_omega(params, t_ref=float(np.median(t_grid)))
     ladder = tuple(n_top - step * i for i in range(ladder_steps - 1, -1, -1))
     sums = {}
+    complete = True
     for N in ladder:
         h = HamiltonianBlocks(params, BasisSpec(N, omega))
-        ev, _ = h.solve()
-        sums[N] = np.array([np.sum(np.exp(-t * ev)) for t in t_grid])
+        ev, sectors = h.solve()
+        n = _complete_count(ev, sectors)
+        complete = complete and n == len(ev)
+        sums[N] = np.array([np.sum(np.exp(-t * ev[:n])) for t in t_grid])
+    flags["complete_spectra"] = complete
     x = -np.log(lam2)
     K = 1.0 / np.sqrt(2.0 * np.pi * lam2)
     from scipy.optimize import least_squares

@@ -206,6 +206,12 @@ class TestConfigFile:
     def test_bad_route_exit_code(self):
         assert main(["compare", "--routes", "bogus"]) == 3
 
+    def test_spectral_route_not_offered(self, capsys):
+        # no compare route evaluates Z_k spectrally yet, so asking for one is
+        # a config error, not a silently skipped column
+        assert main(["compare", "--routes", "closed,spectral", "--k", "2"]) == 3
+        assert "spectral" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_route_failure_is_exit_two(self, capsys):

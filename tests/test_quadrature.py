@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from ymqm import heatkernel as hk
-from ymqm.errors import DivergentIntegralError, DomainError
+from ymqm.errors import AccuracyError, DivergentIntegralError, DomainError
 from ymqm.kernels import conventional_kernels, potential
 from ymqm.params import ModelParams
 from ymqm.polynomial import PhasePolynomial
@@ -114,6 +114,26 @@ class TestPhaseSpaceQuadrature:
         # below; here just positivity and scale sanity against the harmonic
         # bound Z <= (hbar v t)^-3
         assert 0.0 < got.value < 1.0
+
+    def test_channel_regime_refused(self):
+        # the box cubature misses the channels and under-reports its error:
+        # W_2 at v = 0.1 (z = 5e-5) was off by 2.9e-7 and W_0 at v = 0.05 by
+        # 1.7e-7, each reporting 2e-10
+        W = conventional_kernels(potential(2), 2)
+        for k, v in ((2, 0.1), (0, 0.05)):
+            with pytest.raises(AccuracyError):
+                phase_space_quadrature(W[k], params(v=v))
+
+    def test_channel_regime_uses_effective_weight(self):
+        # the resummed regulator lifts v^2 by hbar^2 g^2 t / 2, out of the
+        # channel regime; it is the weight's z that decides
+        p = params(v=0.1)
+        got = phase_space_quadrature(PhasePolynomial.one(2), p, effective=True)
+        assert got.value > 0.0
+        with pytest.raises(AccuracyError):
+            phase_space_quadrature(
+                PhasePolynomial.one(2), params(v=0.0, hbar=0.01), effective=True
+            )
 
 
 def criterion2_grid():

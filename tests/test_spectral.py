@@ -39,7 +39,7 @@ class TestMatrixElements:
     def test_hamiltonian_symmetric(self):
         h = build_hamiltonian(QUARTIC, BasisSpec(12, 1.0))
         for _, T, V in h.blocks:
-            H = T + V
+            H = (T + V).toarray()
             assert np.allclose(H, H.T, atol=1e-13)
 
     def test_swap_symmetry_of_spectrum(self):
@@ -47,7 +47,7 @@ class TestMatrixElements:
         h = build_hamiltonian(QUARTIC, BasisSpec(10, 1.0))
         spectra = {}
         for sec, T, V in h.blocks:
-            spectra[sec] = np.linalg.eigvalsh(T + V)
+            spectra[sec] = np.linalg.eigvalsh((T + V).toarray())
         assert np.allclose(spectra[(0, 1)], spectra[(1, 0)], atol=1e-10)
 
     def test_dimension_cap(self):
@@ -58,22 +58,39 @@ class TestMatrixElements:
             )
 
     def test_blocking_preserves_merged_spectrum(self):
-        # independent unblocked assembly of the full product-basis matrix
+        # independent unblocked assembly of the full product-basis matrix,
+        # planar and three-coordinate
         from ymqm.spectral import _one_axis_ops
 
-        N = 8
-        p = ModelParams(g=1.0, v=0.4, hbar=1.0, t=1.0)
-        x2, p2 = _one_axis_ops(N, p.hbar, 1.0)
-        eye = np.eye(N)
-        H = (
-            0.5 * (np.kron(p2, eye) + np.kron(eye, p2))
-            + 0.5 * p.g**2 * np.kron(x2, x2)
-            + 0.5 * p.v**2 * (np.kron(x2, eye) + np.kron(eye, x2))
-        )
-        full = np.sort(np.linalg.eigvalsh(H))
+        for d, N, pairs in ((2, 8, [(0, 1)]), (3, 6, [(0, 1), (1, 2), (2, 0)])):
+            p = ModelParams(g=1.0, v=0.4, hbar=1.0, t=1.0, n_model=d)
+            x2, p2 = _one_axis_ops(N, p.hbar, 1.0)
+
+            def on(axes):
+                out = np.eye(1)
+                for i in range(d):
+                    out = np.kron(out, axes.get(i, np.eye(N)))
+                return out
+
+            H = sum(0.5 * on({i: p2}) + 0.5 * p.v**2 * on({i: x2}) for i in range(d))
+            H = H + sum(0.5 * p.g**2 * on({i: x2, j: x2}) for i, j in pairs)
+            full = np.sort(np.linalg.eigvalsh(H))
+            merged, _ = build_hamiltonian(p, BasisSpec(N, 1.0)).solve()
+            assert np.allclose(merged, full, atol=1e-10)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("N", [9, 10])
+    @pytest.mark.parametrize("g, v", [(1.0, 0.4), (0.0, 1.0), (1.0, 0.0)])
+    def test_swap_split_matches_whole_block(self, d, N, g, v):
+        # the symmetric and antisymmetric halves together carry exactly the
+        # levels of the undivided parity block
+        p = ModelParams(g=g, v=v, hbar=1.0, t=1.0, n_model=d)
         h = build_hamiltonian(p, BasisSpec(N, 1.0))
-        merged, _ = h.solve()
-        assert np.allclose(merged, full, atol=1e-10)
+        _, sectors = h.solve()
+        assert len(sectors) == 2**d
+        for sec, w, T, V in sectors:
+            ref = np.linalg.eigvalsh((T + V).toarray())
+            np.testing.assert_allclose(w, ref, rtol=0, atol=1e-11)
 
     def test_single_sector_selection(self):
         p = ModelParams(g=1.0, v=0.4, hbar=1.0, t=1.0)
@@ -84,7 +101,7 @@ class TestMatrixElements:
         ref_block = next(
             (T, V) for sec, T, V in h_all.blocks if sec == (0, 0)
         )
-        ev_ref = np.linalg.eigvalsh(ref_block[0] + ref_block[1])
+        ev_ref = np.linalg.eigvalsh((ref_block[0] + ref_block[1]).toarray())
         assert np.allclose(ev_one, np.sort(ev_ref), atol=1e-11)
 
 
@@ -150,6 +167,12 @@ class TestEigenvalues:
         np.testing.assert_allclose(
             capped.converged(), dense.eigenvalues[:n], rtol=0, atol=dense.conv_tol
         )
+
+    def test_omega_scan_refuses_partial_spectra(self, monkeypatch):
+        # a scan basis with sectors above the cap would sum missing levels
+        monkeypatch.setattr(spectral, "DENSE_BLOCK_CAP", 50)
+        with pytest.raises(ConvergenceError):
+            trace_maximizing_omega(QUARTIC, t_ref=1.0, N_scan=20, grid=[1.0])
 
     def test_how_many_margin(self):
         h = build_hamiltonian(QUARTIC, BasisSpec(8, 1.0))
@@ -223,7 +246,15 @@ class TestLeadingLogStudy:
         study = leading_log_study(QUARTIC, n_top=44, ladder_steps=3)
         assert study.flags["asymptotic_clear"]
         assert study.flags["truncation_model_ok"]
+        assert study.flags["complete_spectra"]
         assert 0.75 < study.slope < 1.25
+
+    def test_partial_spectra_are_flagged(self, monkeypatch):
+        # every planar block of the ladder is above the cap, so each basis
+        # contributes only its complete prefix and the study says so
+        monkeypatch.setattr(spectral, "DENSE_BLOCK_CAP", 50)
+        study = leading_log_study(QUARTIC, n_top=24, ladder_steps=3, step=4, omega=1.0)
+        assert study.flags["complete_spectra"] is False
 
     def test_model_guard(self):
         with pytest.raises(DomainError):
