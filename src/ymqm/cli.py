@@ -6,6 +6,10 @@ estimate and regime flags.  Identical configurations produce byte-identical
 output (shortest round-trip float formatting, fixed ordering, no
 timestamps).  Exit codes: 0 success, 1 tolerance flags present, 2 route
 failure, 3 configuration error.
+
+Every option is declared once, in :func:`make_parser`; a ``--config`` file
+is read into the same parser, so a value meets the same type and allowed
+values whichever way it is given.
 """
 
 from __future__ import annotations
@@ -13,62 +17,54 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
+import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+import warnings
 
 import numpy as np
 
 from . import __version__, heatkernel, spectral
-from .errors import DivergentIntegralError, DomainError
+from .errors import DivergentIntegralError, DomainError, RegimeWarning
 from .params import ModelParams
 from .quadrature import QuadratureSpec, imn_quadrature, phase_space_quadrature, radial_quadrature_n3
 from .reduction import integrate_momenta
 
 COMMANDS = ("tf", "wk", "resum", "singular-scan", "n3", "spectrum", "compare", "sweep")
 ROUTES = ("closed", "symbolic", "quadrature")
+AXES = ("g", "v", "hbar", "t")
+CONFIG_SECTIONS = ("run", "quadrature", "spectral")
+SWEEP_QUANTITIES = {
+    "tf": lambda p: heatkernel.tf_partition_n2(p),
+    "z2": lambda p: heatkernel.z2_closed_n2(p),
+    "resum_total": lambda p: heatkernel.resummed_term(0, p)
+    + heatkernel.resummed_term(2, p)
+    + heatkernel.resummed_term(4, p),
+    "tf_n3": lambda p: heatkernel.tf_term_n3(p),
+    "z2_n3": lambda p: heatkernel.z2_n3(p),
+}
 
 
 class ConfigError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    command: str
-    model: str = "n2"
-    g: str = "1"
-    v: str = "1"
-    hbar: str = "1"
-    t: str = "1"
-    routes: tuple = ("closed", "quadrature")
-    ks: tuple = (2,)
-    kmax: int = 4
-    full_sums: bool = False
-    quantity: str = "tf"
-    out: str | None = None
-    fmt: str = "csv"
-    tol_quad: float = 1e-9
-    tol_conv: float = 1e-6
-    disc_tol: float = 1e-6
-    basis_n: int = 32
-    omega: float | None = None
-    save_spectrum: str | None = None
-    study: bool = False
-
-    def quad_spec(self):
-        return QuadratureSpec(rel_tol=self.tol_quad)
-
-
 def _parse_axis(text):
     """Scalar or 'start:stop:count[:log]' -> list of floats."""
     parts = str(text).split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) not in (3, 4):
+    if len(parts) not in (1, 3, 4):
         raise ConfigError(f"bad range spec {text!r}")
-    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        ends = [float(x) for x in parts[:2]]
+        count = int(parts[2]) if len(parts) > 1 else 1
+    except ValueError:
+        raise ConfigError(f"bad number in {text!r}")
+    if not all(map(math.isfinite, ends)):
+        raise ConfigError(f"non-finite value in {text!r}")
+    if len(parts) == 1:
+        return ends
+    start, stop = ends
     if count < 1:
         raise ConfigError("range count must be >= 1")
     if len(parts) == 4:
@@ -81,24 +77,13 @@ def _parse_axis(text):
 
 
 def build_grid(cfg):
-    axes = {}
-    for name in ("g", "v", "hbar", "t"):
-        axes[name] = _parse_axis(getattr(cfg, name))
-    swept = [n for n, vals in axes.items() if len(vals) > 1]
-    if len(swept) > 2:
-        raise ConfigError("at most two swept variables per run")
+    """The (g, v, hbar, t) product grid, t varying fastest."""
     n_model = 2 if cfg.model == "n2" else 3
-    grid = []
-    for gval in axes["g"]:
-        for vval in axes["v"]:
-            for hval in axes["hbar"]:
-                for tval in axes["t"]:
-                    grid.append(
-                        ModelParams(g=gval, v=vval, hbar=hval, t=tval, n_model=n_model)
-                    )
-    if not grid:
-        raise ConfigError("empty sweep grid")
-    return grid, swept
+    axes = [_parse_axis(getattr(cfg, name)) for name in AXES]
+    return [
+        ModelParams(g=g, v=v, hbar=hbar, t=t, n_model=n_model)
+        for g, v, hbar, t in itertools.product(*axes)
+    ]
 
 
 # -- route evaluation -----------------------------------------------------------
@@ -121,6 +106,7 @@ def eval_zk_route(route, k, params, cfg):
     """One route's value of the order-k partition term (planar model)."""
     if params.n_model != 2:
         raise DomainError("the order-k routes cover the planar model only")
+    spec = QuadratureSpec(rel_tol=cfg.tol_quad)
     if route == "closed":
         if k == 0:
             return heatkernel.tf_partition_n2(params)
@@ -132,7 +118,6 @@ def eval_zk_route(route, k, params, cfg):
         )
     if route == "symbolic":
         red, _ = _cached_kernel(k)
-        spec = cfg.quad_spec()
 
         def moment(mn):
             return imn_quadrature(mn[0], mn[1], params, spec).value
@@ -140,7 +125,7 @@ def eval_zk_route(route, k, params, cfg):
         return red.partition_value(params, moment)
     if route == "quadrature":
         _, kernel = _cached_kernel(k)
-        return phase_space_quadrature(kernel, params, cfg.quad_spec()).value
+        return phase_space_quadrature(kernel, params, spec).value
     raise DomainError(f"route {route!r} not usable here")
 
 
@@ -160,11 +145,7 @@ def rows_tf(cfg, grid):
                 }
             )
         else:
-            import warnings
-
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                limit = heatkernel.tf_limit_v0(p) if p.v > 0 else float("nan")
+            limit = heatkernel.tf_limit_v0(p) if p.v > 0 else float("nan")
             exact = heatkernel.tf_partition_n2(p) if p.v > 0 else float("nan")
             rows.append(
                 {
@@ -211,15 +192,11 @@ def rows_resum(cfg, grid):
         for k in range(2, cfg.kmax + 1, 2)
     }
     rows = []
-    import warnings
-
     for p in grid:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            terms, total = heatkernel.series_assemble(
-                p, cfg.kmax, acoef, full_sums=cfg.full_sums
-            )
-            exact0 = heatkernel.resummed_term(0, p)
+        terms, total = heatkernel.series_assemble(
+            p, cfg.kmax, acoef, full_sums=cfg.full_sums
+        )
+        exact0 = heatkernel.resummed_term(0, p)
         K = p.prefactor_K()
         row = {**_param_cols(p)}
         for term in terms:
@@ -260,19 +237,14 @@ def fit_singular_slopes(cfg, rows):
 
 def rows_n3(cfg, grid):
     rows = []
-    spec = cfg.quad_spec()
+    spec = QuadratureSpec(rel_tol=cfg.tol_quad)
     for p in grid:
         lam = p.lam
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            z2 = heatkernel.z2_n3(p)
         row = {
             **_param_cols(p),
             "lam": lam,
             "tf_n3": heatkernel.tf_term_n3(p),
-            "z2_n3": z2,
+            "z2_n3": heatkernel.z2_n3(p),
             "z2_structure": heatkernel.z2_n3_structure(p),
             "j0_sqrtlam": heatkernel.radial_Jb(0, lam) * math.sqrt(lam),
             "j2": heatkernel.radial_Jb(2, lam),
@@ -294,10 +266,6 @@ def rows_spectrum(cfg, grid):
     for p in grid:
         key = (p.g, p.v, p.hbar, p.n_model)
         by_static.setdefault(key, []).append(p)
-    if cfg.save_spectrum and len(by_static) > 1:
-        raise ConfigError(
-            "--save-spectrum keeps one spectrum: sweep only t, not g, v or hbar"
-        )
     for key, plist in sorted(by_static.items()):
         p0 = plist[0]
         omega = cfg.omega
@@ -378,29 +346,11 @@ def rows_study(cfg, grid):
 
 
 def rows_sweep(cfg, grid):
-    fns = {
-        "tf": lambda p: heatkernel.tf_partition_n2(p),
-        "z2": lambda p: heatkernel.z2_closed_n2(p),
-        "resum_total": lambda p: heatkernel.resummed_term(0, p)
-        + heatkernel.resummed_term(2, p)
-        + heatkernel.resummed_term(4, p),
-        "tf_n3": lambda p: heatkernel.tf_term_n3(p),
-        "z2_n3": lambda p: heatkernel.z2_n3(p),
-    }
-    if cfg.quantity not in fns:
-        raise ConfigError(f"unknown sweep quantity {cfg.quantity!r}")
-    fn = fns[cfg.quantity]
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        values = [fn(p) for p in grid]
-    rows = []
-    for p, val in zip(grid, values):
-        rows.append(
-            {**_param_cols(p), cfg.quantity: val, "flag": not p.lam2_in_regime()}
-        )
-    return rows
+    fn = SWEEP_QUANTITIES[cfg.quantity]
+    return [
+        {**_param_cols(p), cfg.quantity: fn(p), "flag": not p.lam2_in_regime()}
+        for p in grid
+    ]
 
 
 def _param_cols(p):
@@ -418,26 +368,24 @@ def _fmt(x):
     return str(x)
 
 
-def manifest_lines(cfg, summary=None):
+def manifest(cfg, summary=None):
+    """The run manifest with every value a string: ``# key: value`` lines
+    ahead of a CSV table, the ``manifest`` object of a JSON file."""
     items = {
         "tool": f"ymqm {__version__}",
         "command": cfg.command,
         "model": cfg.model,
-        "g": cfg.g,
-        "v": cfg.v,
-        "hbar": cfg.hbar,
-        "t": cfg.t,
+        **{name: getattr(cfg, name) for name in AXES},
         "routes": ",".join(cfg.routes),
         "k": ",".join(map(str, cfg.ks)),
         "kmax": cfg.kmax,
-        "tol_quad": repr(cfg.tol_quad),
-        "tol_conv": repr(cfg.tol_conv),
-        "disc_tol": repr(cfg.disc_tol),
+        "tol_quad": cfg.tol_quad,
+        "tol_conv": cfg.tol_conv,
+        "disc_tol": cfg.disc_tol,
         "seed": "none",
+        **(summary or {}),
     }
-    if summary:
-        items.update({k: repr(v) if isinstance(v, float) else v for k, v in summary.items()})
-    return [f"# {k}: {v}" for k, v in items.items()]
+    return {k: repr(v) if isinstance(v, float) else str(v) for k, v in items.items()}
 
 
 def _columns(rows):
@@ -450,8 +398,8 @@ def _cell(row, col):
 
 
 def write_csv(rows, cfg, fh, summary=None):
-    for line in manifest_lines(cfg, summary):
-        fh.write(line + "\n")
+    for key, value in manifest(cfg, summary).items():
+        fh.write(f"# {key}: {value}\n")
     if not rows:
         fh.write("\n")
         return
@@ -462,14 +410,7 @@ def write_csv(rows, cfg, fh, summary=None):
 
 
 def write_json(rows, cfg, fh, summary=None):
-    payload = {
-        "manifest": {
-            line[2:].split(": ", 1)[0]: line[2:].split(": ", 1)[1]
-            for line in manifest_lines(cfg, summary)
-        },
-        "rows": rows,
-    }
-    json.dump(payload, fh, indent=1)
+    json.dump({"manifest": manifest(cfg, summary), "rows": rows}, fh, indent=1)
     fh.write("\n")
 
 
@@ -500,174 +441,202 @@ def report(rows, summary=None):
 # -- argument handling -----------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed option as a :class:`ConfigError` instead of exiting."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _axis(text):
+    """A g, v, hbar or t value, kept as written (the manifest echoes it)."""
+    try:
+        _parse_axis(text)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return text
+
+
+def _routes(text):
+    routes = tuple(x.strip() for x in text.split(",") if x.strip())
+    bad = [r for r in routes if r not in ROUTES]
+    if bad:
+        raise argparse.ArgumentTypeError(f"unknown routes {bad}")
+    return routes
+
+
+def _order(text):
+    """A non-negative even integer."""
+    try:
+        k = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad order {text!r}")
+    if k % 2 or k < 0:
+        raise argparse.ArgumentTypeError("orders must be non-negative even integers")
+    return k
+
+
+def _orders(text):
+    return tuple(_order(x) for x in text.split(","))
+
+
+def _positive(text):
+    try:
+        if float(text) > 0:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not a positive number")
+
+
 def make_parser():
-    ap = argparse.ArgumentParser(
+    """Every option, declared once with its type, allowed values and default.
+    The option groups run, quadrature and spectral are the sections of a
+    ``--config`` file, whose keys are the long options of the group."""
+    ap = _Parser(
         prog="ymqm",
         description="partition sums of the coupled quartic oscillators: "
         "closed forms, symbolic expansion, quadrature and spectral oracles",
+        epilog="A --config FILE holds [run], [quadrature] and [spectral] "
+        "sections; a key is an option of that group without its leading "
+        "dashes (basis_n = 40, full_sums = true).  Options on the command "
+        "line override the file.",
     )
     ap.add_argument("command", choices=COMMANDS)
-    ap.add_argument("--model", choices=("n2", "n3"), default=None)
-    for name in ("g", "v", "hbar", "t"):
-        ap.add_argument(f"--{name}", default=None, help="scalar or start:stop:count[:log]")
-    ap.add_argument("--routes", default=None, help="comma list of " + ",".join(ROUTES))
-    ap.add_argument("--k", default=None, help="comma list of even orders")
-    ap.add_argument("--kmax", type=int, default=None)
-    ap.add_argument("--full-sums", action="store_true", default=None)
-    ap.add_argument("--quantity", default=None)
-    ap.add_argument("--out", default=None)
-    ap.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
-    ap.add_argument("--config", default=None)
-    ap.add_argument("--tol-quad", type=float, default=None)
-    ap.add_argument("--tol-conv", type=float, default=None)
-    ap.add_argument("--disc-tol", type=float, default=None)
-    ap.add_argument("--basis-n", type=int, default=None)
-    ap.add_argument("--omega", type=float, default=None)
-    ap.add_argument("--save-spectrum", default=None)
-    ap.add_argument("--study", action="store_true", default=None)
+    ap.add_argument("--config", metavar="FILE")
+    ap.add_argument("--save-spectrum", metavar="FILE")
+    ap.add_argument("--study", action="store_true")
+    run_opts = ap.add_argument_group("run")
+    run_opts.add_argument("--model", choices=("n2", "n3"), help="n3 for the n3 command, else n2")
+    for name in AXES:
+        run_opts.add_argument(f"--{name}", type=_axis, default="1",
+                              help="scalar or start:stop:count[:log]")
+    run_opts.add_argument("--routes", type=_routes, default="closed,quadrature",
+                          help="comma list of " + ",".join(ROUTES))
+    run_opts.add_argument("--k", dest="ks", metavar="K", type=_orders, default="2",
+                          help="comma list of even orders")
+    run_opts.add_argument("--kmax", type=_order, default=4)
+    run_opts.add_argument("--full-sums", action="store_true")
+    run_opts.add_argument("--quantity", choices=tuple(SWEEP_QUANTITIES), default="tf")
+    run_opts.add_argument("--out", metavar="FILE")
+    run_opts.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+    quad_opts = ap.add_argument_group("quadrature")
+    quad_opts.add_argument("--tol-quad", type=_positive, default=1e-9)
+    quad_opts.add_argument("--disc-tol", type=float, default=1e-6)
+    spec_opts = ap.add_argument_group("spectral")
+    spec_opts.add_argument("--tol-conv", type=_positive, default=1e-6)
+    spec_opts.add_argument("--basis-n", type=int, default=32)
+    spec_opts.add_argument("--omega", type=_positive)
     return ap
 
 
-def load_config_file(path, cfg):
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
+_SWITCH = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _config_flags(ap, path):
+    """The entries of a config file as options of ``ap``."""
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        read = cp.read(path)
+    except (configparser.Error, UnicodeError) as exc:
+        raise ConfigError(f"cannot parse config file {path!r}: {exc}")
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
-    sections = {
-        "run": {
-            "model",
-            "g",
-            "v",
-            "hbar",
-            "t",
-            "routes",
-            "k",
-            "kmax",
-            "quantity",
-            "out",
-            "format",
-            "full_sums",
-        },
-        "quadrature": {"tol_quad", "disc_tol"},
-        "spectral": {"tol_conv", "basis_n", "omega"},
-    }
-    for section, keys in sections.items():
-        if not cp.has_section(section):
-            continue
+    groups = {g.title: g._group_actions for g in ap._action_groups}
+    flags = []
+    for section in cp.sections():
+        if section not in CONFIG_SECTIONS:
+            raise ConfigError(f"unknown config section [{section}]")
+        actions = {a.option_strings[0]: a for a in groups[section]}
         for key, val in cp.items(section):
-            norm = key.replace("-", "_")
-            if norm not in keys:
+            flag = "--" + key.replace("_", "-")
+            if flag not in actions:
                 raise ConfigError(f"unknown config key [{section}] {key}")
-            _apply_option(cfg, norm, val)
-    return cfg
-
-
-def _apply_option(cfg, name, val):
-    if name == "format":
-        cfg.fmt = val
-    elif name == "routes":
-        routes = tuple(x.strip() for x in val.split(",") if x.strip())
-        bad = [r for r in routes if r not in ROUTES]
-        if bad:
-            raise ConfigError(f"unknown routes {bad}")
-        cfg.routes = routes
-    elif name == "k":
-        try:
-            cfg.ks = tuple(int(x) for x in str(val).split(","))
-        except ValueError:
-            raise ConfigError(f"bad k list {val!r}")
-        if any(k % 2 or k < 0 for k in cfg.ks):
-            raise ConfigError("orders must be non-negative even integers")
-    elif name in ("kmax", "basis_n"):
-        setattr(cfg, name, int(val))
-    elif name in ("tol_quad", "tol_conv", "disc_tol", "omega"):
-        setattr(cfg, name, float(val))
-    elif name == "full_sums":
-        cfg.full_sums = str(val).lower() in ("1", "true", "yes")
-    elif name in ("model", "g", "v", "hbar", "t", "quantity", "out"):
-        setattr(cfg, name, val)
-    else:
-        raise ConfigError(f"unknown option {name}")
+            if actions[flag].nargs != 0:
+                flags.append(f"{flag}={val}")
+            elif val.lower() not in _SWITCH:
+                raise ConfigError(f"[{section}] {key} = {val!r}: expected true or false")
+            elif _SWITCH[val.lower()]:
+                flags.append(flag)
+    return flags
 
 
 def build_config(argv):
-    ns = make_parser().parse_args(argv)
-    cfg = RunConfig(command=ns.command, model="n3" if ns.command == "n3" else "n2")
-    if ns.config:
-        load_config_file(ns.config, cfg)
-    for name in (
-        "model",
-        "g",
-        "v",
-        "hbar",
-        "t",
-        "routes",
-        "kmax",
-        "quantity",
-        "out",
-        "fmt",
-        "tol_quad",
-        "tol_conv",
-        "disc_tol",
-        "basis_n",
-        "omega",
-        "save_spectrum",
-        "study",
-        "full_sums",
-    ):
-        val = getattr(ns, name)
-        if val is not None:
-            if name == "routes":
-                _apply_option(cfg, "routes", val)
-            elif name == "fmt":
-                cfg.fmt = val
-            else:
-                setattr(cfg, name, val)
-    if ns.k is not None:
-        _apply_option(cfg, "k", ns.k)
-    if cfg.model not in ("n2", "n3"):
-        raise ConfigError(f"bad model {cfg.model!r}")
+    """Parse ``argv`` and the config file it names into one namespace; a
+    malformed or inconsistent value raises :class:`ConfigError`."""
+    ap = make_parser()
+    cfg = ap.parse_args(argv)
+    if cfg.config:
+        flags = _config_flags(ap, cfg.config)
+        try:
+            from_file = ap.parse_args([*flags, cfg.command])
+        except ConfigError as exc:
+            raise ConfigError(f"config file {cfg.config!r}: {exc}")
+        cfg = ap.parse_args(argv, namespace=from_file)
+    if cfg.model is None:
+        cfg.model = "n3" if cfg.command == "n3" else "n2"
     if cfg.command == "n3" and cfg.model != "n3":
         raise ConfigError("the n3 command computes the three-coordinate model only")
-    if cfg.command == "spectrum" and cfg.study and cfg.save_spectrum:
-        raise ConfigError("--study solves a basis ladder; --save-spectrum keeps one spectrum")
-    for name in ("g", "v", "hbar", "t"):
-        _parse_axis(getattr(cfg, name))  # validate early: bad specs are config errors
+    swept = [name for name in AXES if len(_parse_axis(getattr(cfg, name))) > 1]
+    if len(swept) > 2:
+        raise ConfigError("at most two swept variables per run")
+    if cfg.command == "spectrum":
+        _check_spectrum(cfg, swept)
     return cfg
+
+
+def _check_spectrum(cfg, swept):
+    if cfg.study:
+        if cfg.save_spectrum:
+            raise ConfigError("--study solves a basis ladder; --save-spectrum keeps one spectrum")
+        if swept:
+            raise ConfigError(
+                f"--study takes one (g, v, hbar) point and picks its own t window: "
+                f"do not sweep {', '.join(swept)}"
+            )
+        return
+    if cfg.save_spectrum and set(swept) - {"t"}:
+        raise ConfigError("--save-spectrum keeps one spectrum: sweep only t, not g, v or hbar")
+    d = 3 if cfg.model == "n3" else 2
+    top = spectral.max_cutoff(d)
+    if not spectral.MIN_CUTOFF <= cfg.basis_n <= top:
+        raise ConfigError(
+            f"--basis-n {cfg.basis_n}: the {d}-D spectrum needs {spectral.MIN_CUTOFF} "
+            f"to {top} levels per axis (the convergence check adds "
+            f"{spectral.ENLARGEMENT}, within the size cap {spectral.SIZE_CAP})"
+        )
 
 
 def run(cfg):
     """Execute a configuration; returns (exit_status, rows, summary, text)."""
-    grid, swept = build_grid(cfg)
+    grid = build_grid(cfg)
     summary = None
-    if cfg.command == "tf":
-        rows = rows_tf(cfg, grid)
-    elif cfg.command in ("wk", "compare"):
-        rows = rows_wk_compare(cfg, grid)
-    elif cfg.command == "resum":
-        rows = rows_resum(cfg, grid)
-    elif cfg.command == "singular-scan":
-        rows = rows_singular_scan(cfg, grid)
-        summary = fit_singular_slopes(cfg, rows)
-    elif cfg.command == "n3":
-        rows = rows_n3(cfg, grid)
-    elif cfg.command == "spectrum":
-        if cfg.study:
+    with warnings.catch_warnings():
+        # every point outside a formula's regime is flagged on its row
+        warnings.simplefilter("ignore", RegimeWarning)
+        if cfg.command == "tf":
+            rows = rows_tf(cfg, grid)
+        elif cfg.command in ("wk", "compare"):
+            rows = rows_wk_compare(cfg, grid)
+        elif cfg.command == "resum":
+            rows = rows_resum(cfg, grid)
+        elif cfg.command == "singular-scan":
+            rows = rows_singular_scan(cfg, grid)
+            summary = fit_singular_slopes(cfg, rows)
+        elif cfg.command == "n3":
+            rows = rows_n3(cfg, grid)
+        elif cfg.command == "spectrum" and cfg.study:
             rows, summary = rows_study(cfg, grid)
-        else:
+        elif cfg.command == "spectrum":
             rows = rows_spectrum(cfg, grid)
-    elif cfg.command == "sweep":
-        rows = rows_sweep(cfg, grid)
-    else:  # pragma: no cover
-        raise ConfigError(f"unknown command {cfg.command}")
+        else:  # sweep
+            rows = rows_sweep(cfg, grid)
     text, n_flag = report(rows, summary)
     if cfg.out:
         try:
             with open(cfg.out, "w") as fh:
-                if cfg.fmt == "csv":
-                    write_csv(rows, cfg, fh, summary)
-                else:
-                    write_json(rows, cfg, fh, summary)
+                writer = write_csv if cfg.fmt == "csv" else write_json
+                writer(rows, cfg, fh, summary)
         except OSError as exc:
             raise ConfigError(f"cannot write output: {exc}")
     return (1 if n_flag else 0), rows, summary, text
@@ -676,14 +645,9 @@ def run(cfg):
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     try:
-        cfg = build_config(argv)
-    except (ConfigError, SystemExit) as exc:
-        if isinstance(exc, SystemExit):
-            return int(exc.code or 0) and 3
-        print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
-        return 3
-    try:
-        status, rows, summary, text = run(cfg)
+        status, rows, summary, text = run(build_config(argv))
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0) and 3
     except ConfigError as exc:
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
         return 3

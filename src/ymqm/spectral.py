@@ -34,6 +34,8 @@ from .params import ModelParams
 
 DENSE_BLOCK_CAP = 4000
 SIZE_CAP = 60000  # refuse to assemble beyond this total dimension
+MIN_CUTOFF = 4  # levels per axis
+ENLARGEMENT = 8  # extra levels per axis of the convergence check in eigenvalues
 TAIL_SAFETY = 10.0
 
 
@@ -44,12 +46,12 @@ class BasisSpec:
     symmetry_sector: tuple | None = None
 
     def __post_init__(self):
-        if self.cutoff_per_axis < 4:
-            raise DomainError("need at least 4 levels per axis")
+        if self.cutoff_per_axis < MIN_CUTOFF:
+            raise DomainError(f"need at least {MIN_CUTOFF} levels per axis")
         if self.oscillator_scale <= 0:
             raise DomainError("oscillator scale must be positive")
 
-    def enlarged(self, extra=8):
+    def enlarged(self, extra=ENLARGEMENT):
         return BasisSpec(
             self.cutoff_per_axis + extra, self.oscillator_scale, self.symmetry_sector
         )
@@ -260,18 +262,27 @@ def _complete_count(merged, sector_data):
     return int(np.searchsorted(merged, min(tops), side="right"))
 
 
+def max_cutoff(n_model):
+    """Largest cutoff per axis whose enlargement in :func:`eigenvalues` stays
+    within ``SIZE_CAP``."""
+    n = round(SIZE_CAP ** (1.0 / n_model))
+    while n**n_model > SIZE_CAP:
+        n -= 1
+    return n - ENLARGEMENT
+
+
 def eigenvalues(handle, how_many, conv_tol=1e-6):
     """Lowest eigenvalues with a basis-enlargement convergence study.
 
-    Solves the handle's basis and the (N+8) enlargement; eigenvalues are
-    retained as converged while successive values differ by less than
-    ``conv_tol``.  Raises :class:`ConvergenceError` naming the first
+    Solves the handle's basis and its enlargement by ``ENLARGEMENT`` levels
+    per axis; eigenvalues are retained as converged while successive values
+    differ by less than ``conv_tol``.  Raises :class:`ConvergenceError` naming the first
     unconverged index if fewer than ``how_many`` converge.
     """
     if how_many > handle.dimension // 4:
         raise DomainError("how_many exceeds the dimension/4 safety margin")
     ev, sectors = handle.solve()
-    big = HamiltonianBlocks(handle.params, handle.basis.enlarged(8))
+    big = HamiltonianBlocks(handle.params, handle.basis.enlarged())
     ev_big, sectors_big = big.solve()
     n = min(_complete_count(ev, sectors), _complete_count(ev_big, sectors_big))
     diffs = np.abs(ev[:n] - ev_big[:n])
