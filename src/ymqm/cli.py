@@ -448,13 +448,28 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _axis(text):
-    """A g, v, hbar or t value, kept as written (the manifest echoes it)."""
-    try:
-        _parse_axis(text)
-    except ConfigError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return text
+#: axes whose values must be positive; the others must be non-negative
+_POSITIVE_AXES = ("hbar", "t")
+
+
+def _axis(name):
+    """Type of the option ``--name``: a g, v, hbar or t value or range inside
+    the model's domain, kept as written (the manifest echoes it)."""
+
+    def parse(text):
+        try:
+            _parse_axis(text)
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+        # every value of a range lies between its two written endpoints
+        low = min(float(x) for x in str(text).split(":")[:2])
+        if name in _POSITIVE_AXES and low <= 0:
+            raise argparse.ArgumentTypeError(f"{name} must be positive, got {text!r}")
+        if low < 0:
+            raise argparse.ArgumentTypeError(f"{name} must be non-negative, got {text!r}")
+        return text
+
+    return parse
 
 
 def _routes(text):
@@ -509,7 +524,7 @@ def make_parser():
     run_opts = ap.add_argument_group("run")
     run_opts.add_argument("--model", choices=("n2", "n3"), help="n3 for the n3 command, else n2")
     for name in AXES:
-        run_opts.add_argument(f"--{name}", type=_axis, default="1",
+        run_opts.add_argument(f"--{name}", type=_axis(name), default="1",
                               help="scalar or start:stop:count[:log]")
     run_opts.add_argument("--routes", type=_routes, default="closed,quadrature",
                           help="comma list of " + ",".join(ROUTES))
@@ -594,6 +609,12 @@ def _check_spectrum(cfg, swept):
                 f"--study takes one (g, v, hbar) point and picks its own t window: "
                 f"do not sweep {', '.join(swept)}"
             )
+        if cfg.model == "n3":
+            raise ConfigError("--study is defined for the planar model (--model n2)")
+        try:
+            spectral.study_ladder(cfg.basis_n)
+        except DomainError as exc:
+            raise ConfigError(f"--basis-n {cfg.basis_n}: {exc}")
         return
     if cfg.save_spectrum and set(swept) - {"t"}:
         raise ConfigError("--save-spectrum keeps one spectrum: sweep only t, not g, v or hbar")

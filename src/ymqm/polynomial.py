@@ -8,20 +8,35 @@ for 1, 2 or 3 coordinate dimensions, where ``g2`` and ``v2`` track the
 symbolic couplings g^2 and v^2 as per-term exponents.  All coefficients are
 exact rationals; no floating point enters until a polynomial is evaluated.
 
-Terms are stored in a dict mapping a packed exponent key (7 bits per
-variable, so monomial products reduce to a single integer addition) to an
-exact rational coefficient held as a normalized ``(numerator, denominator)``
-pair with a positive denominator.  Every operation builds a new dict and none
-is mutated after construction, so polynomials may share them.
+A polynomial is stored as one positive integer denominator and a dict
+mapping a packed exponent key to an integer numerator.  Each variable takes
+an 8-bit field of the key: 7 bits of exponent (0 to 127) under a guard bit,
+so a monomial product is a single integer addition, and an exponent that
+outgrows its field sets the guard bit instead of carrying into the next
+field.  The form is canonical: no numerator is zero, and the denominator
+shares no factor with all the numerators at once, so equal polynomials have
+equal dicts and denominators (zero is ``{}`` over 1).  Each operation works
+in integers and normalizes once, with a single ``math.gcd`` over its result.
+
+Each polynomial also carries the packed maxima of its exponent fields, an
+upper bound that products and sums propagate without looking at the terms.
+A product or an integration checks it once per operation and raises
+``OverflowError`` when an exponent could leave its field; only when the
+bound trips are the exact maxima recomputed from the terms.  Every
+operation builds a new dict and none is mutated after construction, so
+polynomials may share them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from functools import reduce
+from math import gcd, lcm
 
-_FIELD_BITS = 7
-_FIELD_MASK = (1 << _FIELD_BITS) - 1
+_FIELD_BITS = 8
+#: largest exponent a field holds; the exponent of variable ``name`` in a
+#: packed key is ``(key >> field_shift(dims, name)) & EXP_MASK``
+EXP_MASK = (1 << (_FIELD_BITS - 1)) - 1
 
 _NAMES = {
     1: ("x", "px", "t", "g2", "v2"),
@@ -29,26 +44,32 @@ _NAMES = {
     3: ("x", "y", "z", "px", "py", "pz", "t", "g2", "v2"),
 }
 
+#: the guard bit of every field of the widest key
+_GUARDS = sum(
+    (EXP_MASK + 1) << (_FIELD_BITS * i) for i in range(len(_NAMES[3]))
+)
+
 
 def variable_names(dims):
     return _NAMES[dims]
 
 
-def _shift(dims, name):
+def field_shift(dims, name):
+    """Bit offset of the field of variable ``name`` in a packed key."""
     return _FIELD_BITS * _NAMES[dims].index(name)
 
 
 def _pack(exps):
     key = 0
     for i, e in enumerate(exps):
-        if e < 0 or e > _FIELD_MASK:
+        if e < 0 or e > EXP_MASK:
             raise OverflowError(f"exponent {e} outside packed-field range")
         key |= e << (_FIELD_BITS * i)
     return key
 
 
 def _unpack(key, nfields):
-    return tuple((key >> (_FIELD_BITS * i)) & _FIELD_MASK for i in range(nfields))
+    return tuple((key >> (_FIELD_BITS * i)) & EXP_MASK for i in range(nfields))
 
 
 def _key(dims, exponents):
@@ -60,88 +81,98 @@ def _key(dims, exponents):
     return _pack(exps)
 
 
-def _norm(num, den):
-    if num == 0:
-        return (0, 1)
-    if den < 0:
-        num, den = -num, -den
-    g = gcd(num, den)
-    return (num // g, den // g) if g > 1 else (num, den)
+def _max_fields(a, b):
+    """Field-by-field maximum of two packed keys.  A field of ``(a | guards)
+    - b`` keeps its guard bit exactly where a's exponent is at least b's, and
+    no field borrows from its neighbour."""
+    ge = ((a | _GUARDS) - b) & _GUARDS
+    take_a = ge - (ge >> (_FIELD_BITS - 1))
+    return (a & take_a) | (b & ~take_a)
 
 
-def _add(A, B):
-    out = dict(A)
-    for k, c in B.items():
-        prev = out.get(k)
-        if prev is None:
-            out[k] = c
+def _top_of(A):
+    """Exact packed field maxima of the keys of ``A``."""
+    return reduce(_max_fields, A, 0)
+
+
+def _canon(A, den):
+    """``(A, den)`` divided by the gcd of the denominator and all numerators."""
+    g = gcd(den, *A.values())
+    if g == 1:
+        return A, den
+    return {k: n // g for k, n in A.items()}, den // g
+
+
+def _add(A, dA, B, dB):
+    if dA == dB:
+        den, fa, fb = dA, 1, 1
+    else:
+        den = lcm(dA, dB)
+        fa, fb = den // dA, den // dB
+    if len(A) < len(B):
+        A, B, fa, fb = B, A, fb, fa
+    out = dict(A) if fa == 1 else {k: n * fa for k, n in A.items()}
+    get = out.get
+    for k, n in B.items():
+        s = get(k, 0) + n * fb
+        if s:
+            out[k] = s
         else:
-            s = _norm(prev[0] * c[1] + c[0] * prev[1], prev[1] * c[1])
-            if s[0]:
-                out[k] = s
-            else:
-                del out[k]
-    return out
+            del out[k]
+    return _canon(out, den)
 
 
-def _mul(A, B):
+def _mul(A, B, den):
     if len(A) > len(B):
         A, B = B, A
     out = {}
-    for k1, (n1, d1) in A.items():
-        for k2, (n2, d2) in B.items():
+    get = out.get
+    for k1, n1 in A.items():
+        for k2, n2 in B.items():
             k = k1 + k2
-            c = _norm(n1 * n2, d1 * d2)
-            prev = out.get(k)
-            if prev is None:
-                out[k] = c
-            else:
-                s = _norm(prev[0] * c[1] + c[0] * prev[1], prev[1] * c[1])
-                if s[0]:
-                    out[k] = s
-                else:
-                    del out[k]
-    return out
+            out[k] = get(k, 0) + n1 * n2
+    if 0 in out.values():
+        out = {k: n for k, n in out.items() if n}
+    return _canon(out, den)
 
 
-def _scale(A, num, den):
-    """``_mul_mono`` with key 0, kept apart because it reuses the key objects:
-    ``k + 0`` would allocate a new int for every multi-digit key."""
-    if num == 0:
-        return {}
-    cn, cd = _norm(num, den)
-    return {k: _norm(n * cn, d * cd) for k, (n, d) in A.items()}
+def _mul_mono(A, den, key, c):
+    """``A / den`` times the single monomial ``c * x^key``."""
+    if not c:
+        return {}, 1
+    num = c.numerator
+    if key:
+        out = {k + key: n * num for k, n in A.items()}
+    elif num != 1:
+        # key 0 keeps the key objects: ``k + 0`` would allocate a new int
+        # for every multi-digit key
+        out = {k: n * num for k, n in A.items()}
+    else:
+        out = A
+    if c.denominator == 1 and num in (1, -1):
+        return out, den
+    return _canon(out, den * c.denominator)
 
 
-def _mul_mono(A, key, num, den):
-    """Multiply by a single monomial ``(num/den) * x^key``."""
-    if num == 0:
-        return {}
-    cn, cd = _norm(num, den)
-    return {k + key: _norm(n * cn, d * cd) for k, (n, d) in A.items()}
-
-
-def _diff(A, shift):
+def _diff(A, den, shift):
     """Differentiate with respect to the variable whose field starts at ``shift``."""
-    out = {}
     unit = 1 << shift
-    for k, (n, d) in A.items():
-        e = (k >> shift) & _FIELD_MASK
+    out = {}
+    for k, n in A.items():
+        e = (k >> shift) & EXP_MASK
         if e:
-            out[k - unit] = _norm(n * e, d)
-    return out
+            out[k - unit] = n * e
+    return _canon(out, den)
 
 
-def _integrate_unit(A, shift):
+def _integrate_unit(A, den, shift):
     """Integrate in the variable at ``shift`` from 0 (constant of integration 0)."""
-    out = {}
     unit = 1 << shift
-    for k, (n, d) in A.items():
-        e = ((k >> shift) & _FIELD_MASK) + 1
-        if e > _FIELD_MASK:
-            raise OverflowError("integration exceeds packed-field range")
-        out[k + unit] = _norm(n, d * e)
-    return out
+    divisors = {((k >> shift) & EXP_MASK) + 1 for k in A}
+    m = lcm(*divisors)
+    factor = {e: m // e for e in divisors}
+    out = {k + unit: n * factor[((k >> shift) & EXP_MASK) + 1] for k, n in A.items()}
+    return _canon(out, den * m)
 
 
 class PhasePolynomial:
@@ -152,32 +183,47 @@ class PhasePolynomial:
     arithmetic composes it additively.
     """
 
-    __slots__ = ("dims", "i_power", "_d")
+    __slots__ = ("dims", "i_power", "_d", "_den", "_top")
 
-    def __init__(self, dims, terms=None, i_power=0, _raw=None):
+    def __init__(self, dims, terms=None, i_power=0):
         if dims not in (1, 2, 3):
             raise ValueError("dims must be 1, 2 or 3")
+        coeffs = {}
+        kept = []
+        for exps, coeff in (terms or {}).items():
+            c = Fraction(coeff)
+            if c:
+                coeffs[_pack(exps)] = c
+                kept.append(exps)
+        # with every coefficient in lowest terms, the lcm of their
+        # denominators is already coprime to the scaled numerators
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        d = {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}
+        self._set(dims, i_power, d, den, _pack([max(col) for col in zip(*kept)]))
+
+    def _set(self, dims, i_power, d, den, top):
         self.dims = dims
         self.i_power = i_power
-        if _raw is not None:
-            self._d = _raw
-        else:
-            d = {}
-            for exps, coeff in (terms or {}).items():
-                c = Fraction(coeff)
-                if c:
-                    d[_pack(exps)] = (c.numerator, c.denominator)
-            self._d = d
+        self._d = d
+        self._den = den
+        self._top = top
+
+    @classmethod
+    def _make(cls, dims, i_power, d, den, top):
+        """A polynomial from canonical ``(d, den)`` and field maxima ``top``."""
+        p = cls.__new__(cls)
+        p._set(dims, i_power, d, den, top)
+        return p
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, dims):
-        return cls(dims, _raw={})
+        return cls(dims)
 
     @classmethod
     def one(cls, dims):
-        return cls(dims, _raw={0: (1, 1)})
+        return cls(dims, {(0,) * len(_NAMES[dims]): 1})
 
     @classmethod
     def monomial(cls, dims, coeff, **exponents):
@@ -187,7 +233,7 @@ class PhasePolynomial:
         c = Fraction(coeff)
         if not c:
             return cls.zero(dims)
-        return cls(dims, _raw={key: (c.numerator, c.denominator)})
+        return cls._make(dims, 0, {key: c.numerator}, c.denominator, key)
 
     # -- inspection --------------------------------------------------------
 
@@ -195,44 +241,69 @@ class PhasePolynomial:
     def n_terms(self):
         return len(self._d)
 
+    @property
+    def denominator(self):
+        """The common positive denominator of all coefficients."""
+        return self._den
+
+    def packed_numerators(self):
+        """``{packed key: integer numerator}``, shared and not to be modified;
+        the coefficient of a term is its numerator over :attr:`denominator`
+        (see :data:`EXP_MASK` for the key layout)."""
+        return self._d
+
     def is_zero(self):
         return not self._d
 
     def terms(self):
         """Iterate ``(exponent_tuple, Fraction)`` pairs (unspecified order)."""
         nf = len(_NAMES[self.dims])
-        for k, (n, d) in self._d.items():
-            yield _unpack(k, nf), Fraction(n, d)
+        den = self._den
+        for k, n in self._d.items():
+            yield _unpack(k, nf), Fraction(n, den)
 
     def coefficient(self, **exponents):
-        n, d = self._d.get(_key(self.dims, exponents), (0, 1))
-        return Fraction(n, d)
+        return Fraction(self._d.get(_key(self.dims, exponents), 0), self._den)
 
     def momentum_parity(self):
         """0 or 1 if every term has that total momentum-degree parity, else None."""
-        par = None
-        for exps, _ in self.terms():
-            p = sum(exps[self.dims : 2 * self.dims]) % 2
-            if par is None:
-                par = p
-            elif par != p:
-                return None
-        return par
+        shifts = [_FIELD_BITS * i for i in range(self.dims, 2 * self.dims)]
+        parities = {sum(k >> sh for sh in shifts) & 1 for k in self._d}
+        if len(parities) > 1:
+            return None
+        return parities.pop() if parities else None
 
     def max_exponent(self, name):
-        sh = _shift(self.dims, name)
-        return max(((k >> sh) & _FIELD_MASK for k in self._d), default=0)
+        return (_top_of(self._d) >> field_shift(self.dims, name)) & EXP_MASK
 
     # -- arithmetic --------------------------------------------------------
 
-    def _like(self, raw, i_power=None):
-        return PhasePolynomial(
-            self.dims, _raw=raw, i_power=self.i_power if i_power is None else i_power
+    def _like(self, canon, top, i_power=None):
+        d, den = canon
+        return PhasePolynomial._make(
+            self.dims, self.i_power if i_power is None else i_power, d, den, top
         )
+
+    def _top_times(self, top, other=None):
+        """Field maxima of a product with a factor whose maxima are ``top``
+        (``other``'s, if given).  The stored maxima may be loose bounds, so
+        they are recomputed from the terms before an overflow is reported."""
+        out = self._top + top
+        if out & _GUARDS:
+            self._top = _top_of(self._d)
+            if other is not None:
+                other._top = top = _top_of(other._d)
+            out = self._top + top
+            if out & _GUARDS:
+                raise OverflowError("product exponent outside packed-field range")
+        return out
 
     def __add__(self, other):
         self._check(other)
-        return self._like(_add(self._d, other._d))
+        return self._like(
+            _add(self._d, self._den, other._d, other._den),
+            _max_fields(self._top, other._top),
+        )
 
     def __sub__(self, other):
         return self + other.scaled(-1)
@@ -240,9 +311,10 @@ class PhasePolynomial:
     def __mul__(self, other):
         if isinstance(other, PhasePolynomial):
             self._check(other, match_i=False)
-            return PhasePolynomial(
-                self.dims,
-                _raw=_mul(self._d, other._d),
+            top = self._top_times(other._top, other)
+            return self._like(
+                _mul(self._d, other._d, self._den * other._den),
+                top,
                 i_power=self.i_power + other.i_power,
             )
         return self.scaled(other)
@@ -250,23 +322,24 @@ class PhasePolynomial:
     __rmul__ = __mul__
 
     def scaled(self, coeff):
-        c = Fraction(coeff)
-        return self._like(_scale(self._d, c.numerator, c.denominator))
+        return self._like(_mul_mono(self._d, self._den, 0, Fraction(coeff)), self._top)
 
     def times_monomial(self, coeff, **exponents):
-        c = Fraction(coeff)
         key = _key(self.dims, exponents)
-        return self._like(_mul_mono(self._d, key, c.numerator, c.denominator))
+        top = self._top_times(key)
+        return self._like(_mul_mono(self._d, self._den, key, Fraction(coeff)), top)
 
     def diff(self, name):
-        return self._like(_diff(self._d, _shift(self.dims, name)))
+        return self._like(_diff(self._d, self._den, field_shift(self.dims, name)), self._top)
 
     def integrate_t(self):
         """Integrate in t from 0, dropping the integration constant."""
-        return self._like(_integrate_unit(self._d, _shift(self.dims, "t")))
+        shift = field_shift(self.dims, "t")
+        top = self._top_times(1 << shift)
+        return self._like(_integrate_unit(self._d, self._den, shift), top)
 
     def with_i_power(self, i_power):
-        return self._like(self._d, i_power=i_power)
+        return self._like((self._d, self._den), self._top, i_power=i_power)
 
     def _check(self, other, match_i=True):
         if self.dims != other.dims:
@@ -279,11 +352,12 @@ class PhasePolynomial:
             isinstance(other, PhasePolynomial)
             and self.dims == other.dims
             and self.i_power == other.i_power
+            and self._den == other._den
             and self._d == other._d
         )
 
     def __hash__(self):
-        return hash((self.dims, self.i_power, frozenset(self._d.items())))
+        return hash((self.dims, self.i_power, self._den, frozenset(self._d.items())))
 
     # -- evaluation & output ------------------------------------------------
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError
-from .polynomial import PhasePolynomial
+from .polynomial import EXP_MASK, field_shift, variable_names
 from .special import double_factorial
 
 
@@ -86,30 +86,58 @@ def integrate_momenta(poly, order_k=None):
         if par == 0:
             raise DomainError("odd-order kernel with even momentum parity")
         return MomentReduction(dims=d, order_k=k, entries=[])
+    names = variable_names(d)
+    shifts = [field_shift(d, name) for name in names]
+    coord_shifts, mom_shifts = shifts[:d], shifts[d : 2 * d]
+    sh_t, sh_g2, sh_v2 = shifts[2 * d :]
+    mom_mask = sum(EXP_MASK << sh for sh in mom_shifts)
+    odd_mom = sum(1 << sh for sh in mom_shifts)
+    odd_coord = sum(1 << sh for sh in coord_shifts)
+    # Terms are grouped first by their packed momentum-free part and the
+    # total momentum half-power j; each momentum part p^(2j) contributes
+    # its (2j-1)!! factors, looked up once per distinct momentum part
+    gauss = {}
+    grouped = {}
+    for key, num in poly.packed_numerators().items():
+        if key & odd_mom:
+            continue
+        mom = key & mom_mask
+        f = gauss.get(mom)
+        if f is None:
+            f = gauss[mom] = _gaussian_moment(mom, mom_shifts)
+        group = (key - mom, f[1])
+        grouped[group] = grouped.get(group, 0) + num * f[0]
+    acc = {}
+    for (rest, j), num in grouped.items():
+        if rest & odd_coord:
+            raise DomainError("surviving term is odd in a coordinate")
+        moments = tuple(
+            sorted((((rest >> sh) & EXP_MASK) // 2 for sh in coord_shifts), reverse=True)
+        )
+        e_t = ((rest >> sh_t) & EXP_MASK) - j
+        entry = (moments, e_t, (rest >> sh_g2) & EXP_MASK, (rest >> sh_v2) & EXP_MASK)
+        acc[entry] = acc.get(entry, 0) + num
     # i^k = (-1)^(k/2) relates the stored real polynomial to the kernel value
     sign = -1 if (k // 2) % 2 else 1
-    acc = {}
-    for exps, c in poly.terms():
-        mom = exps[d : 2 * d]
-        if any(e % 2 for e in mom):
-            continue
-        coeff = c * sign
-        e_t = exps[2 * d]
-        for e in mom:
-            j = e // 2
-            coeff *= double_factorial(2 * j - 1)
-            e_t -= j
-        coords = exps[:d]
-        if any(e % 2 for e in coords):
-            raise DomainError("surviving term is odd in a coordinate")
-        moments = tuple(sorted((e // 2 for e in coords), reverse=True))
-        key = (moments, e_t, exps[2 * d + 1], exps[2 * d + 2])
-        acc[key] = acc.get(key, Fraction(0)) + coeff
+    den = poly.denominator
     red = MomentReduction(dims=d, order_k=k)
-    for (moments, e_t, e_g2, e_v2), coeff in sorted(acc.items()):
-        if coeff:
-            red.entries.append(ReductionEntry(moments, e_t, e_g2, e_v2, coeff))
+    for (moments, e_t, e_g2, e_v2), num in sorted(acc.items()):
+        if num:
+            red.entries.append(
+                ReductionEntry(moments, e_t, e_g2, e_v2, Fraction(sign * num, den))
+            )
     return red
+
+
+def _gaussian_moment(mom, mom_shifts):
+    """``((2j_1-1)!! (2j_2-1)!! ..., j_1 + j_2 + ...)`` for the even packed
+    momentum part ``p_1^(2j_1) p_2^(2j_2) ...``."""
+    factor, j = 1, 0
+    for sh in mom_shifts:
+        e = (mom >> sh) & EXP_MASK
+        factor *= double_factorial(e - 1)
+        j += e // 2
+    return factor, j
 
 
 def extract_coefficients(reduction, k):

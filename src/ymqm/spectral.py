@@ -36,6 +36,8 @@ DENSE_BLOCK_CAP = 4000
 SIZE_CAP = 60000  # refuse to assemble beyond this total dimension
 MIN_CUTOFF = 4  # levels per axis
 ENLARGEMENT = 8  # extra levels per axis of the convergence check in eigenvalues
+LADDER_STEPS = 4  # bases on the leading-log study's ladder
+LADDER_STEP = 8  # levels per axis between successive ladder bases
 TAIL_SAFETY = 10.0
 
 
@@ -392,12 +394,26 @@ class LeadingLogStudy:
     flags: dict
 
 
+def study_ladder(n_top, ladder_steps=LADDER_STEPS, step=LADDER_STEP):
+    """Cutoffs per axis of the leading-log study's planar basis ladder,
+    ending at ``n_top``; raises :class:`DomainError` unless every rung lies
+    within ``MIN_CUTOFF`` and ``SIZE_CAP``."""
+    ladder = tuple(n_top - step * i for i in range(ladder_steps - 1, -1, -1))
+    top = max_cutoff(2) + ENLARGEMENT  # the ladder solves no enlargement
+    if min(ladder) < MIN_CUTOFF or max(ladder) > top:
+        raise DomainError(
+            f"the study ladder {ladder} needs {MIN_CUTOFF} to {top} levels per "
+            f"axis on every rung (size cap {SIZE_CAP})"
+        )
+    return ladder
+
+
 def leading_log_study(
     params,
     t_grid=None,
     n_top=60,
-    ladder_steps=4,
-    step=8,
+    ladder_steps=LADDER_STEPS,
+    step=LADDER_STEP,
     omega=None,
 ):
     """Regression of Z/K against -ln(lam2) over the asymptotic window.
@@ -412,6 +428,7 @@ def leading_log_study(
     """
     if params.n_model != 2:
         raise DomainError("the leading-log study is defined for the planar model")
+    ladder = study_ladder(n_top, ladder_steps, step)
     if t_grid is None:
         # lam2 in [~0.02, 0.1]: basis-reachable part of the asymptotic window
         lam2_hi = 0.097
@@ -424,7 +441,6 @@ def leading_log_study(
     flags = {"asymptotic_clear": bool(np.all(lam2 <= 0.1))}
     if omega is None:
         omega = trace_maximizing_omega(params, t_ref=float(np.median(t_grid)))
-    ladder = tuple(n_top - step * i for i in range(ladder_steps - 1, -1, -1))
     sums = {}
     complete = True
     for N in ladder:

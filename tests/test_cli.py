@@ -346,6 +346,61 @@ class TestExitCodes:
         assert build_config(["spectrum", "--model", "n3", "--basis-n", "31"]).basis_n == 31
         assert main(["spectrum", "--g", "1", "--basis-n", "237", "--omega", "1"]) == 3
 
+    @pytest.mark.parametrize(
+        "argv, cfg_text, axis",
+        [
+            (["tf", "--g", "-1", "--v", "1"], None, "g"),
+            (["tf", "--g=1:-0.5:1", "--v", "1"], None, "g"),
+            (["tf", "--v", "-0.5"], None, "v"),
+            (["tf", "--g", "1"], "[run]\nv = -1:1:3\n", "v"),
+            (["tf", "--hbar", "0"], None, "hbar"),
+            (["tf", "--hbar=0.5:-0.5:2"], None, "hbar"),
+            (["tf", "--t", "0"], None, "t"),
+            (["sweep", "--t=0:1:5"], None, "t"),
+            (["spectrum", "--t", "1"], "[run]\nt = 1:-1:2\n", "t"),
+        ],
+    )
+    def test_axis_outside_domain_exit_three(
+        self, tmp_path, capsys, monkeypatch, argv, cfg_text, axis
+    ):
+        # g, v < 0 and hbar, t <= 0 are refused as config errors before any
+        # computation, at either end of a range
+        def boom(*args, **kwargs):
+            raise AssertionError("a route ran")
+
+        monkeypatch.setattr("ymqm.cli.build_grid", boom)
+        if cfg_text is not None:
+            cfgfile = tmp_path / "run.cfg"
+            cfgfile.write_text(cfg_text)
+            argv = argv + ["--config", str(cfgfile)]
+        assert main(argv) == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "config" and f"{axis} must be" in err["message"]
+
+    def test_axis_domain_boundaries_accepted(self):
+        cfg = build_config(
+            ["tf", "--g", "0", "--v", "0:1:3", "--hbar", "1e-3", "--t", "0.1:2:3:log"]
+        )
+        assert (cfg.g, cfg.v) == ("0", "0:1:3")
+
+    def test_study_ladder_checked_before_the_scan(self, capsys, monkeypatch):
+        # --basis-n N solves the ladder N-24 .. N; each rung must be a basis
+        # the planar solver accepts
+        from ymqm import spectral
+
+        def boom(*args, **kwargs):
+            raise AssertionError("the omega scan ran")
+
+        monkeypatch.setattr(spectral, "trace_maximizing_omega", boom)
+        base = ["spectrum", "--study", "--g", "1", "--v", "0", "--t", "1"]
+        for n in (20, 27, 245):
+            assert main(base + ["--basis-n", str(n)]) == 3
+            err = json.loads(capsys.readouterr().err.splitlines()[-1])
+            assert err["error"] == "config" and "study ladder" in err["message"]
+        for n in (28, 244):
+            assert build_config(base + ["--basis-n", str(n)]).basis_n == n
+        assert main(base + ["--model", "n3", "--basis-n", "28"]) == 3
+
     def test_regime_flag_sets_exit_one(self):
         assert main(["tf", "--g", "1", "--v", "1", "--hbar", "1", "--t", "1"]) == 1
 

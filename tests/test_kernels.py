@@ -18,6 +18,7 @@ from ymqm.reduction import (
     harmonic_partition_exact,
     integrate_momenta,
 )
+from ymqm.special import double_factorial
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +172,30 @@ class TestQuarticReduction:
             ((1, 0), 2, 1): Fraction(1, 3),
             ((2, 1), 3, 2): Fraction(1, 12),
         }
+
+    def test_three_coordinate_order_eight_against_per_term_reduction(self):
+        # the packed-key reduction against the Gaussian momentum integral
+        # written out term by term in Fractions
+        pot = potential(3, quartic=True, higgs=True)
+        S = resummed_kernels(pot, 8)
+        W = unresum(S, 8, pot)
+        for kernel in (S[8], W[8]):
+            ref = {}
+            for exps, c in kernel.terms():
+                x, p, (e_t, e_g2, e_v2) = exps[:3], exps[3:6], exps[6:]
+                if any(e % 2 for e in p):
+                    continue
+                coeff = c  # i^8 = 1
+                for e in p:
+                    coeff *= double_factorial(e - 1)
+                key = (tuple(sorted((e // 2 for e in x), reverse=True)),
+                       e_t - sum(p) // 2, e_g2, e_v2)
+                ref[key] = ref.get(key, 0) + coeff
+            ref = {key: c for key, c in ref.items() if c}
+            got = {(e.moments, e.e_t, e.e_g2, e.e_v2): e.coeff
+                   for e in integrate_momenta(kernel).entries}
+            assert len(got) == len(ref) > 100
+            assert got == ref
 
     def test_trivial_reduction_of_unity(self):
         from ymqm.polynomial import PhasePolynomial

@@ -260,6 +260,17 @@ class TestLeadingLogStudy:
         with pytest.raises(DomainError):
             leading_log_study(ModelParams(g=1.0, v=0.0, hbar=1.0, t=1.0, n_model=3))
 
+    def test_ladder_checked_before_the_scan(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("the omega scan ran")
+
+        monkeypatch.setattr(spectral, "trace_maximizing_omega", boom)
+        assert spectral.study_ladder(60) == (36, 44, 52, 60)
+        assert spectral.study_ladder(spectral.MIN_CUTOFF + 24)[0] == spectral.MIN_CUTOFF
+        for n_top in (27, spectral.max_cutoff(2) + spectral.ENLARGEMENT + 1):
+            with pytest.raises(DomainError, match="study ladder"):
+                leading_log_study(QUARTIC, n_top=n_top)
+
 
 class TestPersistence:
     def test_roundtrip(self):
