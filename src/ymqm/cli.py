@@ -314,7 +314,7 @@ def rows_spectrum(cfg, grid):
 
 def rows_study(cfg, grid):
     p0 = grid[0]
-    study = spectral.leading_log_study(p0, n_top=cfg.basis_n)
+    study = spectral.leading_log_study(p0, n_top=cfg.basis_n, omega=cfg.omega)
     rows = []
     for t, lam2, y, raw in zip(
         study.t_grid, study.lam2, study.z_over_k, study.z_raw_top

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
-from .errors import DomainError, DivergentIntegralError, RegimeWarning
+from .errors import AccuracyError, DomainError, DivergentIntegralError, RegimeWarning
 from .params import ModelParams
 from .special import (
     EULER_GAMMA,
@@ -498,7 +498,13 @@ def tf_term_n3(params):
 
 
 def radial_Jb(b, lam, rel_tol=1e-11):
-    """J_b(lam) = int_0^inf u^b e^(-u^2 - lam u) (lam + 8u)^(-3/2) du."""
+    """J_b(lam) = int_0^inf u^b e^(-u^2 - lam u) (lam + 8u)^(-3/2) du.
+
+    The lam-scale boundary layer [0, 100 lam] is resolved explicitly, and
+    the algebraic stretch u^(b - 3/2) from there to u = 1, which spans
+    decades as lam -> 0, is integrated in s = ln u.  Raises
+    :class:`AccuracyError` if a piece does not converge.
+    """
     if lam <= 0:
         raise DomainError("lam must be positive")
     if b not in (0, 2):
@@ -507,10 +513,21 @@ def radial_Jb(b, lam, rel_tol=1e-11):
     def f(u):
         return u**b * math.exp(-u * u - lam * u) * (lam + 8.0 * u) ** -1.5
 
-    # resolve the lam-scale boundary layer explicitly
-    val1, err1 = quad(f, 0.0, min(1.0, 100.0 * lam), epsabs=0.0, epsrel=rel_tol, limit=300)
-    val2, err2 = quad(f, min(1.0, 100.0 * lam), 30.0, epsabs=0.0, epsrel=rel_tol, limit=300)
-    return val1 + val2
+    def stretched(s):
+        u = math.exp(s)
+        return u * f(u)
+
+    edge = min(1.0, 100.0 * lam)
+    opts = dict(epsabs=0.0, epsrel=rel_tol, limit=300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        try:
+            total = quad(f, 0.0, edge, **opts)[0]
+            if edge < 1.0:
+                total += quad(stretched, math.log(edge), 0.0, **opts)[0]
+            return total + quad(f, 1.0, 30.0, **opts)[0]
+        except IntegrationWarning as exc:
+            raise AccuracyError(f"J_{b}({lam:g}) quadrature did not converge: {exc}") from None
 
 
 def z2_n3(params):

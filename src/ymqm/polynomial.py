@@ -273,9 +273,6 @@ class PhasePolynomial:
             return None
         return parities.pop() if parities else None
 
-    def max_exponent(self, name):
-        return (_top_of(self._d) >> field_shift(self.dims, name)) & EXP_MASK
-
     # -- arithmetic --------------------------------------------------------
 
     def _like(self, canon, top, i_power=None):
@@ -360,22 +357,6 @@ class PhasePolynomial:
         return hash((self.dims, self.i_power, self._den, frozenset(self._d.items())))
 
     # -- evaluation & output ------------------------------------------------
-
-    def eval_coordinates(self, coords, t, g2, v2):
-        """Evaluate numerically assuming all momentum exponents are zero."""
-        names = _NAMES[self.dims]
-        total = 0.0
-        for exps, c in self.terms():
-            if any(exps[self.dims : 2 * self.dims]):
-                raise ValueError("polynomial still contains momentum factors")
-            term = float(c)
-            for i in range(self.dims):
-                if exps[i]:
-                    term *= coords[i] ** exps[i]
-            it, ig, iv = (names.index(n) for n in ("t", "g2", "v2"))
-            term *= t ** exps[it] * g2 ** exps[ig] * v2 ** exps[iv]
-            total += term
-        return total
 
     def dump_text(self):
         """Canonical plain-text form for regression snapshots: one term per

@@ -1,19 +1,18 @@
 """Brute-force numerical evaluation of every integral the closed forms claim.
 
 Momentum integrals are exact Gaussians, so only coordinate integrals are
-numeric.  Every multi-dimensional one -- the moment integrals I_mn, the
-phase-space integral of a reduced kernel in two or three coordinates and
-the raw three-coordinate structures -- is one adaptive cubature of a
-vectorized integrand over the box [0, R]^d (the weight is even in every
-coordinate), with R chosen so the Gaussian tail beyond it stays below
-rel_tol / _TAIL_SAFETY.  Two integrals are one-dimensional and use
-adaptive ``quad``: the channel-aligned route for I_mn, which does the
-hyperbolic-angle integral exactly as a Bessel K, and the radial reductions
-of the three-coordinate model.
+numeric.  A moment integral I_mn is one adaptive ``quad`` along the
+channel-aligned line u = x y, the hyperbolic-angle integral done exactly as
+a Bessel K.  The phase-space integral of a reduced kernel in two or three
+coordinates and the raw three-coordinate structures are one adaptive
+cubature of a vectorized integrand over the box [0, R]^d (the weight is
+even in every coordinate), with R chosen so the Gaussian tail beyond it
+stays below rel_tol / _TAIL_SAFETY.  The radial reductions of the
+three-coordinate model are one-dimensional ``quad`` as well.
 
-Every :class:`OracleValue` error is the engine's own estimate plus the tail
-bound its cutoff was chosen for; an engine that does not converge raises
-:class:`AccuracyError`.
+Every :class:`OracleValue` error is the engine's own estimate plus, where a
+cutoff truncates the domain, the tail bound it was chosen for; an engine
+that does not converge raises :class:`AccuracyError`.
 """
 
 from __future__ import annotations
@@ -32,9 +31,8 @@ from .reduction import integrate_momenta
 
 _TAIL_SAFETY = 10.0  # tail-truncation bound kept below rel_tol / safety
 _QUAD_LIMIT = 200  # subintervals per one-dimensional quad
-#: below this z = t v^4 / (2 g^2) of the weight, imn_quadrature hands over
-#: to the channel route and phase_space_quadrature refuses (the box cubature
-#: misses the channels from z ~ 3e-5)
+#: below this z = t v^4 / (2 g^2) of the weight phase_space_quadrature
+#: refuses: the box cubature misses the channels from z ~ 3e-5
 _CHANNEL_Z = 1e-3
 
 
@@ -108,41 +106,15 @@ def _weight(X, t, g2, v2):
 
 def imn_quadrature(m, n, params, spec=QuadratureSpec(), effective=False):
     """I_mn = 4 int_0^inf int_0^inf x^2m y^2n exp[-(t/2)(v^2(x^2+y^2)+g^2x^2y^2)]
-    by cubature over the quadrant.  ``effective`` switches on the resummed
-    regulator (the tilde variant).  Returns an :class:`OracleValue`.
-
-    Deep in the channel regime (z = t v^4 / (2 g^2) -> 0) the weight is
-    pinned to the axes out to R ~ 1/v and the rectangular mesh no longer
-    resolves it while its error estimate stays small: at v = 0.05 with
-    g = t = 1 (z = 3e-6) the cubature is off by 1.4e-5 relative with about
-    1e-10 reported.  Below z = 1e-3 of the weight the call therefore goes
-    to :func:`imn_quadrature_channel`.
-    """
-    if m < 0 or n < 0:
-        raise DomainError("m, n must be non-negative")
-    g2, v2, _ = _weight_params(params, effective)
-    if v2 <= 0:
-        raise DivergentIntegralError(
-            "moment integrals diverge along the channels at v = 0"
-        )
-    t = params.t
-    if t * v2 * v2 < 2.0 * _CHANNEL_Z * g2:
-        return imn_quadrature_channel(m, n, params, spec, effective)
-
-    def f(X):
-        return X[:, 0] ** (2 * m) * X[:, 1] ** (2 * n) * _weight(X, t, g2, v2)
-
-    val, err = _cubature(f, 2, _gauss_cutoff(0.5 * t * v2, max(m, n), spec), spec)
-    return _oracle(4.0 * val, 4.0 * err, spec)
-
-
-def imn_quadrature_channel(m, n, params, spec=QuadratureSpec(), effective=False):
-    """Alternate route in hyperbolic coordinates u = x y, w = ln(x/y), which
-    aligns with the channels.  The w-integral is a Bessel K, so
+    in hyperbolic coordinates u = x y, w = ln(x/y), which align with the
+    channels.  The w-integral is a Bessel K, so
 
         I_mn = 4 int_0^inf u^(m+n) e^(-t g^2 u^2/2) K_|m-n|(t v^2 u) du,
 
-    one adaptive quad over the half-line (exponentially scaled K).
+    one adaptive quad over the half-line (exponentially scaled K), accurate
+    at every z = t v^4 / (2 g^2) and at g = 0.  ``effective`` switches on
+    the resummed regulator (the tilde variant).  Returns an
+    :class:`OracleValue`.
     """
     if m < 0 or n < 0:
         raise DomainError("m, n must be non-negative")
@@ -218,7 +190,7 @@ def phase_space_quadrature(poly, params, spec=QuadratureSpec(), effective=False)
         monomials = np.prod(X[:, None, :] ** powers, axis=2)
         return (monomials @ weights) * _weight(X, t, g2, v2)
 
-    cut = _gauss_cutoff(0.5 * t * v2, poly.max_exponent("x") // 2 + 1, spec)
+    cut = _gauss_cutoff(0.5 * t * v2, max(map(max, coeffs)) + 1, spec)
     val, err = _cubature(f, d, cut, spec)
     norm = (
         2.0**d

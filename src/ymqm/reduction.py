@@ -172,7 +172,7 @@ def extract_coefficients(reduction, k):
     return out
 
 
-def harmonic_partition_exact(kernel, k, resummed=True):
+def harmonic_partition_exact(kernel, k):
     """Exact-rational harmonic-oscillator partition term.
 
     For the pure harmonic potential every coordinate integral is Gaussian,

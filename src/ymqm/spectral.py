@@ -45,7 +45,6 @@ TAIL_SAFETY = 10.0
 class BasisSpec:
     cutoff_per_axis: int
     oscillator_scale: float
-    symmetry_sector: tuple | None = None
 
     def __post_init__(self):
         if self.cutoff_per_axis < MIN_CUTOFF:
@@ -54,9 +53,7 @@ class BasisSpec:
             raise DomainError("oscillator scale must be positive")
 
     def enlarged(self, extra=ENLARGEMENT):
-        return BasisSpec(
-            self.cutoff_per_axis + extra, self.oscillator_scale, self.symmetry_sector
-        )
+        return BasisSpec(self.cutoff_per_axis + extra, self.oscillator_scale)
 
 
 @dataclass
@@ -152,12 +149,7 @@ class HamiltonianBlocks:
         g2, v2 = params.g**2, params.v**2
         pairs = [(0, 1)] if d == 2 else [(0, 1), (1, 2), (2, 0)]
         self.blocks = []
-        sectors = (
-            [basis.symmetry_sector]
-            if basis.symmetry_sector is not None
-            else list(itertools.product((0, 1), repeat=d))
-        )
-        for sec in sectors:
+        for sec in itertools.product((0, 1), repeat=d):
             eyes = [np.eye(len(sl[p])) for p in sec]
 
             def embed(ops):

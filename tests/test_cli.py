@@ -401,6 +401,20 @@ class TestExitCodes:
             assert build_config(base + ["--basis-n", str(n)]).basis_n == n
         assert main(base + ["--model", "n3", "--basis-n", "28"]) == 3
 
+    def test_study_uses_given_omega(self, tmp_path, monkeypatch):
+        from ymqm import spectral
+
+        def boom(*args, **kwargs):
+            raise AssertionError("the omega scan ran")
+
+        monkeypatch.setattr(spectral, "trace_maximizing_omega", boom)
+        out = tmp_path / "study.json"
+        code = main(["spectrum", "--study", "--g", "1", "--v", "0", "--t", "1",
+                     "--basis-n", "28", "--omega", "1.0", "--format", "json",
+                     "--out", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["manifest"]["omega"] == "1.0"
+
     def test_regime_flag_sets_exit_one(self):
         assert main(["tf", "--g", "1", "--v", "1", "--hbar", "1", "--t", "1"]) == 1
 
@@ -483,8 +497,8 @@ class TestResultSnapshot:
             ("compare.json", ["compare", "--routes", "closed,symbolic,quadrature",
                               "--k", "0,2", "--g", "1.1", "--v", "1.2", "--t", "0.9",
                               "--format", "json"], 0,
-             "5aa2c432414dba74d29d8e1f15b46d4c4517192b07fe48348d4a8b7f89090ee2",
-             "061e7ec1fc0e0b7a0f77cd3db71d88360d5bf9c4605d66e90dafc246076254a0"),
+             "8bbdb750a0bd477c23409e4185f9a98ae169eaf37e4c68665276d317035c415e",
+             "3e665ef99ada47a411f25d373a02b8bb035fd21132e074b82ec5cf69bbf0408c"),
             ("resum.csv", ["resum", "--kmax", "4", "--full-sums", "--g", "1",
                            "--t", "0.05:0.2:3"], 0,
              "83ddb317c02a3b0866a3bbc830d6873eca05636525354999b1b26a3311c41126",
@@ -505,8 +519,8 @@ class TestResultSnapshot:
              "252b55b9480d6c5ccf50c13564fe94c566f38313be1beb63fbbdae76e9d2c07e",
              "fc833b91a405a107e5a1884b3748dfa81db09efa366a3b7d2c2958b89c8c90b7"),
             ("config.json", ["compare", "--config", "{cfg}", "--t", "0.7"], 0,
-             "0c0848e064a4990257e2946a91c9803bc9126e9f534606ec3752a7aa66220361",
-             "7ca6a33d2ab8bd1347d20b4e088b8c98ea0366bc9876ea8d68d84b574b5b94fc"),
+             "232fb8403df98307948c92da680850bb4206c3a262ecc2a52feb98891ded746d",
+             "bfc5914b50c42fee6bde2aeb399b7c558da5b19ffc97134729893574297d194b"),
         ],
     )
     def test_digest(self, tmp_path, capsys, name, argv, status, out_digest, text_digest):

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -339,6 +340,18 @@ class TestThreeCoordinate:
         lam = 1e-6
         expected = math.gamma(0.75) / (32.0 * math.sqrt(2.0))
         assert hk.radial_Jb(2, lam) == pytest.approx(expected, rel=1e-3)
+
+    def test_jb_small_lam_against_mpmath(self):
+        # the boundary layer at u ~ lam and the u^(-3/2) stretch above it
+        for lam in (1e-10, 4e-7):
+            mlam = mpmath.mpf(lam)
+            edges = [mlam * 10**k for k in range(-2, 12) if lam * 10**k < 10]
+            for b in (0, 2):
+                ref = mpmath.quad(
+                    lambda u: u**b * mpmath.exp(-u * u - mlam * u) * (mlam + 8 * u) ** -1.5,
+                    [0, *edges, 10, mpmath.inf],
+                )
+                assert hk.radial_Jb(b, lam) == pytest.approx(float(ref), rel=1e-10)
 
     def test_jb_refinement_stability(self):
         a = hk.radial_Jb(0, 1.0, rel_tol=1e-9)

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import mpmath as mp
 import pytest
 
 from ymqm import heatkernel as hk
@@ -12,7 +13,6 @@ from ymqm.quadrature import (
     QuadratureSpec,
     imn_factorized_g0,
     imn_quadrature,
-    imn_quadrature_channel,
     phase_space_quadrature,
     radial_quadrature_n3,
     raw_coordinate_n3,
@@ -30,10 +30,9 @@ def params(**kw):
 class TestMomentQuadrature:
     def test_free_gaussian_factorization(self):
         p = params(g=0.0, v=1.3, t=0.7)
-        for route in (imn_quadrature, imn_quadrature_channel):
-            for m, n in ((0, 0), (1, 0), (2, 2)):
-                got = route(m, n, p)
-                assert got.value == pytest.approx(imn_factorized_g0(m, n, p), rel=1e-9)
+        for m, n in ((0, 0), (1, 0), (2, 2)):
+            got = imn_quadrature(m, n, p)
+            assert got.value == pytest.approx(imn_factorized_g0(m, n, p), rel=1e-9)
 
     def test_cross_route_closed_form(self):
         p = params(v=2.0**0.25)  # z = 1
@@ -44,23 +43,6 @@ class TestMomentQuadrature:
         a = imn_quadrature(2, 1, P1)
         b = imn_quadrature(1, 2, P1)
         assert a.value == pytest.approx(b.value, rel=1e-9)
-
-    def test_channel_route_agreement(self):
-        for v in (1.0, 0.2):
-            p = params(v=v)
-            direct = imn_quadrature(1, 0, p)
-            channel = imn_quadrature_channel(1, 0, p)
-            assert channel.value == pytest.approx(direct.value, rel=1e-7)
-
-    def test_channel_route_takes_over_at_small_v(self):
-        # deep in the channel regime the rectangular mesh stalls while the
-        # hyperbolic-coordinate route keeps full accuracy
-        p = params(v=0.05)
-        closed = hk.integral_Imn_closed(1, 0, p)
-        channel = imn_quadrature_channel(1, 0, p)
-        direct = imn_quadrature(1, 0, p)
-        assert channel.value == pytest.approx(closed, rel=1e-9)
-        assert direct.value == pytest.approx(closed, rel=1e-4)
 
     def test_error_estimate_is_honest(self):
         p = params(v=2.0**0.25)
@@ -106,6 +88,13 @@ class TestPhaseSpaceQuadrature:
         got = phase_space_quadrature(odd, P1)
         assert got.value == pytest.approx(0.0, abs=1e-12)
 
+    def test_box_sized_by_every_coordinate(self):
+        # the cutoff follows the largest moment in any coordinate, not x's
+        closed = hk.integral_Imn_closed(12, 0, P1) / (2.0 * math.pi)
+        for mono in ({"x": 24}, {"y": 24}):
+            got = phase_space_quadrature(PhasePolynomial.monomial(2, 1, **mono), P1)
+            assert abs(got.value - closed) <= got.error
+
     def test_three_coordinate_leading(self):
         p3 = ModelParams(g=1.0, v=1.0, hbar=1.0, t=1.0, n_model=3)
         one = PhasePolynomial.one(3)
@@ -148,9 +137,8 @@ class TestErrorBrackets:
     """A reported OracleValue.error bounds the distance to the truth."""
 
     def test_moment_integrals(self):
-        # plus the channel regime: z = 4e-3 stays on the cubature, z = 3e-6
-        # goes to the channel route
-        for p in [*criterion2_grid(), params(v=0.3), params(v=0.05)]:
+        # plus the channel regime at g = t = 1: z from 0.5 down to 3e-6
+        for p in [*criterion2_grid(), *(params(v=v) for v in (1.0, 0.3, 0.2, 0.05))]:
             for m in range(5):
                 for n in range(m + 1):
                     got = imn_quadrature(m, n, p)
@@ -163,13 +151,30 @@ class TestErrorBrackets:
                 got = phase_space_quadrature(W[k], p)
                 assert abs(got.value - closed) <= got.error
 
-    def test_channel_route(self):
-        for v in (1.0, 0.2, 0.05):
-            p = params(v=v)
-            for m in range(5):
-                for n in range(m + 1):
-                    got = imn_quadrature_channel(m, n, p)
-                    assert abs(got.value - hk.integral_Imn_closed(m, n, p)) <= got.error
+    def test_moment_integrals_against_hypergeometric_u(self):
+        # an mpmath reference that shares nothing with ymqm:
+        # I_mn = sqrt(2 pi) (2n-1)!! v^(2(m-n)) t^(-n-1/2) g^(-2m-1)
+        #        Gamma(m+1/2) U(m+1/2, 1+m-n, z) for n <= m
+        g, t = 1.5, 0.6
+        with mp.workdps(30):
+            for z in (1e-12, 1e-8, 1e-4, 1e-2, 1.0, 1e3):
+                v = (2.0 * z * g * g / t) ** 0.25
+                p = params(g=g, v=v, t=t)
+                for m in (0, 1, 4, 7, 10):
+                    for n in range(m + 1):
+                        ref = (
+                            mp.sqrt(2 * mp.pi)
+                            * mp.fac2(2 * n - 1)
+                            * mp.mpf(v) ** (2 * (m - n))
+                            * mp.mpf(t) ** (-n - mp.mpf(1) / 2)
+                            * mp.mpf(g) ** (-2 * m - 1)
+                            * mp.gamma(m + mp.mpf(1) / 2)
+                            * mp.hyperu(m + mp.mpf(1) / 2, 1 + m - n, z)
+                        )
+                        for rel_tol in (1e-6, 1e-9, 1e-11):
+                            got = imn_quadrature(m, n, p, QuadratureSpec(rel_tol=rel_tol))
+                            assert abs(got.value - ref) <= got.error
+                            assert abs(got.value - ref) <= rel_tol * ref
 
     @pytest.mark.parametrize("which,v,effective", [(1, 1.0, False), (2, 0.0, True)])
     def test_raw_and_radial_three_coordinate(self, which, v, effective):

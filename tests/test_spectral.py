@@ -92,18 +92,6 @@ class TestMatrixElements:
             ref = np.linalg.eigvalsh((T + V).toarray())
             np.testing.assert_allclose(w, ref, rtol=0, atol=1e-11)
 
-    def test_single_sector_selection(self):
-        p = ModelParams(g=1.0, v=0.4, hbar=1.0, t=1.0)
-        h_all = build_hamiltonian(p, BasisSpec(10, 1.0))
-        h_one = build_hamiltonian(p, BasisSpec(10, 1.0, symmetry_sector=(0, 0)))
-        assert len(h_one.blocks) == 1
-        ev_one, _ = h_one.solve()
-        ref_block = next(
-            (T, V) for sec, T, V in h_all.blocks if sec == (0, 0)
-        )
-        ev_ref = np.linalg.eigvalsh((ref_block[0] + ref_block[1]).toarray())
-        assert np.allclose(ev_one, np.sort(ev_ref), atol=1e-11)
-
 
 class TestHarmonicExactness:
     def test_matched_basis_diagonal_spectrum(self):
