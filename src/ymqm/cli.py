@@ -199,8 +199,8 @@ def rows_resum(cfg, grid):
         exact0 = heatkernel.resummed_term(0, p)
         K = p.prefactor_K()
         row = {**_param_cols(p)}
-        for term in terms:
-            row[f"term_k{term.order_k}"] = term.value
+        for k, value in terms.items():
+            row[f"term_k{k}"] = value
         row["tf_exact_bessel"] = exact0
         row["total"] = total
         row["constant"] = total / K + math.log(p.lam2)
@@ -214,8 +214,7 @@ def rows_singular_scan(cfg, grid):
     for p in grid:
         row = {**_param_cols(p)}
         for k in cfg.ks:
-            term = heatkernel.zk_most_singular(k, k // 2, p)
-            row[f"abs_z{k}_singular"] = abs(term.value)
+            row[f"abs_z{k}_singular"] = abs(heatkernel.zk_singular(k, k // 2, p))
             if k == 2 and p.g > 0:
                 row["abs_z2_closed"] = abs(heatkernel.z2_closed_n2(p))
         row["flag"] = False
@@ -337,10 +336,10 @@ def rows_study(cfg, grid):
         "deficit_power": study.deficit_power,
         "fit_rms": study.fit_rms,
         "omega": study.omega,
-        "intercept_candidate_leading": 5 * math.log(2.0) - float(np.euler_gamma),
-        "intercept_candidate_with_constants": 5 * math.log(2.0)
-        - float(np.euler_gamma)
-        + 427.0 / 180.0,
+        "intercept_candidate_leading": heatkernel.LEADING_LOG_CONSTANT,
+        "intercept_candidate_with_constants": sum(
+            heatkernel.RESUMMED_CONSTANTS.values(), heatkernel.LEADING_LOG_CONSTANT
+        ),
     }
     return rows, summary
 

@@ -13,10 +13,15 @@ Routes implemented here:
   with exact rational c from I_00 = sqrt(pi/b) E_0(u), I_{m+1,n+1} = -d_b I_mn
   and the integration by parts (2m+1) I_mn = 2a I_{m+1,n} + 2b I_{m+1,n+1}.
   Where the terms cancel the Whittaker (Laplace-integral) form is used;
-* the families of power-divergent terms at order hbar^k as v -> 0, their
-  milder variants and the purely logarithmic diagonal family;
-* the resummed (effective-Higgs) terms, regular as v -> 0, their singular
-  p-sums, and the assembled asymptotic series in lam2 = g^2 hbar^4 t^3;
+* the v -> 0 structures at order hbar^k, each family written once:
+  :func:`zk_singular`, the power divergences v^-(k - 4 ell) with indices
+  m - n = k/2 - 2 ell (ell = 0 the most singular), and
+  :func:`zk_diagonal_log`, the purely logarithmic equal-index structures;
+* their resummations v^2 -> v^2 + hbar^2 g^2 t/2, regular as v -> 0:
+  :func:`tilde_zk_singular` (the alternating singular p-sums of the same
+  ell family), :func:`zk_diagonal_log` at ``params.with_veff()``, the
+  closed terms :func:`resummed_term`, and the asymptotic series in
+  lam2 = g^2 hbar^4 t^3 assembled by :func:`series_assemble`;
 * the three-coordinate model: leading term, radial J integrals and the
   order-hbar^2 correction.
 
@@ -27,14 +32,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from scipy.integrate import IntegrationWarning, quad
 
-from .errors import AccuracyError, DomainError, DivergentIntegralError, RegimeWarning
-from .params import ModelParams
+from .errors import AccuracyError, DomainError, RegimeWarning
 from .special import (
     EULER_GAMMA,
     WhittakerArgs,
@@ -51,38 +54,11 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_PI = math.sqrt(math.pi)
 #: the Bessel sum is used while sum |terms| * 2^-52 <= _CANCEL_TOL * sum
 _CANCEL_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class HeatKernelTerm:
-    """One contribution to the partition sum, tagged by order and route."""
-
-    order_k: int
-    value: float
-    route: str
-    provenance: str
-    m: int | None = None
-    n: int | None = None
-    ell: int | None = None
-    diagonal: bool = False
-
-    def __post_init__(self):
-        if self.order_k < 0 or self.order_k % 2:
-            raise DomainError("order_k must be a non-negative even integer")
-        if self.route == "singular_family" and not self.diagonal:
-            k, m, n, ell = self.order_k, self.m, self.n, self.ell
-            if m is None or n is None:
-                raise DomainError("singular-family terms carry (m, n) indices")
-            ell = 0 if ell is None else ell
-            if ell and not 0 < ell < k / 4:
-                raise DomainError("ell must satisfy 0 <= ell < k/4")
-            if m - n != k // 2 - 2 * ell:
-                raise DomainError("indices violate m - n = k/2 - 2 ell")
-
-
-def prefactor_K(params):
-    """(2 pi g^2 hbar^4 t^3)^(-1/2)."""
-    return params.prefactor_K()
+_FIVE_LN2 = 5.0 * math.log(2.0)
+#: small-lam2 constants of the resummed series in units of K:
+#: Z = K [-ln lam2 + LEADING_LOG_CONSTANT + RESUMMED_CONSTANTS[2] + RESUMMED_CONSTANTS[4] + ..]
+LEADING_LOG_CONSTANT = _FIVE_LN2 - _C
+RESUMMED_CONSTANTS = {2: 5.0 / 3.0, 4: 127.0 / 180.0}
 
 
 def tf_partition_n2(params):
@@ -92,7 +68,7 @@ def tf_partition_n2(params):
     if params.g <= 0:
         raise DomainError("g must be positive")
     w = params.t * params.v**4 / (4.0 * params.g**2)
-    return prefactor_K(params) * bessel_k0_scaled(w)
+    return params.prefactor_K() * bessel_k0_scaled(w)
 
 
 def tf_limit_v0(params):
@@ -103,7 +79,7 @@ def tf_limit_v0(params):
         warnings.warn(
             f"z = {params.z:.3g} outside the small-z regime", RegimeWarning
         )
-    return prefactor_K(params) * (
+    return params.prefactor_K() * (
         math.log(8.0 * params.g**2 / (params.t * params.v**4)) - _C
     )
 
@@ -240,7 +216,7 @@ def z2_limit_v0(params):
     if params.v <= 0:
         raise DomainError("v must be positive")
     return (
-        -prefactor_K(params)
+        -params.prefactor_K()
         * params.hbar**2
         * params.g**2
         * params.t**1.5
@@ -251,64 +227,35 @@ def z2_limit_v0(params):
 # -- v -> 0 singular families ------------------------------------------------
 
 
-def _check_singular_indices(k, m, ell=0):
+def _check_order(k, ell=0):
+    """Validate the order k (even, >= 2) and the mildness index 0 <= ell < k/4."""
     if k < 2 or k % 2:
         raise DomainError("k must be an even integer >= 2")
-    if not float(ell).is_integer() or ell < 0:
-        raise DomainError("ell must be a non-negative integer")
-    if ell and ell >= k / 4:
-        raise DomainError("ell must satisfy ell < k/4")
-    if not k // 2 <= m <= k:
-        raise DomainError("m must satisfy k/2 <= m <= k")
-    n = m - k // 2 + 2 * ell
-    if n < 0:
-        raise DomainError("implied second index is negative")
-    return n
+    if not float(ell).is_integer() or not 0 <= ell < k / 4:
+        raise DomainError("ell must be an integer in [0, k/4)")
 
 
-def zk_most_singular(k, m, params):
-    """Generic magnitude of a maximally divergent structure at order hbar^k:
-
-        Z = K (4 g^4 hbar^4 t^3 / (v^4 t))^(k/4) Gamma(k/2) (2m-k-1)!!,
-
-    diverging as v^-k (the indices satisfy m - n = k/2).
-    """
-    n = _check_singular_indices(k, m)
-    if params.v <= 0:
-        raise DomainError("v must be positive")
-    ratio = 4.0 * params.g**4 * params.hbar**4 * params.t**3 / (params.v**4 * params.t)
-    value = (
-        prefactor_K(params)
-        * ratio ** (k / 4.0)
-        * gamma_fn(k / 2.0)
-        * double_factorial(2 * m - k - 1)
-    )
-    return HeatKernelTerm(
-        order_k=k, value=value, route="singular_family",
-        provenance="power-divergent-structure", m=m, n=n, ell=0,
-    )
-
-
-def zk_less_singular(k, m, ell, params):
-    """Milder structures (m - n = k/2 - 2 ell, 0 <= ell < k/4):
+def zk_singular(k, m, params, ell=0):
+    """Generic magnitude of a power-divergent structure at order hbar^k with
+    indices m - n = k/2 - 2 ell (k/2 <= m <= k, 0 <= ell < k/4):
 
         Z = K (4 g^4 hbar^4 t^3/(v^4 t))^(k/4) (v^4 t / 4 g^4)^ell
-            Gamma(k/2 - ell) (2m-k-1)!!.
+            Gamma(k/2 - ell) (2m-k-1)!!,
+
+    diverging as v^-(k - 4 ell); ell = 0 is the most singular structure.
     """
-    n = _check_singular_indices(k, m, ell)
+    _check_order(k, ell)
+    if not k // 2 <= m <= k:
+        raise DomainError("m must satisfy k/2 <= m <= k")
     if params.v <= 0:
         raise DomainError("v must be positive")
     ratio = 4.0 * params.g**4 * params.hbar**4 * params.t**3 / (params.v**4 * params.t)
-    value = (
-        prefactor_K(params)
+    return (
+        params.prefactor_K()
         * ratio ** (k / 4.0)
         * (params.v**4 * params.t / (4.0 * params.g**4)) ** ell
         * gamma_fn(k / 2.0 - ell)
         * double_factorial(2 * m - k - 1)
-    )
-    return HeatKernelTerm(
-        order_k=k, value=value, route="singular_family",
-        provenance="power-divergent-structure", m=m, n=n, ell=int(ell),
     )
 
 
@@ -316,25 +263,24 @@ def zk_diagonal_log(k, m, params):
     """Equal-index structures, logarithmic only:
 
         Z = K (g^2 hbar^4 t^3)^(k/4) [ln(2 g^2/(v^4 t)) - 2C - psi(m+1/2)].
+
+    At ``params.with_veff()`` (v^2 -> hbar^2 g^2 t/2) this is the resummed
+    diagonal structure K lam2^(k/4) [-ln lam2 + 3 ln 2 - 2C - psi(m+1/2)],
+    finite and v-independent.
     """
-    if k < 2 or k % 2:
-        raise DomainError("k must be an even integer >= 2")
+    _check_order(k)
     if m < 0:
         raise DomainError("m must be non-negative")
     if params.v <= 0:
         raise DomainError("v must be positive")
-    value = (
-        prefactor_K(params)
+    return (
+        params.prefactor_K()
         * params.lam2 ** (k / 4.0)
         * (
             math.log(2.0 * params.g**2 / (params.v**4 * params.t))
             - 2.0 * _C
             - digamma(m + 0.5)
         )
-    )
-    return HeatKernelTerm(
-        order_k=k, value=value, route="singular_family",
-        provenance="diagonal-log-structure", m=m, n=m, diagonal=True,
     )
 
 
@@ -353,23 +299,22 @@ def resummed_term(k, params):
     """Resummed terms, finite and v-independent as v -> 0:
 
     k = 0: K e^(lam2/16) K_0(lam2/16)  (exactly);
-    k = 2: (5/3) K;  k = 4: (127/180) K  (leading small-lam2 constants).
+    k = 2, 4: RESUMMED_CONSTANTS[k] K  (leading small-lam2 constants).
     """
-    K = prefactor_K(params)
+    K = params.prefactor_K()
     if k == 0:
         w = params.lam2 / 16.0
         return K * bessel_k0_scaled(w)
     _warn_lam2(params)
-    if k == 2:
-        return 5.0 / 3.0 * K
-    if k == 4:
-        return 127.0 / 180.0 * K
+    if k in RESUMMED_CONSTANTS:
+        return RESUMMED_CONSTANTS[k] * K
     raise DomainError("closed resummed constants exist for k in {0, 2, 4}")
 
 
 def resummed_tf_log_form(params):
     """Small-lam2 form of the resummed leading term, K (ln(1/lam2) + 5 ln 2 - C)."""
-    return prefactor_K(params) * (-math.log(params.lam2) + 5.0 * math.log(2.0) - _C)
+    # summed left to right: -ln lam2 + LEADING_LOG_CONSTANT rounds differently
+    return params.prefactor_K() * (-math.log(params.lam2) + _FIVE_LN2 - _C)
 
 
 def _singular_p_sum(k_eff, n, lam2, pmax=None):
@@ -390,62 +335,27 @@ def _singular_p_sum(k_eff, n, lam2, pmax=None):
     return total
 
 
-def tilde_zk_singular_sum(k, n, params, pmax=None):
-    """Full singular-series value of a leading resummed structure:
-
-        K 2^k (2n-1)!!/Gamma(n+1/2)
-          sum_{p=0}^{k/2-1} Gamma(k/2-p) Gamma(n+1/2+p) (-lam2/8)^p / p!.
-
-    ``pmax=0`` keeps only the leading term of each series.
-    """
-    if k < 2 or k % 2:
-        raise DomainError("k must be an even integer >= 2")
-    if not 0 <= n <= k // 2:
-        raise DomainError("n must lie in [0, k/2]")
-    return (
-        prefactor_K(params)
-        * 2.0**k
-        * double_factorial(2 * n - 1)
-        / gamma_fn(n + 0.5)
-        * _singular_p_sum(k // 2, n, params.lam2, pmax)
-    )
-
-
-def tilde_zk_less(k, n, ell, params, pmax=None):
-    """Resummed milder structures (0 <= ell < k/4):
+def tilde_zk_singular(k, n, params, ell=0, pmax=None):
+    """Resummed power-divergent structures, regular as v -> 0: the full
+    singular series (0 <= ell < k/4, n >= 0, and n <= k/2 at ell = 0)
 
         K lam2^ell 2^(k-4 ell) (2n-1)!!/Gamma(n+1/2)
           sum_{p=0}^{k/2-2 ell-1} Gamma(k/2-2 ell-p) Gamma(n+1/2+p) (-lam2/8)^p / p!.
+
+    ``pmax=0`` keeps only the leading term of each series.
     """
-    if k < 2 or k % 2:
-        raise DomainError("k must be an even integer >= 2")
-    if not float(ell).is_integer() or ell < 0 or (ell and ell >= k / 4):
-        raise DomainError("ell must be an integer in [0, k/4)")
+    _check_order(k, ell)
     if n < 0:
         raise DomainError("n must be non-negative")
+    if not ell and n > k // 2:
+        raise DomainError("n must lie in [0, k/2] at ell = 0")
     return (
-        prefactor_K(params)
+        params.prefactor_K()
         * params.lam2**ell
         * 2.0 ** (k - 4 * ell)
         * double_factorial(2 * n - 1)
         / gamma_fn(n + 0.5)
         * _singular_p_sum(k // 2 - 2 * ell, n, params.lam2, pmax)
-    )
-
-
-def tilde_zk_diagonal(k, m, params):
-    """Resummed equal-index structures:
-
-        K lam2^(k/4) [-ln lam2 + 3 ln 2 - 2C - psi(m + 1/2)].
-    """
-    if k < 2 or k % 2:
-        raise DomainError("k must be an even integer >= 2")
-    if m < 0:
-        raise DomainError("m must be non-negative")
-    return (
-        prefactor_K(params)
-        * params.lam2 ** (k / 4.0)
-        * (-math.log(params.lam2) + 3.0 * math.log(2.0) - 2.0 * _C - digamma(m + 0.5))
     )
 
 
@@ -459,33 +369,19 @@ def series_assemble(params, k_max, a_coefficients, full_sums=False):
     ``a_coefficients[k][n]``.  With ``full_sums`` the complete alternating
     p-sums are used instead of their leading terms.
 
-    Returns ``(terms, total)`` with one :class:`HeatKernelTerm` per order.
+    Returns ``({k: Z_k}, total)`` for k = 0, 2, .., k_max.
     """
     if k_max < 0 or k_max % 2:
         raise DomainError("k_max must be a non-negative even integer")
     _warn_lam2(params)
-    terms = [
-        HeatKernelTerm(
-            order_k=0,
-            value=resummed_tf_log_form(params),
-            route="resummed",
-            provenance="leading-log",
-        )
-    ]
+    terms = {0: resummed_tf_log_form(params)}
     pmax = None if full_sums else 0
     for k in range(2, k_max + 1, 2):
-        coeffs = a_coefficients[k]
-        value = sum(
-            float(a) * tilde_zk_singular_sum(k, n, params, pmax=pmax)
-            for n, a in sorted(coeffs.items())
+        terms[k] = sum(
+            float(a) * tilde_zk_singular(k, n, params, pmax=pmax)
+            for n, a in sorted(a_coefficients[k].items())
         )
-        terms.append(
-            HeatKernelTerm(
-                order_k=k, value=value, route="resummed",
-                provenance="singular-sum-assembly",
-            )
-        )
-    return terms, sum(t.value for t in terms)
+    return terms, sum(terms.values())
 
 
 # -- three-coordinate model ---------------------------------------------------

@@ -82,7 +82,7 @@ class TestCriterion1ExactConstants:
 
     def test_1d_resummed_quartic_constants(self):
         p = ModelParams(g=0.01, v=0.0, hbar=1.0, t=1.0)
-        K = hk.prefactor_K(p)
+        K = p.prefactor_K()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             from ymqm.kernels import potential as _pot
@@ -200,9 +200,9 @@ class TestCriterion3SingularityScaling:
             vs = np.geomspace(1e-4, 1e-2, 9)
             ys = [
                 abs(
-                    hk.zk_most_singular(
+                    hk.zk_singular(
                         k, k // 2, ModelParams(g=1.0, v=float(v), hbar=1.0, t=1.0)
-                    ).value
+                    )
                 )
                 for v in vs
             ]
@@ -310,15 +310,15 @@ class TestCriterion6DimensionalInvariance:
                     hk.tf_limit_v0(p),
                     hk.z2_closed_n2(p),
                     hk.z2_limit_v0(p),
-                    hk.zk_most_singular(4, 3, p).value,
-                    hk.zk_less_singular(6, 4, 1, p).value,
-                    hk.zk_diagonal_log(4, 2, p).value,
+                    hk.zk_singular(4, 3, p),
+                    hk.zk_singular(6, 4, p, ell=1),
+                    hk.zk_diagonal_log(4, 2, p),
                     hk.resummed_term(0, p),
                     hk.resummed_term(2, p),
                     hk.resummed_term(4, p),
-                    hk.tilde_zk_singular_sum(6, 1, p),
-                    hk.tilde_zk_less(8, 1, 1, p),
-                    hk.tilde_zk_diagonal(4, 2, p),
+                    hk.tilde_zk_singular(6, 1, p),
+                    hk.tilde_zk_singular(8, 1, p, ell=1),
+                    hk.zk_diagonal_log(4, 2, p.with_veff()),
                     hk.series_assemble(p, 8, table, full_sums=True)[1],
                     hk.tf_term_n3(p3),
                     hk.z2_n3(p3),

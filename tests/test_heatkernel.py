@@ -8,7 +8,7 @@ import pytest
 from ymqm import heatkernel as hk
 from ymqm.errors import DomainError, RegimeWarning
 from ymqm.params import ModelParams
-from ymqm.special import EULER_GAMMA, gamma_fn
+from ymqm.special import EULER_GAMMA, digamma, gamma_fn
 
 P1 = ModelParams(g=1.0, v=1.0, hbar=1.0, t=1.0)
 
@@ -21,16 +21,16 @@ def params(**kw):
 
 class TestPrefactor:
     def test_unit_values(self):
-        assert hk.prefactor_K(P1) == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-15)
+        assert P1.prefactor_K() == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-15)
 
     def test_t_power_law(self):
-        assert hk.prefactor_K(params(t=4.0)) / hk.prefactor_K(P1) == pytest.approx(
+        assert params(t=4.0).prefactor_K() / P1.prefactor_K() == pytest.approx(
             4.0**-1.5, rel=1e-14
         )
 
     def test_lam2_form(self):
         p = params(g=0.01, hbar=1.0, t=1.0)  # lam2 = 1e-4
-        assert hk.prefactor_K(p) == pytest.approx((2 * math.pi * 1e-4) ** -0.5, rel=1e-14)
+        assert p.prefactor_K() == pytest.approx((2 * math.pi * 1e-4) ** -0.5, rel=1e-14)
 
     def test_hbar_scaling_of_tf(self):
         a = hk.tf_partition_n2(params(hbar=1.0))
@@ -54,7 +54,7 @@ class TestLeadingTerm:
         vs = np.array([1e-3, 1.02e-3])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            ys = [hk.tf_limit_v0(params(v=v)) / hk.prefactor_K(params(v=v)) for v in vs]
+            ys = [hk.tf_limit_v0(params(v=v)) / params(v=v).prefactor_K() for v in vs]
         slope = (ys[1] - ys[0]) / math.log(vs[1] / vs[0])
         assert slope == pytest.approx(-4.0, rel=1e-12)
 
@@ -156,63 +156,57 @@ class TestMomentIntegralsClosed:
 
 class TestSingularFamilies:
     def test_order_two_value(self):
-        term = hk.zk_most_singular(2, 1, P1)
+        term = hk.zk_singular(2, 1, P1)
         expected = (
-            hk.prefactor_K(P1) * math.sqrt(4.0) * gamma_fn(1.0) * 1.0
+            P1.prefactor_K() * math.sqrt(4.0) * gamma_fn(1.0) * 1.0
         )  # (2m-k-1)!! = (-1)!! = 1
-        assert term.value == pytest.approx(expected, rel=1e-14)
-        assert (term.m, term.n) == (1, 0)
+        assert term == pytest.approx(expected, rel=1e-14)
 
     def test_double_factorial_factor(self):
         # k=4, m=4: (2m-k-1)!! = 3!! = 3 relative to the m=2 structure
-        a = hk.zk_most_singular(4, 4, P1).value
-        b = hk.zk_most_singular(4, 2, P1).value
+        a = hk.zk_singular(4, 4, P1)
+        b = hk.zk_singular(4, 2, P1)
         assert a / b == pytest.approx(3.0, rel=1e-14)
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_v_power_law(self, k):
-        a = hk.zk_most_singular(k, k // 2, params(v=1.0)).value
-        b = hk.zk_most_singular(k, k // 2, params(v=2.0)).value
+        a = hk.zk_singular(k, k // 2, params(v=1.0))
+        b = hk.zk_singular(k, k // 2, params(v=2.0))
         assert a / b == pytest.approx(2.0**k, rel=1e-13)
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_fitted_slope(self, k):
         vs = np.geomspace(1e-4, 1e-2, 9)
-        ys = [abs(hk.zk_most_singular(k, k // 2, params(v=v)).value) for v in vs]
+        ys = [abs(hk.zk_singular(k, k // 2, params(v=v))) for v in vs]
         slope = np.polyfit(np.log(vs), np.log(ys), 1)[0]
         assert slope == pytest.approx(-k, abs=1e-10)
 
     def test_boundary_ell_rejected(self):
         with pytest.raises(DomainError):
-            hk.zk_less_singular(4, 3, 1, P1)  # ell = k/4
-
-    def test_ell_zero_reduces_to_most_singular(self):
-        a = hk.zk_less_singular(6, 4, 0, P1)
-        b = hk.zk_most_singular(6, 4, P1)
-        assert a.value == pytest.approx(b.value, rel=1e-15)
+            hk.zk_singular(4, 3, P1, ell=1)  # ell = k/4
 
     def test_less_singular_value(self):
-        term = hk.zk_less_singular(6, 3, 1, P1)
-        K = hk.prefactor_K(P1)
+        term = hk.zk_singular(6, 3, P1, ell=1)
+        K = P1.prefactor_K()
         expected = K * 4.0**1.5 * 0.25 * gamma_fn(2.0) * 1.0
-        assert term.value == pytest.approx(expected, rel=1e-13)
+        assert term == pytest.approx(expected, rel=1e-13)
 
     def test_diagonal_log_slope(self):
         # d(value)/d(ln v) = -4 K lam2^(k/4)
         k = 4
         v0 = 0.01
         h = 1e-5
-        a = hk.zk_diagonal_log(k, 2, params(v=v0 * math.exp(h))).value
-        b = hk.zk_diagonal_log(k, 2, params(v=v0 * math.exp(-h))).value
+        a = hk.zk_diagonal_log(k, 2, params(v=v0 * math.exp(h)))
+        b = hk.zk_diagonal_log(k, 2, params(v=v0 * math.exp(-h)))
         slope = (a - b) / (2 * h)
-        expected = -4.0 * hk.prefactor_K(P1) * P1.lam2 ** (k / 4)
+        expected = -4.0 * P1.prefactor_K() * P1.lam2 ** (k / 4)
         assert slope == pytest.approx(expected, rel=1e-8)
 
 
 class TestResummed:
     def test_constants(self):
         p = params(g=0.05, t=0.5)
-        K = hk.prefactor_K(p)
+        K = p.prefactor_K()
         assert hk.resummed_term(2, p) == pytest.approx(5.0 / 3.0 * K, rel=1e-15)
         assert hk.resummed_term(4, p) == pytest.approx(127.0 / 180.0 * K, rel=1e-15)
 
@@ -239,20 +233,20 @@ class TestSingularSums:
         from ymqm.reduction import extract_coefficients, integrate_momenta
 
         p = params(g=0.01)
-        K = hk.prefactor_K(p)
+        K = p.prefactor_K()
         S = resummed_kernels(potential(2, quartic=True, higgs=False), 4)
         for k, const in ((2, 5.0 / 3.0), (4, 127.0 / 180.0)):
             coeffs = extract_coefficients(integrate_momenta(S[k]), k)
             total = sum(
-                float(a) * hk.tilde_zk_singular_sum(k, n, p, pmax=0)
+                float(a) * hk.tilde_zk_singular(k, n, p, pmax=0)
                 for n, a in coeffs.items()
             )
             assert total == pytest.approx(const * K, rel=1e-13)
 
     def test_lam2_zero_single_term(self):
         p = params(g=1e-12)
-        full = hk.tilde_zk_singular_sum(4, 1, p)
-        p0 = hk.tilde_zk_singular_sum(4, 1, p, pmax=0)
+        full = hk.tilde_zk_singular(4, 1, p)
+        p0 = hk.tilde_zk_singular(4, 1, p, pmax=0)
         assert full == pytest.approx(p0, rel=1e-10)
 
     def test_alternating_partial_sums_bracket(self):
@@ -260,26 +254,30 @@ class TestSingularSums:
         p = params(g=math.sqrt(1e-3) ** 0.5)  # lam2 = sqrt(1e-3) ~ 0.03
         p = ModelParams(g=0.1778279410038923, v=1.0, hbar=1.0, t=1.0)  # lam2 ~ 0.0316
         k = 6
-        full = hk.tilde_zk_singular_sum(k, 0, p)
-        s0 = hk.tilde_zk_singular_sum(k, 0, p, pmax=0)
-        s1 = hk.tilde_zk_singular_sum(k, 0, p, pmax=1)
+        full = hk.tilde_zk_singular(k, 0, p)
+        s0 = hk.tilde_zk_singular(k, 0, p, pmax=0)
+        s1 = hk.tilde_zk_singular(k, 0, p, pmax=1)
         assert (s1 <= full <= s0) or (s0 <= full <= s1)
 
-    def test_diagonal_matches_bare_family_with_regulator(self):
-        # the resummed diagonal form equals the bare one at v^2 -> veff^2
+    def test_diagonal_with_regulator_is_resummed_form(self):
+        # the bare diagonal family at v^2 -> veff^2 is the resummed one,
+        # K lam2^(k/4) [-ln lam2 + 3 ln 2 - 2C - psi(m + 1/2)]
         p = params(g=0.3, v=0.0)
         k, m = 4, 1
-        bare = hk.zk_diagonal_log(k, m, p.with_veff())
-        res = hk.tilde_zk_diagonal(k, m, p)
-        assert res == pytest.approx(bare.value, rel=1e-12)
+        expected = (
+            p.prefactor_K()
+            * p.lam2 ** (k / 4)
+            * (-math.log(p.lam2) + 3 * math.log(2.0) - 2 * EULER_GAMMA - digamma(m + 0.5))
+        )
+        assert hk.zk_diagonal_log(k, m, p.with_veff()) == pytest.approx(expected, rel=1e-12)
 
     def test_index_validation(self):
         with pytest.raises(DomainError):
-            hk.tilde_zk_singular_sum(3, 0, P1)
+            hk.tilde_zk_singular(3, 0, P1)
         with pytest.raises(DomainError):
-            hk.tilde_zk_singular_sum(4, 3, P1)
+            hk.tilde_zk_singular(4, 3, P1)
         with pytest.raises(DomainError):
-            hk.tilde_zk_less(8, 1, 2, P1)
+            hk.tilde_zk_singular(8, 1, P1, ell=2)
 
 
 @pytest.fixture(scope="module")
@@ -299,12 +297,12 @@ class TestSeriesAssembly:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             terms, total = hk.series_assemble(p, 4, a_table)
-        K = hk.prefactor_K(p)
+        K = p.prefactor_K()
         expected = K * (
             -math.log(p.lam2) + 5 * math.log(2.0) - EULER_GAMMA + 427.0 / 180.0
         )
         assert total == pytest.approx(expected, rel=1e-12)
-        assert [t.order_k for t in terms] == [0, 2, 4]
+        assert list(terms) == [0, 2, 4]
 
     def test_degenerate_assembly(self, a_table):
         p = params(g=0.01)
@@ -321,7 +319,7 @@ class TestSeriesAssembly:
                 warnings.simplefilter("ignore")
                 _, tot_p0 = hk.series_assemble(p, 8, a_table, full_sums=False)
                 _, tot_full = hk.series_assemble(p, 8, a_table, full_sums=True)
-            deltas.append(abs(tot_full - tot_p0) / hk.prefactor_K(p))
+            deltas.append(abs(tot_full - tot_p0) / p.prefactor_K())
         exponent = math.log(deltas[0] / deltas[1]) / math.log(1e-2 / 1e-4)
         assert exponent == pytest.approx(1.0, abs=0.1)
 
