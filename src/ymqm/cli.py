@@ -280,34 +280,25 @@ def rows_spectrum(cfg, grid):
             spectral.save_spectrum(spectrum, cfg.save_spectrum)
         for p in plist:
             try:
-                z, bracket = spectral.partition_from_spectrum(
+                z, (z_lo, z_hi) = spectral.partition_from_spectrum(
                     spectrum, p.t, tail_rel_tol=1e-6
                 )
-                rows.append(
-                    {
-                        **_param_cols(p),
-                        "omega": omega,
-                        "n_basis": cfg.basis_n,
-                        "z_spectral": z,
-                        "z_lo": bracket[0],
-                        "z_hi": bracket[1],
-                        "n_converged": spectrum.count_converged,
-                        "flag": False,
-                    }
-                )
+                flag = False
             except spectral.ConvergenceError:
-                rows.append(
-                    {
-                        **_param_cols(p),
-                        "omega": omega,
-                        "n_basis": cfg.basis_n,
-                        "z_spectral": float("nan"),
-                        "z_lo": float("nan"),
-                        "z_hi": float("nan"),
-                        "n_converged": spectrum.count_converged,
-                        "flag": True,
-                    }
-                )
+                z = z_lo = z_hi = float("nan")
+                flag = True
+            rows.append(
+                {
+                    **_param_cols(p),
+                    "omega": omega,
+                    "n_basis": cfg.basis_n,
+                    "z_spectral": z,
+                    "z_lo": z_lo,
+                    "z_hi": z_hi,
+                    "n_converged": spectrum.count_converged,
+                    "flag": flag,
+                }
+            )
     return rows
 
 
@@ -494,13 +485,25 @@ def _orders(text):
     return tuple(_order(x) for x in text.split(","))
 
 
-def _positive(text):
+def _finite(text, zero_ok=False):
+    """A finite positive number, or zero too with ``zero_ok``: an infinite
+    or NaN tolerance would switch its check off."""
     try:
-        if float(text) > 0:
-            return float(text)
+        x = float(text)
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"{text!r} is not a positive number")
+        x = math.nan
+    if math.isfinite(x) and (x > 0 or (zero_ok and x == 0)):
+        return x
+    kind = "non-negative" if zero_ok else "positive"
+    raise argparse.ArgumentTypeError(f"{text!r} is not a finite {kind} number")
+
+
+def _positive(text):
+    return _finite(text)
+
+
+def _non_negative(text):
+    return _finite(text, zero_ok=True)
 
 
 def make_parser():
@@ -536,7 +539,7 @@ def make_parser():
     run_opts.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     quad_opts = ap.add_argument_group("quadrature")
     quad_opts.add_argument("--tol-quad", type=_positive, default=1e-9)
-    quad_opts.add_argument("--disc-tol", type=float, default=1e-6)
+    quad_opts.add_argument("--disc-tol", type=_non_negative, default=1e-6)
     spec_opts = ap.add_argument_group("spectral")
     spec_opts.add_argument("--tol-conv", type=_positive, default=1e-6)
     spec_opts.add_argument("--basis-n", type=int, default=32)

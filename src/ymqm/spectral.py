@@ -33,6 +33,7 @@ from .errors import ConvergenceError, DomainError
 from .params import ModelParams
 
 DENSE_BLOCK_CAP = 4000
+ITERATIVE_LEVELS = 64  # lowest levels solved in a sector above DENSE_BLOCK_CAP
 SIZE_CAP = 60000  # refuse to assemble beyond this total dimension
 MIN_CUTOFF = 4  # levels per axis
 ENLARGEMENT = 8  # extra levels per axis of the convergence check in eigenvalues
@@ -166,7 +167,7 @@ class HamiltonianBlocks:
     def dimension(self):
         return sum(T.shape[0] for _, T, _ in self.blocks)
 
-    def solve(self, how_many=None):
+    def solve(self):
         """Sorted merged spectrum and per-sector ``(sec, w, T, V)``."""
         evs = []
         sector_data = []
@@ -176,7 +177,7 @@ class HamiltonianBlocks:
                 parts = _swap_halves(H, sec, self.basis.cutoff_per_axis) or (H.toarray(),)
                 w = np.sort(np.concatenate([eigh(h, eigvals_only=True) for h in parts]))
             else:
-                kk = min(how_many or 64, H.shape[0] - 2)
+                kk = min(ITERATIVE_LEVELS, H.shape[0] - 2)
                 w = np.sort(eigsh(H, k=kk, which="SA", return_eigenvectors=False))
             evs.append(w)
             sector_data.append((sec, w, T, V))

@@ -377,6 +377,27 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert err["error"] == "config" and f"{axis} must be" in err["message"]
 
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--routes", "closed,symbolic", "--tol-quad", "inf"],
+        ["spectrum", "--omega", "inf", "--basis-n", "8"],
+        ["spectrum", "--omega", "1", "--basis-n", "8", "--tol-conv", "inf"],
+        ["compare", "--routes", "closed,symbolic", "--tol-quad", "1e-3", "--disc-tol", "nan"],
+        ["compare", "--routes", "closed,symbolic", "--disc-tol=-1e-6"],
+    ], ids=["tol-quad", "omega", "tol-conv", "disc-tol-nan", "disc-tol-negative"])
+    def test_tolerance_not_finite_exit_three(self, capsys, monkeypatch, argv):
+        # an infinite quadrature or convergence tolerance gives a wrong or
+        # NaN value, and a NaN --disc-tol marks every discrepancy ok
+        def boom(*args, **kwargs):
+            raise AssertionError("a route ran")
+
+        monkeypatch.setattr("ymqm.cli.build_grid", boom)
+        assert main(argv) == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "config" and "finite" in err["message"]
+
+    def test_zero_disc_tol_accepted(self):
+        assert build_config(["compare", "--disc-tol", "0"]).disc_tol == 0.0
+
     def test_axis_domain_boundaries_accepted(self):
         cfg = build_config(
             ["tf", "--g", "0", "--v", "0:1:3", "--hbar", "1e-3", "--t", "0.1:2:3:log"]
@@ -417,6 +438,20 @@ class TestExitCodes:
 
     def test_regime_flag_sets_exit_one(self):
         assert main(["tf", "--g", "1", "--v", "1", "--hbar", "1", "--t", "1"]) == 1
+
+
+class TestSpectrum:
+    def test_unconverged_point_is_a_flagged_nan_row(self):
+        # at t = 2 the partition sum needs levels the 24-level basis does not
+        # converge: the row stays, with NaN values, the flag and every column
+        status, rows, _, _ = run_cli(
+            ["spectrum", "--g", "1", "--v", "1", "--t", "2:3:2", "--omega", "1.2",
+             "--basis-n", "24"]
+        )
+        assert status == 1 and list(rows[0]) == list(rows[1])
+        assert rows[0]["flag"] and not rows[1]["flag"]
+        assert all(math.isnan(rows[0][c]) for c in ("z_spectral", "z_lo", "z_hi"))
+        assert rows[1]["z_lo"] == rows[1]["z_spectral"] < rows[1]["z_hi"]
 
 
 class TestSweepAndN3:

@@ -144,8 +144,9 @@ class TestEigenvalues:
         assert exc.value.first_unconverged is not None
 
     def test_iterative_sectors_claim_only_computed_levels(self, monkeypatch):
-        # every sector above the cap is solved iteratively for its 64 lowest
-        # levels, so the merge is complete only below the lowest sector top
+        # every sector above the cap is solved iteratively for its
+        # ITERATIVE_LEVELS lowest levels, so the merge is complete only below
+        # the lowest sector top
         p = ModelParams(g=0.05, v=1.0, hbar=1.0, t=1.0)
         dense = eigenvalues(build_hamiltonian(p, BasisSpec(40, 1.0)), how_many=4)
         monkeypatch.setattr(spectral, "DENSE_BLOCK_CAP", 100)
