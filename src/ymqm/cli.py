@@ -360,7 +360,9 @@ def _fmt(x):
 
 def manifest(cfg, summary=None):
     """The run manifest with every value a string: ``# key: value`` lines
-    ahead of a CSV table, the ``manifest`` object of a JSON file."""
+    ahead of a CSV table, the ``manifest`` object of a JSON file.  It holds
+    every option that can change a result; a summary value (the study's
+    chosen omega) replaces the option of the same name."""
     items = {
         "tool": f"ymqm {__version__}",
         "command": cfg.command,
@@ -369,9 +371,15 @@ def manifest(cfg, summary=None):
         "routes": ",".join(cfg.routes),
         "k": ",".join(map(str, cfg.ks)),
         "kmax": cfg.kmax,
+        "full_sums": cfg.full_sums,
+        "quantity": cfg.quantity,
         "tol_quad": cfg.tol_quad,
         "tol_conv": cfg.tol_conv,
         "disc_tol": cfg.disc_tol,
+        "basis_n": cfg.basis_n,
+        "omega": "auto" if cfg.omega is None else cfg.omega,
+        "study": cfg.study,
+        "format": cfg.fmt,
         "seed": "none",
         **(summary or {}),
     }

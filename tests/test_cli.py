@@ -183,6 +183,19 @@ class TestOutputs:
         assert head[0].startswith("# tool: ymqm")
         assert any(l.startswith("# seed: none") for l in head)
 
+    def test_manifest_names_the_truncation(self, tmp_path):
+        # resum with and without --full-sums gives different totals, so the
+        # headers that say how a file was made must differ too
+        heads = []
+        for flag in ([], ["--full-sums"]):
+            out = tmp_path / f"resum{len(heads)}.csv"
+            run_cli(["resum", "--kmax", "4", "--g", "1", "--t", "0.1", "--out", str(out), *flag])
+            heads.append([l for l in out.read_text().splitlines() if l.startswith("#")])
+        assert "# full_sums: False" in heads[0] and "# full_sums: True" in heads[1]
+        assert [l for l in heads[0] if "full_sums" not in l] == [
+            l for l in heads[1] if "full_sums" not in l
+        ]
+
 
 class TestConfigFile:
     def test_file_and_flag_override(self, tmp_path):
@@ -527,34 +540,34 @@ class TestResultSnapshot:
         "name, argv, status, out_digest, text_digest",
         [
             ("tf.csv", ["tf", "--g", "1", "--v", "0.5:1.5:4", "--t", "1"], 1,
-             "08c4cd4c0255c5be6ff8f9817be77ced8c037d33373635eea6be326704104ff2",
+             "d96485644854cf52266fde0994f80955d183e7705d44c1ff83ba475304cb3c64",
              "fc8f5e63d0dc6e56d30b011a171f81f380ae82c34fca5a80799b36e84c95bd2c"),
             ("compare.json", ["compare", "--routes", "closed,symbolic,quadrature",
                               "--k", "0,2", "--g", "1.1", "--v", "1.2", "--t", "0.9",
                               "--format", "json"], 0,
-             "8bbdb750a0bd477c23409e4185f9a98ae169eaf37e4c68665276d317035c415e",
+             "6c883852bdf6cc042b81257cab3fc907a271e0231318589e5e8accbda6f1dad3",
              "3e665ef99ada47a411f25d373a02b8bb035fd21132e074b82ec5cf69bbf0408c"),
             ("resum.csv", ["resum", "--kmax", "4", "--full-sums", "--g", "1",
                            "--t", "0.05:0.2:3"], 0,
-             "83ddb317c02a3b0866a3bbc830d6873eca05636525354999b1b26a3311c41126",
+             "d60de9cf3acc9d0d8f5a5473f529764bd0bbde9337e182e4aee4c7544b721fcc",
              "b0c825b9b2e73a9a8dd79d0b1a68ab98ba7a48929093c2b704827ab84ac20247"),
             ("scan.csv", ["singular-scan", "--k", "2,4", "--g", "1", "--t", "1",
                           "--v", "1e-3:1e-2:4:log"], 0,
-             "a856c93d76df5f9e4f0e804027c7ccfc6b5f5ba546fa4e434507beef98affe62",
+             "e5797384956c24b6abecab02ea344df4cebdcbe70684d3e9c2d5923058ef050e",
              "6c5ca2f94f22a9c66591a159c910313bbb757123055cdcc1998c2118bd1c7e6d"),
             ("sweep.csv", ["sweep", "--quantity", "resum_total", "--g", "1",
                            "--t", "0.2:0.8:4"], 1,
-             "e2703fbd8b6981fd5e03f155253b37f7f5250a78d808841d534822d971784165",
+             "7627c4dd07df3f6c86c7cb511be1088a6a569306b2df8cd53ac3492440af760d",
              "d2ad6b94a62c1ca69f7bdce39a9b53af330258f360cc840b0b0c34dc71e289d7"),
             ("n3.csv", ["n3", "--g", "1", "--t", "0.3:1.5:3"], 1,
-             "747e7832445ee8812886c313b9faf6b0f1cda412c4f2539287f8ed43a2494341",
+             "f25be46afd600900c76057ac4fecbebba5c5995e9640f01d35fc66cdbf976ddd",
              "abe8c5c9b7942681cc4d696c79b612f5a48c3969ffa2cadd078d63f02828f896"),
             ("spectrum.csv", ["spectrum", "--g", "1", "--v", "1", "--t", "2:3:2",
                               "--omega", "1.2", "--basis-n", "24"], 1,
-             "252b55b9480d6c5ccf50c13564fe94c566f38313be1beb63fbbdae76e9d2c07e",
+             "cd397715ad189bc221cd9600971803eac4b436eef22377e6145d1cae4a3064ab",
              "fc833b91a405a107e5a1884b3748dfa81db09efa366a3b7d2c2958b89c8c90b7"),
             ("config.json", ["compare", "--config", "{cfg}", "--t", "0.7"], 0,
-             "232fb8403df98307948c92da680850bb4206c3a262ecc2a52feb98891ded746d",
+             "34be2bca2d5c06db36cc2c2fab91cd8f6d1241ed03432d7600604110db2f672e",
              "bfc5914b50c42fee6bde2aeb399b7c558da5b19ffc97134729893574297d194b"),
         ],
     )
