@@ -493,7 +493,7 @@ def _orders(text):
     return tuple(_order(x) for x in text.split(","))
 
 
-def _finite(text, zero_ok=False):
+def _positive(text, zero_ok=False):
     """A finite positive number, or zero too with ``zero_ok``: an infinite
     or NaN tolerance would switch its check off."""
     try:
@@ -504,14 +504,6 @@ def _finite(text, zero_ok=False):
         return x
     kind = "non-negative" if zero_ok else "positive"
     raise argparse.ArgumentTypeError(f"{text!r} is not a finite {kind} number")
-
-
-def _positive(text):
-    return _finite(text)
-
-
-def _non_negative(text):
-    return _finite(text, zero_ok=True)
 
 
 def make_parser():
@@ -547,7 +539,8 @@ def make_parser():
     run_opts.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     quad_opts = ap.add_argument_group("quadrature")
     quad_opts.add_argument("--tol-quad", type=_positive, default=1e-9)
-    quad_opts.add_argument("--disc-tol", type=_non_negative, default=1e-6)
+    quad_opts.add_argument("--disc-tol", type=functools.partial(_positive, zero_ok=True),
+                           default=1e-6)
     spec_opts = ap.add_argument_group("spectral")
     spec_opts.add_argument("--tol-conv", type=_positive, default=1e-6)
     spec_opts.add_argument("--basis-n", type=int, default=32)

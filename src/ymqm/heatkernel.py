@@ -228,11 +228,13 @@ def z2_limit_v0(params):
 
 
 def _check_order(k, ell=0):
-    """Validate the order k (even, >= 2) and the mildness index 0 <= ell < k/4."""
+    """Validate the order k (even, >= 2) and the mildness index
+    0 <= ell < k/4; returns ell as an int."""
     if k < 2 or k % 2:
         raise DomainError("k must be an even integer >= 2")
     if not float(ell).is_integer() or not 0 <= ell < k / 4:
         raise DomainError("ell must be an integer in [0, k/4)")
+    return int(ell)
 
 
 def zk_singular(k, m, params, ell=0):
@@ -244,7 +246,7 @@ def zk_singular(k, m, params, ell=0):
 
     diverging as v^-(k - 4 ell); ell = 0 is the most singular structure.
     """
-    _check_order(k, ell)
+    ell = _check_order(k, ell)
     if not k // 2 <= m <= k:
         raise DomainError("m must satisfy k/2 <= m <= k")
     if params.v <= 0:
@@ -344,7 +346,7 @@ def tilde_zk_singular(k, n, params, ell=0, pmax=None):
 
     ``pmax=0`` keeps only the leading term of each series.
     """
-    _check_order(k, ell)
+    ell = _check_order(k, ell)
     if n < 0:
         raise DomainError("n must be non-negative")
     if not ell and n > k // 2:

@@ -453,20 +453,6 @@ class TestExitCodes:
         assert main(["tf", "--g", "1", "--v", "1", "--hbar", "1", "--t", "1"]) == 1
 
 
-class TestSpectrum:
-    def test_unconverged_point_is_a_flagged_nan_row(self):
-        # at t = 2 the partition sum needs levels the 24-level basis does not
-        # converge: the row stays, with NaN values, the flag and every column
-        status, rows, _, _ = run_cli(
-            ["spectrum", "--g", "1", "--v", "1", "--t", "2:3:2", "--omega", "1.2",
-             "--basis-n", "24"]
-        )
-        assert status == 1 and list(rows[0]) == list(rows[1])
-        assert rows[0]["flag"] and not rows[1]["flag"]
-        assert all(math.isnan(rows[0][c]) for c in ("z_spectral", "z_lo", "z_hi"))
-        assert rows[1]["z_lo"] == rows[1]["z_spectral"] < rows[1]["z_hi"]
-
-
 class TestSweepAndN3:
     def test_sweep_deterministic(self):
         argv = ["sweep", "--quantity", "z2", "--g", "1", "--v", "0.5:2:6", "--hbar", "1",
@@ -534,42 +520,44 @@ SNAPSHOT_CONFIG = (
 class TestResultSnapshot:
     """The bytes of the ``--out`` file and of the stdout table for a fixed set
     of runs, pinned by sha256 so that a change to option handling, to the
-    manifest or to the writers that alters a single byte is caught."""
+    manifest or to the writers that alters a single byte is caught.  A run's
+    test id is its output file name, so a re-pinned digest keeps the id."""
+
+    RUNS = [
+        ("tf.csv", ["tf", "--g", "1", "--v", "0.5:1.5:4", "--t", "1"], 1,
+         "d96485644854cf52266fde0994f80955d183e7705d44c1ff83ba475304cb3c64",
+         "fc8f5e63d0dc6e56d30b011a171f81f380ae82c34fca5a80799b36e84c95bd2c"),
+        ("compare.json", ["compare", "--routes", "closed,symbolic,quadrature",
+                          "--k", "0,2", "--g", "1.1", "--v", "1.2", "--t", "0.9",
+                          "--format", "json"], 0,
+         "6c883852bdf6cc042b81257cab3fc907a271e0231318589e5e8accbda6f1dad3",
+         "3e665ef99ada47a411f25d373a02b8bb035fd21132e074b82ec5cf69bbf0408c"),
+        ("resum.csv", ["resum", "--kmax", "4", "--full-sums", "--g", "1",
+                       "--t", "0.05:0.2:3"], 0,
+         "d60de9cf3acc9d0d8f5a5473f529764bd0bbde9337e182e4aee4c7544b721fcc",
+         "b0c825b9b2e73a9a8dd79d0b1a68ab98ba7a48929093c2b704827ab84ac20247"),
+        ("scan.csv", ["singular-scan", "--k", "2,4", "--g", "1", "--t", "1",
+                      "--v", "1e-3:1e-2:4:log"], 0,
+         "e5797384956c24b6abecab02ea344df4cebdcbe70684d3e9c2d5923058ef050e",
+         "6c5ca2f94f22a9c66591a159c910313bbb757123055cdcc1998c2118bd1c7e6d"),
+        ("sweep.csv", ["sweep", "--quantity", "resum_total", "--g", "1",
+                       "--t", "0.2:0.8:4"], 1,
+         "7627c4dd07df3f6c86c7cb511be1088a6a569306b2df8cd53ac3492440af760d",
+         "d2ad6b94a62c1ca69f7bdce39a9b53af330258f360cc840b0b0c34dc71e289d7"),
+        ("n3.csv", ["n3", "--g", "1", "--t", "0.3:1.5:3"], 1,
+         "f25be46afd600900c76057ac4fecbebba5c5995e9640f01d35fc66cdbf976ddd",
+         "abe8c5c9b7942681cc4d696c79b612f5a48c3969ffa2cadd078d63f02828f896"),
+        ("spectrum.csv", ["spectrum", "--g", "1", "--v", "1", "--t", "2:3:2",
+                          "--omega", "1.2", "--basis-n", "24"], 1,
+         "cd397715ad189bc221cd9600971803eac4b436eef22377e6145d1cae4a3064ab",
+         "fc833b91a405a107e5a1884b3748dfa81db09efa366a3b7d2c2958b89c8c90b7"),
+        ("config.json", ["compare", "--config", "{cfg}", "--t", "0.7"], 0,
+         "34be2bca2d5c06db36cc2c2fab91cd8f6d1241ed03432d7600604110db2f672e",
+         "bfc5914b50c42fee6bde2aeb399b7c558da5b19ffc97134729893574297d194b"),
+    ]
 
     @pytest.mark.parametrize(
-        "name, argv, status, out_digest, text_digest",
-        [
-            ("tf.csv", ["tf", "--g", "1", "--v", "0.5:1.5:4", "--t", "1"], 1,
-             "d96485644854cf52266fde0994f80955d183e7705d44c1ff83ba475304cb3c64",
-             "fc8f5e63d0dc6e56d30b011a171f81f380ae82c34fca5a80799b36e84c95bd2c"),
-            ("compare.json", ["compare", "--routes", "closed,symbolic,quadrature",
-                              "--k", "0,2", "--g", "1.1", "--v", "1.2", "--t", "0.9",
-                              "--format", "json"], 0,
-             "6c883852bdf6cc042b81257cab3fc907a271e0231318589e5e8accbda6f1dad3",
-             "3e665ef99ada47a411f25d373a02b8bb035fd21132e074b82ec5cf69bbf0408c"),
-            ("resum.csv", ["resum", "--kmax", "4", "--full-sums", "--g", "1",
-                           "--t", "0.05:0.2:3"], 0,
-             "d60de9cf3acc9d0d8f5a5473f529764bd0bbde9337e182e4aee4c7544b721fcc",
-             "b0c825b9b2e73a9a8dd79d0b1a68ab98ba7a48929093c2b704827ab84ac20247"),
-            ("scan.csv", ["singular-scan", "--k", "2,4", "--g", "1", "--t", "1",
-                          "--v", "1e-3:1e-2:4:log"], 0,
-             "e5797384956c24b6abecab02ea344df4cebdcbe70684d3e9c2d5923058ef050e",
-             "6c5ca2f94f22a9c66591a159c910313bbb757123055cdcc1998c2118bd1c7e6d"),
-            ("sweep.csv", ["sweep", "--quantity", "resum_total", "--g", "1",
-                           "--t", "0.2:0.8:4"], 1,
-             "7627c4dd07df3f6c86c7cb511be1088a6a569306b2df8cd53ac3492440af760d",
-             "d2ad6b94a62c1ca69f7bdce39a9b53af330258f360cc840b0b0c34dc71e289d7"),
-            ("n3.csv", ["n3", "--g", "1", "--t", "0.3:1.5:3"], 1,
-             "f25be46afd600900c76057ac4fecbebba5c5995e9640f01d35fc66cdbf976ddd",
-             "abe8c5c9b7942681cc4d696c79b612f5a48c3969ffa2cadd078d63f02828f896"),
-            ("spectrum.csv", ["spectrum", "--g", "1", "--v", "1", "--t", "2:3:2",
-                              "--omega", "1.2", "--basis-n", "24"], 1,
-             "cd397715ad189bc221cd9600971803eac4b436eef22377e6145d1cae4a3064ab",
-             "fc833b91a405a107e5a1884b3748dfa81db09efa366a3b7d2c2958b89c8c90b7"),
-            ("config.json", ["compare", "--config", "{cfg}", "--t", "0.7"], 0,
-             "34be2bca2d5c06db36cc2c2fab91cd8f6d1241ed03432d7600604110db2f672e",
-             "bfc5914b50c42fee6bde2aeb399b7c558da5b19ffc97134729893574297d194b"),
-        ],
+        "name, argv, status, out_digest, text_digest", RUNS, ids=[run[0] for run in RUNS]
     )
     def test_digest(self, tmp_path, capsys, name, argv, status, out_digest, text_digest):
         cfgfile = tmp_path / "run.cfg"

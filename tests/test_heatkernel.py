@@ -259,7 +259,7 @@ class TestSingularSums:
         s1 = hk.tilde_zk_singular(k, 0, p, pmax=1)
         assert (s1 <= full <= s0) or (s0 <= full <= s1)
 
-    def test_diagonal_with_regulator_is_resummed_form(self):
+    def test_diagonal_matches_bare_family_with_regulator(self):
         # the bare diagonal family at v^2 -> veff^2 is the resummed one,
         # K lam2^(k/4) [-ln lam2 + 3 ln 2 - 2C - psi(m + 1/2)]
         p = params(g=0.3, v=0.0)
@@ -278,6 +278,8 @@ class TestSingularSums:
             hk.tilde_zk_singular(4, 3, P1)
         with pytest.raises(DomainError):
             hk.tilde_zk_singular(8, 1, P1, ell=2)
+        # an integral float ell is the same index
+        assert hk.tilde_zk_singular(8, 1, P1, ell=1.0) == hk.tilde_zk_singular(8, 1, P1, ell=1)
 
 
 @pytest.fixture(scope="module")
