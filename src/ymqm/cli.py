@@ -20,6 +20,7 @@ import functools
 import itertools
 import json
 import math
+import re
 import sys
 import warnings
 
@@ -215,7 +216,7 @@ def rows_singular_scan(cfg, grid):
         row = {**_param_cols(p)}
         for k in cfg.ks:
             row[f"abs_z{k}_singular"] = abs(heatkernel.zk_singular(k, k // 2, p))
-            if k == 2 and p.g > 0:
+            if k == 2:
                 row["abs_z2_closed"] = abs(heatkernel.z2_closed_n2(p))
         row["flag"] = False
         rows.append(row)
@@ -440,7 +441,13 @@ def report(rows, summary=None):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a malformed option as a :class:`ConfigError` instead of exiting."""
+    """Reports a malformed option as a :class:`ConfigError` instead of exiting.
+    A negative number, in scientific notation too (``--g -1e-3``), is read
+    as the value of the option before it, so the value's own check names it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         raise ConfigError(message)
@@ -598,6 +605,10 @@ def build_config(argv):
     swept = [name for name in AXES if len(_parse_axis(getattr(cfg, name))) > 1]
     if len(swept) > 2:
         raise ConfigError("at most two swept variables per run")
+    if cfg.command != "spectrum" and min(_parse_axis(cfg.g)) == 0:
+        raise ConfigError(
+            f"g must be positive for {cfg.command}, got {cfg.g!r}; only spectrum takes g = 0"
+        )
     if cfg.command == "spectrum":
         _check_spectrum(cfg, swept)
     return cfg

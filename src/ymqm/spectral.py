@@ -5,11 +5,17 @@ oscillator levels (frequency ``omega`` per axis, a numerical knob), where
 x^2 and p^2 have exact ladder-operator matrix elements and the pairwise
 quartic couplings are tensor products of 1-D x^2 matrices.  Per-axis parity
 is conserved, so the matrix splits into 2^d blocks, each assembled sparse
-from the tridiagonal 1-D factors and solved independently.  A block at or
-below a size cap is solved completely by dense LAPACK; when two of its axes
-share a parity, the swap of those axes is a symmetry of the block, and it is
-solved as its symmetric and antisymmetric halves.  Above the cap an
-iterative extremal solver returns only the lowest levels of the whole block.
+from the tridiagonal 1-D factors.  The Hamiltonian is symmetric under every
+permutation of the axes, so sectors whose parities are permutations of each
+other (planar (0,1) and (1,0); 3-D {001, 010, 100} and {011, 101, 110})
+have the same spectrum: one sector of each such orbit is solved and its
+levels serve the whole orbit.  A block at or below a size cap is solved
+completely by dense LAPACK, split by the permutations that leave its sector
+unchanged: when all three axes share a parity (3-D 000 and 111), into the
+irreps A1, A2 and E of S3, whose two-dimensional E gives each of its levels
+twice; when two axes share a parity, into the symmetric and antisymmetric
+halves under their swap.  Above the cap an iterative extremal solver
+returns only the lowest levels of the whole block.
 
 Every computed eigenvalue is variational (an upper bound that decreases
 monotonically with the cutoff), hence every truncated partition sum is a
@@ -26,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, diags, vstack
 from scipy.sparse.linalg import eigsh
 
 from .errors import ConvergenceError, DomainError
@@ -132,6 +138,50 @@ def _swap_halves(H, sec, N):
     return sym, anti
 
 
+# the permutations of three axes, even ones first; entry i of a pattern
+# below is the coefficient of the index triple permuted by _S3[i]
+_S3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (2, 1, 0), (0, 2, 1))
+_A1 = (1, 1, 1, 1, 1, 1)
+_A2 = (1, 1, 1, -1, -1, -1)
+# two orthogonal rows of E, both symmetric under the swap of the first two
+# axes and orthogonal to A1; _E2 vanishes unless a, b and c all differ
+_E1 = (2, -1, -1, 2, -1, -1)
+_E2 = (0, 1, -1, 0, 1, -1)
+
+
+def _orbit_rows(triples, pattern, n):
+    """CSR matrix whose unit row r is sum_i pattern[i] e_(triples[r]
+    permuted by _S3[i]), over the product basis of three axes of n levels
+    each; repeated permuted triples add up."""
+    m = len(triples)
+    cols = np.concatenate(
+        [(triples[:, i] * n + triples[:, j]) * n + triples[:, k] for i, j, k in _S3]
+    )
+    rows = np.tile(np.arange(m), len(_S3))
+    B = csr_matrix((np.repeat(np.asarray(pattern, float), m), (rows, cols)), shape=(m, n**3))
+    return diags(1.0 / np.sqrt(B.multiply(B).sum(axis=1).A1)) @ B
+
+
+def _s3_irreps(H, n):
+    """Dense A1, A2 and E blocks ``B H B^T`` of the sparse block H of a 3-D
+    parity sector whose three axes share a parity (n levels per axis): every
+    permutation of the axes leaves H and the sector unchanged.  The rows of
+    each B are orthonormal combinations within one S3 orbit of index
+    triples (a, b, c): A1 their symmetric sum; A2 their antisymmetric sum,
+    when a, b and c all differ; E the part of the span symmetric under the
+    swap of the first two axes that is orthogonal to A1, which is one row
+    of the two-dimensional irrep, so each E level is a level of H twice."""
+    tri = np.array(list(itertools.combinations_with_replacement(range(n), 3)))
+    a, b, c = tri.T
+    distinct = tri[(a < b) & (b < c)]
+    bases = (
+        _orbit_rows(tri, _A1, n),
+        _orbit_rows(distinct, _A2, n),
+        vstack([_orbit_rows(tri[a < c], _E1, n), _orbit_rows(distinct, _E2, n)]),
+    )
+    return [(B @ H @ B.T).toarray() for B in bases]
+
+
 class HamiltonianBlocks:
     """Parity-blocked sparse matrices of H = T + V, with T and V kept
     separate."""
@@ -168,21 +218,42 @@ class HamiltonianBlocks:
         return sum(T.shape[0] for _, T, _ in self.blocks)
 
     def solve(self):
-        """Sorted merged spectrum and per-sector ``(sec, w, T, V)``."""
-        evs = []
+        """Sorted merged spectrum and per-sector ``(sec, w, T, V)``, one
+        entry per parity sector.
+
+        Sectors whose parities are permutations of each other have the same
+        spectrum, so one representative of each orbit, keyed by its sorted
+        parities, is solved and every member gets its levels.  A dense
+        block is solved as its S3 irreps when its three axes share a parity
+        (:func:`_s3_irreps`), else as its swap halves when two axes do."""
+        N = self.basis.cutoff_per_axis
+        solved = {}
         sector_data = []
         for sec, T, V in self.blocks:
-            H = T + V
-            if H.shape[0] <= DENSE_BLOCK_CAP:
-                parts = _swap_halves(H, sec, self.basis.cutoff_per_axis) or (H.toarray(),)
-                w = np.sort(np.concatenate([eigh(h, eigvals_only=True) for h in parts]))
-            else:
-                kk = min(ITERATIVE_LEVELS, H.shape[0] - 2)
-                w = np.sort(eigsh(H, k=kk, which="SA", return_eigenvectors=False))
-            evs.append(w)
-            sector_data.append((sec, w, T, V))
-        merged = np.sort(np.concatenate(evs))
+            key = tuple(sorted(sec))
+            if key not in solved:
+                solved[key] = _levels(T + V, sec, N)
+            sector_data.append((sec, solved[key], T, V))
+        merged = np.sort(np.concatenate([w for _, w, _, _ in sector_data]))
         return merged, sector_data
+
+
+def _levels(H, sec, N):
+    """Sorted levels of the sparse block H of parity sector ``sec``: all of
+    them at or below ``DENSE_BLOCK_CAP``, else the lowest
+    ``ITERATIVE_LEVELS``.  Read-only, as the sectors of an orbit share them."""
+    if H.shape[0] > DENSE_BLOCK_CAP:
+        kk = min(ITERATIVE_LEVELS, H.shape[0] - 2)
+        w = eigsh(H, k=kk, which="SA", return_eigenvectors=False)
+    elif len(sec) == 3 and len(set(sec)) == 1:
+        a1, a2, e = (eigh(h, eigvals_only=True) for h in _s3_irreps(H, len(range(sec[0], N, 2))))
+        w = np.concatenate([a1, a2, e, e])  # E is two-dimensional
+    else:
+        parts = _swap_halves(H, sec, N) or (H.toarray(),)
+        w = np.concatenate([eigh(h, eigvals_only=True) for h in parts])
+    w = np.sort(w)
+    w.flags.writeable = False
+    return w
 
 
 def build_hamiltonian(params, basis):

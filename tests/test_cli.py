@@ -285,8 +285,9 @@ class TestConfigFile:
 
 class TestExitCodes:
     def test_route_failure_is_exit_two(self, capsys):
-        # v = 0 makes the closed planar leading term un-evaluable
-        code = main(["tf", "--model", "n2", "--g", "0", "--v", "1", "--hbar", "1", "--t", "1"])
+        # the phase-space cubature refuses the channel regime (z = 5e-9)
+        code = main(["compare", "--routes", "quadrature", "--k", "0", "--g", "1", "--v", "0.01",
+                     "--t", "1"])
         err = capsys.readouterr().err
         assert code == 2
         assert json.loads(err.splitlines()[-1])["error"] == "route"
@@ -413,9 +414,45 @@ class TestExitCodes:
 
     def test_axis_domain_boundaries_accepted(self):
         cfg = build_config(
-            ["tf", "--g", "0", "--v", "0:1:3", "--hbar", "1e-3", "--t", "0.1:2:3:log"]
+            ["spectrum", "--g", "0", "--v", "0:1:3", "--hbar", "1e-3", "--t", "0.1:2:3:log"]
         )
         assert (cfg.g, cfg.v) == ("0", "0:1:3")
+
+    @pytest.mark.parametrize("argv", [
+        ["tf", "--g", "0", "--v", "1"],
+        ["wk", "--g", "0"],
+        ["compare", "--g", "0:1:3"],
+        ["resum", "--g", "0"],
+        ["singular-scan", "--g", "1:0:2", "--v", "0.1"],
+        ["sweep", "--g", "0"],
+        ["n3", "--g", "0"],
+    ], ids=lambda argv: argv[0])
+    def test_zero_coupling_exit_three(self, tmp_path, capsys, monkeypatch, argv):
+        # only spectrum has a g = 0 model (the harmonic one); every other
+        # command refuses g = 0, alone or at either end of a range, before
+        # any computation
+        def boom(*args, **kwargs):
+            raise AssertionError("a route ran")
+
+        monkeypatch.setattr("ymqm.cli.build_grid", boom)
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"[run]\ng = {argv[2]}\n")
+        for args in (argv, [argv[0], *argv[3:], "--config", str(cfgfile)]):
+            assert main(args) == 3
+            err = json.loads(capsys.readouterr().err.splitlines()[-1])
+            assert err["error"] == "config" and "g must be positive" in err["message"]
+
+    @pytest.mark.parametrize("argv, value", [
+        (["compare", "--disc-tol", "-1e-6"], "-1e-6"),
+        (["compare", "--g", "-1e-3"], "-1e-3"),
+        (["tf", "--tol-quad", "-.5E+2"], "-.5E+2"),
+    ])
+    def test_negative_scientific_value_named(self, capsys, argv, value):
+        # a negative number in scientific notation is the option's value,
+        # refused with a message naming it, not read as an unknown option
+        assert main(argv) == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "config" and repr(value) in err["message"]
 
     def test_study_ladder_checked_before_the_scan(self, capsys, monkeypatch):
         # --basis-n N solves the ladder N-24 .. N; each rung must be a basis

@@ -92,6 +92,46 @@ class TestMatrixElements:
             ref = np.linalg.eigvalsh((T + V).toarray())
             np.testing.assert_allclose(w, ref, rtol=0, atol=1e-11)
 
+    @pytest.mark.parametrize("d, calls", [(2, 5), (3, 10)])
+    def test_one_solve_per_symmetry_class(self, monkeypatch, d, calls):
+        # one dense solve per orbit of permuted parity sectors: planar (0,0)
+        # and (1,1) as swap halves, (0,1) whole; 3-D 001 and 011 as swap
+        # halves, 000 and 111 as their A1, A2 and E blocks
+        real = spectral.eigh
+        seen = []
+
+        def counting(a, *args, **kwargs):
+            seen.append(a.shape)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "eigh", counting)
+        p = ModelParams(g=1.0, v=0.4, hbar=1.0, t=1.0, n_model=d)
+        _, sectors = build_hamiltonian(p, BasisSpec(10, 1.0)).solve()
+        assert len(seen) == calls
+        assert len(sectors) == 2**d
+
+    @pytest.mark.parametrize("N", [9, 10])
+    def test_s3_e_levels_twice_in_the_whole_block(self, N):
+        # each level of the E block is a doubly degenerate level of the
+        # undivided 000 or 111 block, and each A1 and A2 level a simple one
+        p = ModelParams(g=1.0, v=0.4, hbar=1.0, t=1.0, n_model=3)
+        h = build_hamiltonian(p, BasisSpec(N, 1.0))
+        for sec, T, V in h.blocks:
+            if len(set(sec)) > 1:
+                continue
+            H = T + V
+            whole = np.linalg.eigvalsh(H.toarray())
+            a1, a2, e = (
+                np.linalg.eigvalsh(b) for b in spectral._s3_irreps(H, len(range(sec[0], N, 2)))
+            )
+
+            def multiplicity(levels):
+                return [int(np.count_nonzero(np.abs(whole - x) < 1e-9)) for x in levels]
+
+            assert multiplicity(e) == [2] * len(e)
+            assert multiplicity(np.concatenate([a1, a2])) == [1] * (len(a1) + len(a2))
+            assert len(a1) + len(a2) + 2 * len(e) == len(whole)
+
 
 class TestHarmonicExactness:
     def test_matched_basis_diagonal_spectrum(self):
