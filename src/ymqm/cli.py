@@ -609,9 +609,24 @@ def build_config(argv):
         raise ConfigError(
             f"g must be positive for {cfg.command}, got {cfg.g!r}; only spectrum takes g = 0"
         )
+    if _needs_positive_v(cfg) and min(_parse_axis(cfg.v)) == 0:
+        what = f"sweep --quantity {cfg.quantity}" if cfg.command == "sweep" else cfg.command
+        raise ConfigError(
+            f"v must be positive for {what}, got {cfg.v!r}: its planar terms diverge at v = 0"
+        )
     if cfg.command == "spectrum":
         _check_spectrum(cfg, swept)
     return cfg
+
+
+def _needs_positive_v(cfg):
+    """Whether no route of the command evaluates v = 0, where the planar
+    terms diverge: every wk/compare route (closed, symbolic, quadrature),
+    singular-scan, and the tf and z2 sweeps.  tf (its row is NaN), resum,
+    n3, spectrum and the other sweeps take v = 0."""
+    if cfg.command == "sweep":
+        return cfg.quantity in ("tf", "z2")
+    return cfg.command in ("wk", "compare", "singular-scan")
 
 
 def _check_spectrum(cfg, swept):

@@ -22,8 +22,9 @@ Routes implemented here:
   ell family), :func:`zk_diagonal_log` at ``params.with_veff()``, the
   closed terms :func:`resummed_term`, and the asymptotic series in
   lam2 = g^2 hbar^4 t^3 assembled by :func:`series_assemble`;
-* the three-coordinate model: leading term, radial J integrals and the
-  order-hbar^2 correction.
+* the three-coordinate model: leading term, radial J integrals (a series
+  in upper incomplete gamma functions, with quadrature as the fallback)
+  and the order-hbar^2 correction.
 
 Dimensionless outputs depend only on lam2 and z = t v^4/(2 g^2).
 """
@@ -35,6 +36,7 @@ import warnings
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .errors import AccuracyError, DomainError, RegimeWarning
@@ -46,15 +48,20 @@ from .special import (
     digamma,
     double_factorial,
     gamma_fn,
+    gamma_upper,
     whittaker_w,
 )
 
 _C = EULER_GAMMA
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_PI = math.sqrt(math.pi)
-#: the Bessel sum is used while sum |terms| * 2^-52 <= _CANCEL_TOL * sum
+#: a closed sum (Bessel or incomplete-gamma) is used while
+#: sum |terms| * 2^-52 <= _CANCEL_TOL * sum
 _CANCEL_TOL = 1e-12
 _FIVE_LN2 = 5.0 * math.log(2.0)
+#: terms of the incomplete-gamma series of radial_Jb; at lam = 4 the last
+#: one is about 1e-9 of the sum, so the guard hands the point to quadrature
+_JB_TERMS = 40
 #: small-lam2 constants of the resummed series in units of K:
 #: Z = K [-ln lam2 + LEADING_LOG_CONSTANT + RESUMMED_CONSTANTS[2] + RESUMMED_CONSTANTS[4] + ..]
 LEADING_LOG_CONSTANT = _FIVE_LN2 - _C
@@ -395,18 +402,73 @@ def tf_term_n3(params):
     return params.prefactor_L()
 
 
-def radial_Jb(b, lam, rel_tol=1e-11):
-    """J_b(lam) = int_0^inf u^b e^(-u^2 - lam u) (lam + 8u)^(-3/2) du.
+def _check_jb(b, lam):
+    if lam <= 0:
+        raise DomainError("lam must be positive")
+    if b not in (0, 2):
+        raise DomainError("only the b = 0, 2 members are used")
+
+
+def radial_Jb(b, lam):
+    """J_b(lam) = int_0^inf u^b e^(-u^2 - lam u) (lam + 8u)^(-3/2) du, b = 0, 2,
+    as a series in upper incomplete gamma functions.
+
+    With y = (lam + 8u)/8, a = lam/8, c = 3 lam/8 and
+    F_s = int_a^inf y^s e^(-(y+c)^2) dy,
+
+        J_0 = 8^(-3/2) e^(lam^2/4) F_{-3/2},
+        J_2 = 8^(-3/2) e^(lam^2/4) [F_{1/2} - 2a F_{-1/2} + a^2 F_{-3/2}],
+
+    where, by parts, F_{-3/2} = 2 [a^(-1/2) e^(-(a+c)^2) - 2 F_{1/2} - 2c F_{-1/2}]
+    and e^(lam^2/4) e^(-(a+c)^2) = 1.  Expanding e^(-2cy), for s = +-1/2
+
+        F_s = e^(-c^2) sum_n (-2c)^n/n! Gamma((n+s+1)/2, a^2)/2,
+
+    so that, with G_k = Gamma(k/2 + 1/4, a^2),
+
+        J_b = 8^(-3/2) [2 a^(b-1/2) + e^(lam^2/4 - c^2)
+                        sum_{n<40} (-2c)^n/n! (alpha G_{n+1} + beta G_n)/2],
+
+    alpha = -4, beta = -4c for b = 0 and alpha = 1 - 4a^2,
+    beta = -2a(1 + 2ac) for b = 2.  The terms have both signs; when their
+    sum is not finite and positive, sum |terms| * 2^-52 > 1e-12 * sum, or
+    the last term exceeds 1e-12 * sum, the value comes from
+    :func:`radial_Jb_quadrature` instead.  That happens from lam of about
+    3.4 on, never for lam < 1.
+    """
+    _check_jb(b, lam)
+    a = lam / 8.0
+    c = 3.0 * a
+    n = np.arange(_JB_TERMS + 1.0)
+    G = gamma_upper(n / 2.0 + 0.25, a * a)
+    if b == 0:
+        edge, alpha, beta = 2.0 / math.sqrt(a), -4.0, -4.0 * c
+    else:
+        edge, alpha, beta = 2.0 * a * math.sqrt(a), 1.0 - 4.0 * a * a, -2.0 * a * (1.0 + 2.0 * a * c)
+    # a large lam overflows to inf or nan terms, which the guard refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        # e^(lam^2/4 - c^2) (-2c)^n / (2 n!) as a running product
+        coef = np.empty(_JB_TERMS)
+        coef[0] = 0.5 * np.exp(lam * lam / 4.0 - c * c)
+        coef[1:] = -2.0 * c / n[1:-1]
+        series = coef.cumprod() * (alpha * G[1:] + beta * G[:-1])
+        total = edge + series.sum()
+        rounding = (edge + np.abs(series).sum()) * 2.0**-52
+    if not 0.0 < total < math.inf or max(rounding, abs(series[-1])) > _CANCEL_TOL * total:
+        return radial_Jb_quadrature(b, lam)
+    return 8.0**-1.5 * float(total)
+
+
+def radial_Jb_quadrature(b, lam, rel_tol=1e-11):
+    """J_b(lam) by adaptive quadrature: the fallback of :func:`radial_Jb`
+    and the oracle it is tested against.
 
     The lam-scale boundary layer [0, 100 lam] is resolved explicitly, and
     the algebraic stretch u^(b - 3/2) from there to u = 1, which spans
     decades as lam -> 0, is integrated in s = ln u.  Raises
     :class:`AccuracyError` if a piece does not converge.
     """
-    if lam <= 0:
-        raise DomainError("lam must be positive")
-    if b not in (0, 2):
-        raise DomainError("only the b = 0, 2 members are used")
+    _check_jb(b, lam)
 
     def f(u):
         return u**b * math.exp(-u * u - lam * u) * (lam + 8.0 * u) ** -1.5

@@ -160,6 +160,14 @@ def gamma_fn(x):
     return val
 
 
+def gamma_upper(s, x):
+    """Upper incomplete gamma Gamma(s, x) = int_x^inf y^(s-1) e^-y dy,
+    elementwise over an array of s > 0, for x >= 0."""
+    if not x >= 0:
+        raise DomainError("Gamma(s, x) requires x >= 0")
+    return sp.gammaincc(s, x) * sp.gamma(s)
+
+
 def digamma(x):
     """psi(x) = Gamma'(x)/Gamma(x) for x > 0."""
     if not x > 0:

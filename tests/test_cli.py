@@ -442,6 +442,37 @@ class TestExitCodes:
             err = json.loads(capsys.readouterr().err.splitlines()[-1])
             assert err["error"] == "config" and "g must be positive" in err["message"]
 
+    @pytest.mark.parametrize("argv", [
+        ["singular-scan", "--v", "0"],
+        ["sweep", "--quantity", "z2", "--v", "0:1:3"],
+        ["sweep", "--quantity", "tf", "--v", "0"],
+        ["wk", "--routes", "closed", "--v", "0"],
+        ["compare", "--routes", "symbolic,quadrature", "--v", "1:0:2"],
+    ], ids=["singular-scan", "sweep-z2", "sweep-tf", "wk-closed", "compare-symbolic-quadrature"])
+    def test_zero_higgs_exit_three(self, tmp_path, capsys, monkeypatch, argv):
+        # the planar terms diverge at v = 0 on every route of these
+        # commands, so v = 0, alone or at either end of a range, is refused
+        # before any computation
+        def boom(*args, **kwargs):
+            raise AssertionError("a route ran")
+
+        monkeypatch.setattr("ymqm.cli.build_grid", boom)
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"[run]\nv = {argv[-1]}\n")
+        for args in (argv, [*argv[:-2], "--config", str(cfgfile)]):
+            assert main(args) == 3
+            err = json.loads(capsys.readouterr().err.splitlines()[-1])
+            assert err["error"] == "config" and "v must be positive" in err["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["tf", "--v", "0"],
+        ["resum", "--v", "0"],
+        ["n3", "--v", "0"],
+        ["sweep", "--quantity", "resum_total", "--v", "0"],
+    ], ids=["tf", "resum", "n3", "sweep-resum_total"])
+    def test_zero_higgs_accepted(self, argv):
+        assert main(argv) in (0, 1)
+
     @pytest.mark.parametrize("argv, value", [
         (["compare", "--disc-tol", "-1e-6"], "-1e-6"),
         (["compare", "--g", "-1e-3"], "-1e-3"),
@@ -582,8 +613,8 @@ class TestResultSnapshot:
          "7627c4dd07df3f6c86c7cb511be1088a6a569306b2df8cd53ac3492440af760d",
          "d2ad6b94a62c1ca69f7bdce39a9b53af330258f360cc840b0b0c34dc71e289d7"),
         ("n3.csv", ["n3", "--g", "1", "--t", "0.3:1.5:3"], 1,
-         "f25be46afd600900c76057ac4fecbebba5c5995e9640f01d35fc66cdbf976ddd",
-         "abe8c5c9b7942681cc4d696c79b612f5a48c3969ffa2cadd078d63f02828f896"),
+         "e421b0fcae166b75ecfadc75df791d8462c6fd32a476a29c379c4d513973f79c",
+         "63dbc3f303d682c6fa2cdcac03d1d27f5567696fe1f5a2ecdddd64334737ecc1"),
         ("spectrum.csv", ["spectrum", "--g", "1", "--v", "1", "--t", "2:3:2",
                           "--omega", "1.2", "--basis-n", "24"], 1,
          "cd397715ad189bc221cd9600971803eac4b436eef22377e6145d1cae4a3064ab",

@@ -13,6 +13,18 @@ from ymqm.special import EULER_GAMMA, digamma, gamma_fn
 P1 = ModelParams(g=1.0, v=1.0, hbar=1.0, t=1.0)
 
 
+def _jb_mpmath(b, lam):
+    """J_b(lam) to 30 digits, with breakpoints on every decade of the
+    boundary layer at u ~ lam and of the u^(-3/2) stretch above it."""
+    with mpmath.workdps(30):
+        mlam = mpmath.mpf(lam)
+        edges = [mlam * 10**k for k in range(-2, 12) if lam * 10**k < 10]
+        return float(mpmath.quad(
+            lambda u: u**b * mpmath.exp(-u * u - mlam * u) * (mlam + 8 * u) ** -1.5,
+            [0, *edges, 10, mpmath.inf],
+        ))
+
+
 def params(**kw):
     base = dict(g=1.0, v=1.0, hbar=1.0, t=1.0)
     base.update(kw)
@@ -344,18 +356,58 @@ class TestThreeCoordinate:
     def test_jb_small_lam_against_mpmath(self):
         # the boundary layer at u ~ lam and the u^(-3/2) stretch above it
         for lam in (1e-10, 4e-7):
-            mlam = mpmath.mpf(lam)
-            edges = [mlam * 10**k for k in range(-2, 12) if lam * 10**k < 10]
             for b in (0, 2):
-                ref = mpmath.quad(
-                    lambda u: u**b * mpmath.exp(-u * u - mlam * u) * (mlam + 8 * u) ** -1.5,
-                    [0, *edges, 10, mpmath.inf],
-                )
-                assert hk.radial_Jb(b, lam) == pytest.approx(float(ref), rel=1e-10)
+                assert hk.radial_Jb(b, lam) == pytest.approx(_jb_mpmath(b, lam), rel=1e-10)
+
+    @pytest.mark.parametrize("lam", [1e-10, 1e-6, 1e-3, 0.01, 0.1, 0.3, 0.7, 1.0])
+    def test_jb_series_against_mpmath(self, monkeypatch, lam):
+        # below lam = 1 the incomplete-gamma series never hands over
+        def refuse(*args):
+            raise AssertionError("the series handed lam < 1 to quadrature")
+
+        monkeypatch.setattr(hk, "radial_Jb_quadrature", refuse)
+        for b in (0, 2):
+            assert hk.radial_Jb(b, lam) == pytest.approx(_jb_mpmath(b, lam), rel=1e-13)
+
+    @pytest.mark.parametrize("lam", [4.0, 6.0, 10.0, 100.0])
+    def test_jb_guard_falls_back_to_quadrature(self, monkeypatch, lam):
+        # 40 terms do not converge here, and at lam = 100 the prefactor
+        # e^(7 lam^2/64) overflows: the guard must refuse the series
+        oracle = hk.radial_Jb_quadrature
+        calls = []
+        monkeypatch.setattr(hk, "radial_Jb_quadrature",
+                            lambda b, lam: calls.append(b) or oracle(b, lam))
+        for b in (0, 2):
+            value = hk.radial_Jb(b, lam)
+            assert value == oracle(b, lam)
+            assert value == pytest.approx(_jb_mpmath(b, lam), rel=1e-10)
+        assert calls == [0, 2]
+
+    def test_jb_cancellation_guard(self, monkeypatch):
+        # at lam = 1, sum |terms| * 2^-52 is about 1e-15 of the sum while the
+        # last term is 1e-34 of it: a tolerance of 1e-16 trips only the
+        # cancellation half of the guard
+        monkeypatch.setattr(hk, "_CANCEL_TOL", 1e-16)
+        oracle = hk.radial_Jb_quadrature
+        calls = []
+        monkeypatch.setattr(hk, "radial_Jb_quadrature",
+                            lambda b, lam: calls.append(b) or oracle(b, lam))
+        assert hk.radial_Jb(0, 1.0) == oracle(0, 1.0)
+        assert calls == [0]
+
+    def test_z2_n3_without_quadrature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("quad ran")
+
+        monkeypatch.setattr(hk, "quad", refuse)
+        for lam in np.geomspace(1e-10, 0.99, 30):
+            p = ModelParams(g=float(lam), v=0.0, hbar=1.0, t=1.0, n_model=3)
+            z2 = hk.z2_n3(p)
+            assert math.isfinite(z2) and z2 < 0
 
     def test_jb_refinement_stability(self):
-        a = hk.radial_Jb(0, 1.0, rel_tol=1e-9)
-        b = hk.radial_Jb(0, 1.0, rel_tol=1e-12)
+        a = hk.radial_Jb_quadrature(0, 1.0, rel_tol=1e-9)
+        b = hk.radial_Jb_quadrature(0, 1.0, rel_tol=1e-12)
         assert a == pytest.approx(b, rel=1e-9)
 
     def test_z2_matches_structure(self):
