@@ -79,7 +79,8 @@ class TestRecursionBasics:
 class TestOrderEightSnapshot:
     """The exact order-8 kernels, pinned by the sha256 of their canonical
     ``dump_text`` so that any change to the polynomial arithmetic or to the
-    recursion that alters a single coefficient is caught."""
+    recursion that alters a single coefficient is caught.  A test id names
+    the model, so a re-pinned digest keeps the id."""
 
     @pytest.mark.parametrize(
         "dims, quartic, higgs, digest",
@@ -89,6 +90,7 @@ class TestOrderEightSnapshot:
             (2, True, True, "80bbee8632a30529544efac4f19612baabcd3911212489570b8316c66df29584"),
             (3, True, True, "e69fbcc4dc41088c6dc61229dfaa4be32667c8647d95f69cf01ad61eeae74665"),
         ],
+        ids=["d1_harmonic", "d2_quartic", "d2_quartic_higgs", "d3_quartic_higgs"],
     )
     def test_dump_text_digest(self, dims, quartic, higgs, digest):
         S = resummed_kernels(potential(dims, quartic=quartic, higgs=higgs), 8)
