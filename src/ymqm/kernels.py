@@ -10,7 +10,8 @@ carries a uniform factor i^k, so we store the real polynomials
               - 1/2 [Lap + t^2 (gradV)^2 - 2 t gradV.grad] S_{k-2}
               + t^2/4 p.grad(LapV) S_{k-3}
               + [t^3/4 gradV.grad(LapV) - t^2/4 grad(LapV).grad
-                 + t^2/8 LapLapV] S_{k-4}.
+                 - t^2/8 LapLapV] S_{k-4}
+              - t^4/32 (grad LapV)^2 S_{k-6}.
 
 Multiplying back by the Taylor series of the exponential factor recovers
 the conventional (un-resummed) kernels W_k.  Even-k kernels are even in the
@@ -53,6 +54,10 @@ class Potential:
         for c in _COORDS[:dims]:
             laplap = laplap + lap.diff(c).diff(c)
         self.lap_lap = laplap
+        gl2 = PhasePolynomial.zero(dims)
+        for li in self.grad_lap:
+            gl2 = gl2 + li * li
+        self.grad_lap_sq = gl2
 
     def __repr__(self):
         return f"Potential({self.label}, dims={self.dims})"
@@ -129,7 +134,10 @@ def recursion_step(prev, k, pot):
         for i in range(d):
             gl = gl + pot.grad_lap[i] * s4.diff(_COORDS[i])
         rhs = rhs + gl.times_monomial(Fraction(-1, 4), t=2)
-        rhs = rhs + (pot.lap_lap * s4).times_monomial(Fraction(1, 8), t=2)
+        rhs = rhs + (pot.lap_lap * s4).times_monomial(Fraction(-1, 8), t=2)
+    s6 = back(6)
+    if not s6.is_zero():
+        rhs = rhs + (pot.grad_lap_sq * s6).times_monomial(Fraction(-1, 32), t=4)
     return rhs.integrate_t().with_i_power(k)
 
 

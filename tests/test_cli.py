@@ -620,8 +620,8 @@ class TestResultSnapshot:
          "cd397715ad189bc221cd9600971803eac4b436eef22377e6145d1cae4a3064ab",
          "fc833b91a405a107e5a1884b3748dfa81db09efa366a3b7d2c2958b89c8c90b7"),
         ("config.json", ["compare", "--config", "{cfg}", "--t", "0.7"], 0,
-         "34be2bca2d5c06db36cc2c2fab91cd8f6d1241ed03432d7600604110db2f672e",
-         "bfc5914b50c42fee6bde2aeb399b7c558da5b19ffc97134729893574297d194b"),
+         "d5e213740f8611a81400504224a85340d641546acad70a9d2335650495207147",
+         "6a53897583867a25f36f751e6e0d225361c44741d8751b6fd86d416206c50917"),
     ]
 
     @pytest.mark.parametrize(
