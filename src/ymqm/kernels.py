@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError
-from .polynomial import PhasePolynomial
+from .polynomial import PhasePolynomial, _t_integral
 
 _COORDS = ("x", "y", "z")
 _MOMENTA = ("px", "py", "pz")
@@ -91,54 +91,34 @@ def potential(dims, quartic=True, higgs=True):
 
 def recursion_step(prev, k, pot):
     """One step of the kernel recursion: from ``prev = [S_0 .. S_{k-1}]``
-    (missing leading entries treated as zero) build S_k."""
+    (missing leading entries treated as zero) build S_k, as one sum of the
+    terms of the recursion integrated in t."""
     if k < 1:
         raise DomainError("recursion starts at k = 1")
-    d = pot.dims
-    zero = PhasePolynomial.zero(d)
-
-    def back(j):
-        # the i-power tag labels finished kernels; assembly itself is real
-        if 0 <= k - j < len(prev):
-            return prev[k - j].with_i_power(0)
-        return zero
-
-    rhs = zero
-    s1 = back(1)
-    if not s1.is_zero():
-        for i in range(d):
-            pi = _MOMENTA[i]
-            rhs = rhs + s1.diff(_COORDS[i]).times_monomial(1, **{pi: 1})
-            rhs = rhs + (pot.grad[i] * s1).times_monomial(-1, t=1, **{pi: 1})
-    s2 = back(2)
-    if not s2.is_zero():
-        lap_s = zero
-        for i in range(d):
-            lap_s = lap_s + s2.diff(_COORDS[i]).diff(_COORDS[i])
-        rhs = rhs + lap_s.scaled(Fraction(-1, 2))
-        rhs = rhs + (pot.grad_sq * s2).times_monomial(Fraction(-1, 2), t=2)
-        gdot = zero
-        for i in range(d):
-            gdot = gdot + pot.grad[i] * s2.diff(_COORDS[i])
-        rhs = rhs + gdot.times_monomial(1, t=1)
-    s3 = back(3)
-    if not s3.is_zero():
-        for i in range(d):
-            rhs = rhs + (pot.grad_lap[i] * s3).times_monomial(
-                Fraction(1, 4), t=2, **{_MOMENTA[i]: 1}
-            )
-    s4 = back(4)
-    if not s4.is_zero():
-        rhs = rhs + (pot.grad_dot_grad_lap * s4).times_monomial(Fraction(1, 4), t=3)
-        gl = zero
-        for i in range(d):
-            gl = gl + pot.grad_lap[i] * s4.diff(_COORDS[i])
-        rhs = rhs + gl.times_monomial(Fraction(-1, 4), t=2)
-        rhs = rhs + (pot.lap_lap * s4).times_monomial(Fraction(-1, 8), t=2)
-    s6 = back(6)
-    if not s6.is_zero():
-        rhs = rhs + (pot.grad_lap_sq * s6).times_monomial(Fraction(-1, 32), t=4)
-    return rhs.integrate_t().with_i_power(k)
+    zero, one = PhasePolynomial.zero(pot.dims), PhasePolynomial.one(pot.dims)
+    s1, s2, s3, s4, s6 = (
+        prev[k - j] if 0 <= k - j < len(prev) else zero for j in (1, 2, 3, 4, 6)
+    )
+    # (c, monomial, factor, source, variable, order) stands for
+    # c * monomial * factor * d^order source / d variable^order, and the
+    # parts follow the recursion in the module docstring term by term
+    parts = []
+    for x, p, grad, grad_lap in zip(_COORDS, _MOMENTA, pot.grad, pot.grad_lap):
+        parts += [
+            (1, {p: 1}, one, s1, x, 1),
+            (-1, {"t": 1, p: 1}, grad, s1, None, 0),
+            (Fraction(-1, 2), {}, one, s2, x, 2),
+            (1, {"t": 1}, grad, s2, x, 1),
+            (Fraction(1, 4), {"t": 2, p: 1}, grad_lap, s3, None, 0),
+            (Fraction(-1, 4), {"t": 2}, grad_lap, s4, x, 1),
+        ]
+    parts += [
+        (Fraction(-1, 2), {"t": 2}, pot.grad_sq, s2, None, 0),
+        (Fraction(1, 4), {"t": 3}, pot.grad_dot_grad_lap, s4, None, 0),
+        (Fraction(-1, 8), {"t": 2}, pot.lap_lap, s4, None, 0),
+        (Fraction(-1, 32), {"t": 4}, pot.grad_lap_sq, s6, None, 0),
+    ]
+    return _t_integral(pot.dims, parts, i_power=k)
 
 
 def resummed_kernels(pot, order):

@@ -175,6 +175,78 @@ def _integrate_unit(A, den, shift):
     return _canon(out, den * m)
 
 
+def _t_integral(dims, parts, i_power=0):
+    """The integral in t from 0 of a sum of parts, each a tuple
+    ``(c, mono, F, A, var, order)`` standing for
+
+        c * x^mono * F * d^order A / d var^order
+
+    with ``c`` rational, ``mono`` the keyword exponents of a monomial, ``F``
+    and ``A`` polynomials (their i-powers are ignored), and ``order`` 0, 1
+    or 2 (``var`` is unused at order 0).
+
+    The parts are summed into one integer dict over one common denominator,
+    and each derivative is taken term by term while its part is summed.  The
+    integration and the normalization are folded into one final pass, which
+    builds the only dict made after the sum.  Each part's packed field
+    maxima are checked before it is summed, and the exact maxima are
+    recomputed only when the bound trips, as a product would; the sum is
+    checked once more for the integration."""
+    summands = []
+    den = 1
+    top = 0
+    for c, mono, F, A, var, order in parts:
+        if not (A._d and F._d):
+            continue
+        c = Fraction(c)
+        key = _key(dims, mono)
+        shift = field_shift(dims, var) if order else 0
+        part_top = A._top + F._top + key
+        if part_top & _GUARDS:
+            part_top = _derived_top(A._d, shift, order) + _top_of(F._d) + key
+            if part_top & _GUARDS:
+                raise OverflowError("product exponent outside packed-field range")
+        top = _max_fields(top, part_top)
+        part_den = c.denominator * F._den * A._den
+        den = lcm(den, part_den)
+        summands.append((A._d, shift, order, c.numerator, part_den, F._d, key - (order << shift)))
+    out = {}
+    get = out.get
+    for A, shift, order, num, part_den, F_d, key in summands:
+        factor = [(fk + key, fn * num * (den // part_den)) for fk, fn in F_d.items()]
+        for k, n in A.items():
+            if order:
+                e = (k >> shift) & EXP_MASK
+                if e < order:
+                    continue
+                n *= e if order == 1 else e * (e - 1)
+            for fk, fn in factor:
+                kk = k + fk
+                out[kk] = get(kk, 0) + n * fn
+    shift = field_shift(dims, "t")
+    unit = 1 << shift
+    if (top + unit) & _GUARDS:
+        top = _top_of(k for k, n in out.items() if n)
+        if (top + unit) & _GUARDS:
+            raise OverflowError("integrated exponent outside packed-field range")
+    divisors = {((k >> shift) & EXP_MASK) + 1 for k in out}
+    m = lcm(*divisors)
+    scale = {e: m // e for e in divisors}
+    den *= m
+    # the gcd of the integrated numerators first, so that the final dict is
+    # the only one built after the sum
+    g = reduce(gcd, (n * scale[((k >> shift) & EXP_MASK) + 1] for k, n in out.items()), den)
+    d = {k + unit: n * scale[((k >> shift) & EXP_MASK) + 1] // g for k, n in out.items() if n}
+    return PhasePolynomial._make(dims, i_power, d, den // g, top + unit)
+
+
+def _derived_top(A, shift, order):
+    """Exact packed field maxima of the keys of the ``order``-th derivative
+    of ``A`` in the variable at ``shift``."""
+    drop = order << shift
+    return _top_of(k - drop for k in A if ((k >> shift) & EXP_MASK) >= order)
+
+
 class PhasePolynomial:
     """Immutable sparse polynomial with exact rational coefficients.
 

@@ -77,6 +77,35 @@ class TestRecursionBasics:
         assert W[0].n_terms == 1 and W[0].coefficient() == 1
 
 
+class TestRecursionOverflow:
+    """An exponent that would leave its packed field raises from inside the
+    recursion as it does from the polynomial operators; a bound left loose by
+    a cancellation does not."""
+
+    @pytest.mark.parametrize(
+        "exponents", [{"x": 127}, {"t": 126}], ids=["product", "t_integration"]
+    )
+    def test_overflow_raises(self, exponents):
+        # x^127 times the x-derivative of the quartic leaves the x field;
+        # t^126 times the t of the drift term integrates to t^128
+        S1 = PhasePolynomial.monomial(2, 1, **exponents)
+        with pytest.raises(OverflowError):
+            recursion_step([PhasePolynomial.one(2), S1], 2, potential(2))
+
+    def test_largest_exponent_still_builds(self):
+        # d_y V = g2 x^2 y + v2 y lifts x by two, to the field's top 127
+        S1 = PhasePolynomial.monomial(2, 1, x=125)
+        S2 = recursion_step([PhasePolynomial.one(2), S1], 2, potential(2))
+        assert S2.coefficient(x=127, y=1, py=1, t=2, g2=1) == Fraction(-1, 2)
+
+    def test_loose_bound_is_rechecked(self):
+        big = PhasePolynomial.monomial(2, 1, x=127)
+        x = PhasePolynomial.monomial(2, 1, x=1)
+        loose = big - big + x
+        pot = potential(2)
+        assert recursion_step([loose, loose], 2, pot) == recursion_step([x, x], 2, pot)
+
+
 class TestOrderEightSnapshot:
     """The exact order-8 kernels, pinned by the sha256 of their canonical
     ``dump_text`` so that any change to the polynomial arithmetic or to the
