@@ -36,14 +36,20 @@ COMMANDS = ("tf", "wk", "resum", "singular-scan", "n3", "spectrum", "compare", "
 ROUTES = ("closed", "symbolic", "quadrature")
 AXES = ("g", "v", "hbar", "t")
 CONFIG_SECTIONS = ("run", "quadrature", "spectral")
+#: each sweep quantity with the model its formula computes: the planar
+#: terms and the resummed ones (in units of the planar prefactor K), or the
+#: three-coordinate terms
 SWEEP_QUANTITIES = {
-    "tf": lambda p: heatkernel.tf_partition_n2(p),
-    "z2": lambda p: heatkernel.z2_closed_n2(p),
-    "resum_total": lambda p: heatkernel.resummed_term(0, p)
-    + heatkernel.resummed_term(2, p)
-    + heatkernel.resummed_term(4, p),
-    "tf_n3": lambda p: heatkernel.tf_term_n3(p),
-    "z2_n3": lambda p: heatkernel.z2_n3(p),
+    "tf": ("n2", lambda p: heatkernel.tf_partition_n2(p)),
+    "z2": ("n2", lambda p: heatkernel.z2_closed_n2(p)),
+    "resum_total": (
+        "n2",
+        lambda p: heatkernel.resummed_term(0, p)
+        + heatkernel.resummed_term(2, p)
+        + heatkernel.resummed_term(4, p),
+    ),
+    "tf_n3": ("n3", lambda p: heatkernel.tf_term_n3(p)),
+    "z2_n3": ("n3", lambda p: heatkernel.z2_n3(p)),
 }
 
 
@@ -337,7 +343,7 @@ def rows_study(cfg, grid):
 
 
 def rows_sweep(cfg, grid):
-    fn = SWEEP_QUANTITIES[cfg.quantity]
+    _, fn = SWEEP_QUANTITIES[cfg.quantity]
     return [
         {**_param_cols(p), cfg.quantity: fn(p), "flag": not p.lam2_in_regime()}
         for p in grid
@@ -602,6 +608,11 @@ def build_config(argv):
         cfg.model = "n3" if cfg.command == "n3" else "n2"
     if cfg.command == "n3" and cfg.model != "n3":
         raise ConfigError("the n3 command computes the three-coordinate model only")
+    if cfg.command == "sweep" and SWEEP_QUANTITIES[cfg.quantity][0] != cfg.model:
+        raise ConfigError(
+            f"sweep --quantity {cfg.quantity} computes the "
+            f"{SWEEP_QUANTITIES[cfg.quantity][0]} model, not --model {cfg.model}"
+        )
     swept = [name for name in AXES if len(_parse_axis(getattr(cfg, name))) > 1]
     if len(swept) > 2:
         raise ConfigError("at most two swept variables per run")

@@ -464,6 +464,31 @@ class TestExitCodes:
             err = json.loads(capsys.readouterr().err.splitlines()[-1])
             assert err["error"] == "config" and "v must be positive" in err["message"]
 
+    @pytest.mark.parametrize("quantity, model", [
+        ("z2", "n3"), ("resum_total", "n3"), ("z2_n3", None), ("tf_n3", "n2"),
+    ], ids=["z2-n3", "resum_total-n3", "z2_n3-default", "tf_n3-n2"])
+    def test_sweep_quantity_of_other_model_exit_three(
+        self, tmp_path, capsys, monkeypatch, quantity, model
+    ):
+        # a planar quantity under --model n3 would print planar values under
+        # an n3 manifest, and an n3 quantity under n2 would fail in its route
+        def boom(*args, **kwargs):
+            raise AssertionError("a route ran")
+
+        monkeypatch.setattr("ymqm.cli.build_grid", boom)
+        model_args = [] if model is None else ["--model", model]
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(
+            f"[run]\nquantity = {quantity}\n" + ("" if model is None else f"model = {model}\n")
+        )
+        for args in (
+            ["sweep", "--quantity", quantity, *model_args, "--g", "1", "--t", "0.5"],
+            ["sweep", "--config", str(cfgfile), "--g", "1", "--t", "0.5"],
+        ):
+            assert main(args) == 3
+            err = json.loads(capsys.readouterr().err.splitlines()[-1])
+            assert err["error"] == "config" and f"--quantity {quantity}" in err["message"]
+
     @pytest.mark.parametrize("argv", [
         ["tf", "--v", "0"],
         ["resum", "--v", "0"],
