@@ -15,7 +15,8 @@ from .errors import (
 from .params import ModelParams
 from .polynomial import PhasePolynomial
 
-# Kept for run records that name the polynomial arithmetic they measured.
+# The benchmark worker (``perfbench/worker.py``) imports it into its run
+# records, which name the polynomial arithmetic they measured.
 POLY_BACKEND = "pure-python"
 
 __all__ = [

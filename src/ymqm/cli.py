@@ -96,17 +96,13 @@ def build_grid(cfg):
 # -- route evaluation -----------------------------------------------------------
 
 
-def _kernel_reduction(k, dims=2):
-    from .kernels import conventional_kernels, potential
-
-    pot = potential(dims, quartic=True, higgs=True)
-    W = conventional_kernels(pot, k)
-    return integrate_momenta(W[k]), W[k]
-
-
 @functools.lru_cache(maxsize=None)
 def _cached_kernel(k):
-    return _kernel_reduction(k)
+    """Momentum reduction and kernel W_k of the planar quartic+Higgs model."""
+    from .kernels import conventional_kernels, potential
+
+    W = conventional_kernels(potential(2, quartic=True, higgs=True), k)
+    return integrate_momenta(W[k]), W[k]
 
 
 def eval_zk_route(route, k, params, cfg):

@@ -219,7 +219,8 @@ def z2_closed_n2(params):
 
 
 def z2_limit_v0(params):
-    """v -> 0 asymptote of the hbar^2 term: -K hbar^2 g^2 t^(3/2) / (6 sqrt(t v^4))."""
+    """Test oracle of :func:`z2_closed_n2` as v -> 0 (acceptance 3a), its
+    asymptote -K hbar^2 g^2 t^(3/2) / (6 sqrt(t v^4))."""
     if params.v <= 0:
         raise DomainError("v must be positive")
     return (
@@ -275,7 +276,7 @@ def zk_diagonal_log(k, m, params):
 
     At ``params.with_veff()`` (v^2 -> hbar^2 g^2 t/2) this is the resummed
     diagonal structure K lam2^(k/4) [-ln lam2 + 3 ln 2 - 2C - psi(m+1/2)],
-    finite and v-independent.
+    finite and v-independent.  Test oracle: no route calls it.
     """
     _check_order(k)
     if m < 0:

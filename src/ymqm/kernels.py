@@ -143,18 +143,15 @@ def unresum(wtilde, order, pot):
             f"need kernels through order {order}, got {len(wtilde) - 1}"
         )
     d = pot.dims
+    quarter = pot.lap.times_monomial(Fraction(1, 4), t=2)
+    powers = [PhasePolynomial.one(d)]  # (t^2 LapV / 4)^r / r!
+    for r in range(1, order // 2 + 1):
+        powers.append((powers[-1] * quarter).scaled(Fraction(1, r)))
     out = []
     for k in range(order + 1):
         acc = PhasePolynomial.zero(d)
-        base = PhasePolynomial.one(d)
-        rfact = 1
-        r = 0
-        while k - 2 * r >= 0:
-            term = (wtilde[k - 2 * r].with_i_power(0) * base).scaled(Fraction(1, rfact))
-            acc = acc + term
-            r += 1
-            rfact *= r
-            base = base * pot.lap.times_monomial(Fraction(1, 4), t=2)
+        for r in range(k // 2 + 1):
+            acc = acc + wtilde[k - 2 * r].with_i_power(0) * powers[r]
         out.append(acc.with_i_power(k))
     return out
 

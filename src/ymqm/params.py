@@ -95,7 +95,7 @@ class ModelParams:
     def rescaled(self, s):
         """Parameters expressed in units of s*E: (t, v, hbar) pick up the
         powers (-1, 1/4, 3/4) of s; every dimensionless output must be
-        invariant under this map."""
+        invariant under this map (test oracle of acceptance 6)."""
         return replace(
             self,
             t=self.t / s,
@@ -105,5 +105,5 @@ class ModelParams:
 
     def with_veff(self):
         """Parameters with the harmonic strength replaced by the effective
-        one, v^2 -> hbar^2 g^2 t / 2 (zero bare v)."""
+        one, v^2 -> hbar^2 g^2 t / 2 (zero bare v); a test oracle."""
         return replace(self, v=math.sqrt(self.veff2))

@@ -165,16 +165,6 @@ def _diff(A, den, shift):
     return _canon(out, den)
 
 
-def _integrate_unit(A, den, shift):
-    """Integrate in the variable at ``shift`` from 0 (constant of integration 0)."""
-    unit = 1 << shift
-    divisors = {((k >> shift) & EXP_MASK) + 1 for k in A}
-    m = lcm(*divisors)
-    factor = {e: m // e for e in divisors}
-    out = {k + unit: n * factor[((k >> shift) & EXP_MASK) + 1] for k, n in A.items()}
-    return _canon(out, den * m)
-
-
 def _t_integral(dims, parts, i_power=0):
     """The integral in t from 0 of a sum of parts, each a tuple
     ``(c, mono, F, A, var, order)`` standing for
@@ -324,9 +314,6 @@ class PhasePolynomial:
         (see :data:`EXP_MASK` for the key layout)."""
         return self._d
 
-    def is_zero(self):
-        return not self._d
-
     def terms(self):
         """Iterate ``(exponent_tuple, Fraction)`` pairs (unspecified order)."""
         nf = len(_NAMES[self.dims])
@@ -335,6 +322,7 @@ class PhasePolynomial:
             yield _unpack(k, nf), Fraction(n, den)
 
     def coefficient(self, **exponents):
+        """Test oracle: the exact coefficient of one monomial."""
         return Fraction(self._d.get(_key(self.dims, exponents), 0), self._den)
 
     def momentum_parity(self):
@@ -368,6 +356,7 @@ class PhasePolynomial:
         return out
 
     def __add__(self, other):
+        """Sum; the benchmark's traced rounds span it (``perfbench/spans.py``)."""
         self._check(other)
         return self._like(
             _add(self._d, self._den, other._d, other._den),
@@ -378,6 +367,7 @@ class PhasePolynomial:
         return self + other.scaled(-1)
 
     def __mul__(self, other):
+        """Product, or scaling by a number; spanned like :meth:`__add__`."""
         if isinstance(other, PhasePolynomial):
             self._check(other, match_i=False)
             top = self._top_times(other._top, other)
@@ -399,13 +389,8 @@ class PhasePolynomial:
         return self._like(_mul_mono(self._d, self._den, key, Fraction(coeff)), top)
 
     def diff(self, name):
+        """Derivative in the variable ``name``; spanned like :meth:`__add__`."""
         return self._like(_diff(self._d, self._den, field_shift(self.dims, name)), self._top)
-
-    def integrate_t(self):
-        """Integrate in t from 0, dropping the integration constant."""
-        shift = field_shift(self.dims, "t")
-        top = self._top_times(1 << shift)
-        return self._like(_integrate_unit(self._d, self._den, shift), top)
 
     def with_i_power(self, i_power):
         return self._like((self._d, self._den), self._top, i_power=i_power)
@@ -431,8 +416,8 @@ class PhasePolynomial:
     # -- evaluation & output ------------------------------------------------
 
     def dump_text(self):
-        """Canonical plain-text form for regression snapshots: one term per
-        line, exponent tuple then p/q coefficient, sorted by exponents."""
+        """Test oracle: the canonical text the snapshot tests hash, one term
+        per line, exponent tuple then p/q coefficient, sorted by exponents."""
         names = _NAMES[self.dims]
         lines = [f"# vars: {' '.join(names)}  i_power: {self.i_power}"]
         for exps, c in sorted(self.terms()):

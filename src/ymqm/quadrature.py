@@ -24,6 +24,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 from scipy import special as sp
+# the benchmark's traced rounds count calls by patching ``quad`` here (perfbench/spans.py)
 from scipy.integrate import IntegrationWarning, cubature, quad
 
 from .errors import AccuracyError, DivergentIntegralError, DomainError
@@ -308,7 +309,8 @@ def raw_coordinate_n3(which, params, spec=QuadratureSpec(), effective=False):
 
 
 def imn_factorized_g0(m, n, params):
-    """g = 0 closed form Gamma(m+1/2) Gamma(n+1/2) (2/(t v^2))^(m+n+1)."""
+    """Test oracle of :func:`imn_quadrature` at g = 0, the closed form
+    Gamma(m+1/2) Gamma(n+1/2) (2/(t v^2))^(m+n+1)."""
     if params.v <= 0:
         raise DomainError("v must be positive")
     return (

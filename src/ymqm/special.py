@@ -92,12 +92,8 @@ def _laplace_integral(a, c, z):
 
 
 def whittaker_w(args):
-    """W_{kappa,mu}(z) for real indices, from the integral representation.
-
-    Accepts a :class:`WhittakerArgs` or a bare ``(kappa, mu, z)`` triple.
-    """
-    if not isinstance(args, WhittakerArgs):
-        args = WhittakerArgs(*args)
+    """W_{kappa,mu}(z) for real indices and the :class:`WhittakerArgs`
+    ``args``, from the integral representation."""
     kappa, mu, z = args.kappa, args.mu, args.z
     # W is symmetric under mu -> -mu; pick the branch where the integral exists
     if mu - kappa + 0.5 <= 0:
@@ -116,7 +112,8 @@ def whittaker_w(args):
 
 
 def bessel_k0(z):
-    """Modified Bessel function K_0(z), z > 0."""
+    """Modified Bessel function K_0(z), z > 0: test oracle of
+    :func:`bessel_k0_scaled`, spanned by the benchmark (``perfbench/spans.py``)."""
     if not z > 0:
         raise DomainError("K_0 requires z > 0")
     return float(sp.k0(z))
@@ -137,7 +134,7 @@ def bessel_k1_scaled(z):
 
 
 def bessel_i0(z):
-    """Modified Bessel function I_0(z), z >= 0."""
+    """Modified Bessel function I_0(z), z >= 0; spanned by the benchmark."""
     if z < 0:
         raise DomainError("I_0 requires z >= 0")
     return float(sp.i0(z))

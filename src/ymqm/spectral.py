@@ -25,7 +25,6 @@ into convergence estimates.
 
 from __future__ import annotations
 
-import io
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -43,6 +42,8 @@ ITERATIVE_LEVELS = 64  # lowest levels solved in a sector above DENSE_BLOCK_CAP
 SIZE_CAP = 60000  # refuse to assemble beyond this total dimension
 MIN_CUTOFF = 4  # levels per axis
 ENLARGEMENT = 8  # extra levels per axis of the convergence check in eigenvalues
+SCAN_CUTOFF = 28  # levels per axis of the omega scan's prescan basis
+SCAN_POINTS = 17  # frequencies on the omega scan's grid
 LADDER_STEPS = 4  # bases on the leading-log study's ladder
 LADDER_STEP = 8  # levels per axis between successive ladder bases
 TAIL_SAFETY = 10.0
@@ -59,8 +60,8 @@ class BasisSpec:
         if self.oscillator_scale <= 0:
             raise DomainError("oscillator scale must be positive")
 
-    def enlarged(self, extra=ENLARGEMENT):
-        return BasisSpec(self.cutoff_per_axis + extra, self.oscillator_scale)
+    def enlarged(self):
+        return BasisSpec(self.cutoff_per_axis + ENLARGEMENT, self.oscillator_scale)
 
 
 @dataclass
@@ -257,50 +258,30 @@ def _levels(H, sec, N):
 
 
 def build_hamiltonian(params, basis):
-    """Assemble the blocked Hamiltonian handle for the given basis."""
+    """Blocked Hamiltonian handle for the basis (``perfbench/workloads.py`` imports it)."""
     return HamiltonianBlocks(params, basis)
 
 
-def trace_minimizing_omega(params, N):
-    """Basis frequency minimizing the truncated-basis trace of H (closed form
-    per power of omega, minimized by scalar search)."""
-    from scipy.optimize import minimize_scalar
-
-    d = params.n_model
-    hbar, g2, v2 = params.hbar, params.g**2, params.v**2
-    pairs = 1 if d == 2 else 3
-
-    def tr(omega):
-        trx = (hbar / omega) * N * N / 2.0  # tr of 1-D x^2 over N levels
-        trp = (hbar * omega) * N * N / 2.0
-        return (
-            0.5 * d * trp * N ** (d - 1)
-            + 0.5 * v2 * d * trx * N ** (d - 1)
-            + 0.5 * g2 * pairs * trx * trx * N ** (d - 2)
-        )
-
-    res = minimize_scalar(lambda w: tr(math.exp(w)), bounds=(-4.0, 4.0), method="bounded")
-    return math.exp(res.x)
+def _omega_grid(params):
+    """The omega scan's frequencies, 1/20 to 20 times the natural scale."""
+    s = _natural_scale(params)
+    return np.exp(np.linspace(math.log(0.05 * s), math.log(20.0 * s), SCAN_POINTS))
 
 
-def trace_maximizing_omega(params, t_ref, N_scan=28, grid=None):
-    """Basis frequency maximizing the truncated partition sum at ``t_ref``;
-    every truncated sum is a lower bound, so the maximum is the tightest.
-    Scanned at a small prescan basis, which must be solved completely:
-    raises :class:`ConvergenceError` when a sector's higher levels are
-    missing."""
-    if grid is None:
-        lo = math.log(0.05 * _natural_scale(params))
-        hi = math.log(20.0 * _natural_scale(params))
-        grid = np.exp(np.linspace(lo, hi, 17))
+def trace_maximizing_omega(params, t_ref):
+    """Basis frequency of :func:`_omega_grid` maximizing the truncated
+    partition sum at ``t_ref``; every truncated sum is a lower bound, so the
+    maximum is the tightest.  Scanned at the prescan basis of
+    ``SCAN_CUTOFF`` levels per axis, which must be solved completely: raises
+    :class:`ConvergenceError` when a sector's higher levels are missing."""
     best, best_om = -np.inf, None
-    for om in grid:
-        h = HamiltonianBlocks(params, BasisSpec(N_scan, float(om)))
+    for om in _omega_grid(params):
+        h = HamiltonianBlocks(params, BasisSpec(SCAN_CUTOFF, float(om)))
         ev, sectors = h.solve()
         n = _complete_count(ev, sectors)
         if n < len(ev):
             raise ConvergenceError(
-                f"omega scan basis N = {N_scan} solved only partly "
+                f"omega scan basis N = {SCAN_CUTOFF} solved only partly "
                 f"(complete below level {n} of {len(ev)})",
                 first_unconverged=n,
             )
@@ -372,17 +353,6 @@ def eigenvalues(handle, how_many, conv_tol=1e-6):
         params=handle.params,
         sectors=[(sec, w) for sec, w, _, _ in sectors],
     )
-
-
-def ground_state_expectations(handle):
-    """(E0, <T>, <V>) from the lowest eigenvector across sectors."""
-    best = None
-    for sec, T, V in handle.blocks:
-        w, U = eigh((T + V).toarray())
-        if best is None or w[0] < best[0]:
-            vec = U[:, 0]
-            best = (float(w[0]), float(vec @ (T @ vec)), float(vec @ (V @ vec)))
-    return best
 
 
 def tf_envelope(params, t):
@@ -474,7 +444,6 @@ def study_ladder(n_top, ladder_steps=LADDER_STEPS, step=LADDER_STEP):
 
 def leading_log_study(
     params,
-    t_grid=None,
     n_top=60,
     ladder_steps=LADDER_STEPS,
     step=LADDER_STEP,
@@ -483,24 +452,20 @@ def leading_log_study(
     """Regression of Z/K against -ln(lam2) over the asymptotic window.
 
     Partition sums are computed on a basis ladder ending at ``n_top`` per
-    axis; the basis deficit is modeled jointly as (a + b x) (n_top/N)^p and
-    removed, which is what turns the variationally biased raw sums into a
-    usable estimate of the true trace.  The asymptotic flag restricts the
-    window to lam2 <= 0.1.  Each sum runs over the complete prefix of its
-    basis's spectrum; the ``complete_spectra`` flag is False when a sector
-    solved iteratively cut that prefix short.
+    axis, at ten times spanning lam2 in [0.022, 0.097], the basis-reachable
+    part of the asymptotic window; the basis deficit is modeled jointly as
+    (a + b x) (n_top/N)^p and removed, which is what turns the variationally
+    biased raw sums into a usable estimate of the true trace.  The
+    asymptotic flag restricts the window to lam2 <= 0.1.  Each sum runs over
+    the complete prefix of its basis's spectrum; the ``complete_spectra``
+    flag is False when a sector solved iteratively cut that prefix short.
     """
     if params.n_model != 2:
         raise DomainError("the leading-log study is defined for the planar model")
     ladder = study_ladder(n_top, ladder_steps, step)
-    if t_grid is None:
-        # lam2 in [~0.02, 0.1]: basis-reachable part of the asymptotic window
-        lam2_hi = 0.097
-        lam2_lo = 0.022
-        thi = (lam2_hi / (params.g**2 * params.hbar**4)) ** (1.0 / 3.0)
-        tlo = (lam2_lo / (params.g**2 * params.hbar**4)) ** (1.0 / 3.0)
-        t_grid = np.linspace(tlo, thi, 10)
-    t_grid = np.asarray(t_grid, dtype=float)
+    thi = (0.097 / (params.g**2 * params.hbar**4)) ** (1.0 / 3.0)
+    tlo = (0.022 / (params.g**2 * params.hbar**4)) ** (1.0 / 3.0)
+    t_grid = np.linspace(tlo, thi, 10)
     lam2 = params.g**2 * params.hbar**4 * t_grid**3
     flags = {"asymptotic_clear": bool(np.all(lam2 <= 0.1))}
     if omega is None:
@@ -578,44 +543,3 @@ def save_spectrum(spectrum, path_or_file):
     finally:
         if close:
             fh.close()
-
-
-def load_spectrum(path_or_file):
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        with open(path_or_file) as fh:
-            text = fh.read()
-    else:
-        text = path_or_file.read()
-    header = {}
-    rows = []
-    for line in io.StringIO(text):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if ":" in line:
-                key, _, val = line[1:].partition(":")
-                header[key.strip()] = val.strip()
-            continue
-        idx, ev, conv = line.split()
-        rows.append((int(idx), float(ev), int(conv)))
-    if header.get("format") != _SPECTRUM_FORMAT:
-        raise DomainError(f"unrecognized spectrum format: {header.get('format')}")
-    params = ModelParams(
-        g=float(header["g"]),
-        v=float(header["v"]),
-        hbar=float(header["hbar"]),
-        t=1.0,
-        n_model=int(header["n_model"]),
-    )
-    basis = BasisSpec(
-        cutoff_per_axis=int(header["cutoff_per_axis"]),
-        oscillator_scale=float(header["oscillator_scale"]),
-    )
-    return SpectrumResult(
-        eigenvalues=np.array([r[1] for r in rows]),
-        basis=basis,
-        conv_tol=float(header["conv_tol"]),
-        count_converged=int(header["count_converged"]),
-        params=params,
-    )

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ymqm.polynomial import PhasePolynomial, variable_names
+from ymqm.polynomial import PhasePolynomial, _t_integral, variable_names
+
+
+def integrate_t(p):
+    """The integral of ``p`` in t from 0, as the kernel recursion takes it:
+    one part of the accumulator, ``1 * x^0 * 1 * p``."""
+    return _t_integral(p.dims, [(1, {}, PhasePolynomial.one(p.dims), p, None, 0)], p.i_power)
 
 
 class TestBasics:
@@ -25,7 +31,7 @@ class TestBasics:
     def test_add_cancels(self):
         p = PhasePolynomial.monomial(2, 1, x=2)
         q = PhasePolynomial.monomial(2, -1, x=2)
-        assert (p + q).is_zero()
+        assert (p + q) == PhasePolynomial.zero(2)
 
     def test_mul_collects(self):
         x = PhasePolynomial.monomial(1, 1, x=1)
@@ -38,8 +44,8 @@ class TestBasics:
     def test_diff_and_integrate(self):
         p = PhasePolynomial.monomial(2, Fraction(1, 2), x=3, t=2)
         assert p.diff("x").coefficient(x=2, t=2) == Fraction(3, 2)
-        assert p.integrate_t().coefficient(x=3, t=3) == Fraction(1, 6)
-        assert p.diff("y").is_zero()
+        assert integrate_t(p).coefficient(x=3, t=3) == Fraction(1, 6)
+        assert p.diff("y") == PhasePolynomial.zero(2)
 
     def test_momentum_parity(self):
         even = PhasePolynomial.monomial(2, 1, px=2) + PhasePolynomial.one(2)
@@ -68,7 +74,7 @@ class TestBasics:
         with pytest.raises(OverflowError):
             p.times_monomial(1, x=100)
         with pytest.raises(OverflowError):
-            PhasePolynomial.monomial(2, 1, t=127).integrate_t()
+            integrate_t(PhasePolynomial.monomial(2, 1, t=127))
         # the largest exponent still fits
         assert (p * PhasePolynomial.monomial(2, 1, x=27)).coefficient(x=127) == 1
 
@@ -122,7 +128,7 @@ class TestAlgebraProperties:
     @settings(max_examples=40, deadline=None)
     @given(polys())
     def test_diff_of_integral(self, p):
-        assert p.integrate_t().diff("t") == p
+        assert integrate_t(p).diff("t") == p
 
 
 
@@ -202,4 +208,4 @@ class TestAgainstNaiveReference:
             p.times_monomial(c, **dict(zip(names, shift))), naive_times_monomial(a, c, shift)
         )
         assert_matches(p.diff(names[var]), naive_diff(a, var))
-        assert_matches(p.integrate_t(), naive_integrate(a, names.index("t")))
+        assert_matches(integrate_t(p), naive_integrate(a, names.index("t")))
