@@ -616,6 +616,8 @@ def build_config(argv):
         raise ConfigError(
             f"g must be positive for {cfg.command}, got {cfg.g!r}; only spectrum takes g = 0"
         )
+    if cfg.command == "singular-scan" and min(cfg.ks) < 2:
+        raise ConfigError(f"singular-scan needs orders k >= 2, got --k {min(cfg.ks)}")
     if _needs_positive_v(cfg) and min(_parse_axis(cfg.v)) == 0:
         what = f"sweep --quantity {cfg.quantity}" if cfg.command == "sweep" else cfg.command
         raise ConfigError(

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError
-from .polynomial import PhasePolynomial, _t_integral
+from .polynomial import PhasePolynomial, _sum, _t_integral
 
 _COORDS = ("x", "y", "z")
 _MOMENTA = ("px", "py", "pz")
@@ -36,28 +36,17 @@ class Potential:
         self.dims = dims
         self.label = label
         self.V = V
-        self.grad = [V.diff(c) for c in _COORDS[:dims]]
-        lap = PhasePolynomial.zero(dims)
-        for c in _COORDS[:dims]:
-            lap = lap + V.diff(c).diff(c)
-        self.lap = lap
-        g2 = PhasePolynomial.zero(dims)
-        for gi in self.grad:
-            g2 = g2 + gi * gi
-        self.grad_sq = g2
-        self.grad_lap = [lap.diff(c) for c in _COORDS[:dims]]
-        gl = PhasePolynomial.zero(dims)
-        for gi, li in zip(self.grad, self.grad_lap):
-            gl = gl + gi * li
-        self.grad_dot_grad_lap = gl
-        laplap = PhasePolynomial.zero(dims)
-        for c in _COORDS[:dims]:
-            laplap = laplap + lap.diff(c).diff(c)
-        self.lap_lap = laplap
-        gl2 = PhasePolynomial.zero(dims)
-        for li in self.grad_lap:
-            gl2 = gl2 + li * li
-        self.grad_lap_sq = gl2
+        coords = _COORDS[:dims]
+        one = PhasePolynomial.one(dims)
+        self.grad = [V.diff(c) for c in coords]
+        self.lap = _sum(dims, [(1, {}, one, V, c, 2) for c in coords])
+        self.grad_sq = _sum(dims, [(1, {}, gi, gi, None, 0) for gi in self.grad])
+        self.grad_lap = [self.lap.diff(c) for c in coords]
+        self.grad_dot_grad_lap = _sum(
+            dims, [(1, {}, gi, li, None, 0) for gi, li in zip(self.grad, self.grad_lap)]
+        )
+        self.lap_lap = _sum(dims, [(1, {}, one, self.lap, c, 2) for c in coords])
+        self.grad_lap_sq = _sum(dims, [(1, {}, li, li, None, 0) for li in self.grad_lap])
 
     def __repr__(self):
         return f"Potential({self.label}, dims={self.dims})"
@@ -143,17 +132,13 @@ def unresum(wtilde, order, pot):
             f"need kernels through order {order}, got {len(wtilde) - 1}"
         )
     d = pot.dims
-    quarter = pot.lap.times_monomial(Fraction(1, 4), t=2)
     powers = [PhasePolynomial.one(d)]  # (t^2 LapV / 4)^r / r!
     for r in range(1, order // 2 + 1):
-        powers.append((powers[-1] * quarter).scaled(Fraction(1, r)))
-    out = []
-    for k in range(order + 1):
-        acc = PhasePolynomial.zero(d)
-        for r in range(k // 2 + 1):
-            acc = acc + wtilde[k - 2 * r].with_i_power(0) * powers[r]
-        out.append(acc.with_i_power(k))
-    return out
+        powers.append(_sum(d, [(Fraction(1, 4 * r), {"t": 2}, pot.lap, powers[-1], None, 0)]))
+    return [
+        _sum(d, [(1, {}, powers[r], wtilde[k - 2 * r], None, 0) for r in range(k // 2 + 1)], k)
+        for k in range(order + 1)
+    ]
 
 
 def conventional_kernels(pot, order):

@@ -15,16 +15,22 @@ so a monomial product is a single integer addition, and an exponent that
 outgrows its field sets the guard bit instead of carrying into the next
 field.  The form is canonical: no numerator is zero, and the denominator
 shares no factor with all the numerators at once, so equal polynomials have
-equal dicts and denominators (zero is ``{}`` over 1).  Each operation works
-in integers and normalizes once, with a single ``math.gcd`` over its result.
+equal dicts and denominators (zero is ``{}`` over 1).
+
+Every operation is one pass of one integer accumulator, :func:`_accumulate`,
+which sums parts ``c * x^m * F * d^j A`` over one common denominator and
+takes each derivative while it sums: a sum, a difference, a product, a
+scaling, a monomial factor and a derivative are each one call of
+:func:`_sum`, which normalizes the result with a single ``math.gcd``, and a
+kernel of the recursion is one call of :func:`_t_integral`, which also
+integrates in t in its final pass.
 
 Each polynomial also carries the packed maxima of its exponent fields, an
-upper bound that products and sums propagate without looking at the terms.
-A product or an integration checks it once per operation and raises
-``OverflowError`` when an exponent could leave its field; only when the
-bound trips are the exact maxima recomputed from the terms.  Every
-operation builds a new dict and none is mutated after construction, so
-polynomials may share them.
+upper bound that the accumulator propagates without looking at the terms.
+It checks the bound once per part and raises ``OverflowError`` when an
+exponent could leave its field; only when the bound trips are the exact
+maxima recomputed from the terms.  Every operation builds a new dict and
+none is mutated after construction, so polynomials may share them.
 """
 
 from __future__ import annotations
@@ -95,79 +101,8 @@ def _top_of(A):
     return reduce(_max_fields, A, 0)
 
 
-def _canon(A, den):
-    """``(A, den)`` divided by the gcd of the denominator and all numerators."""
-    g = gcd(den, *A.values())
-    if g == 1:
-        return A, den
-    return {k: n // g for k, n in A.items()}, den // g
-
-
-def _add(A, dA, B, dB):
-    if dA == dB:
-        den, fa, fb = dA, 1, 1
-    else:
-        den = lcm(dA, dB)
-        fa, fb = den // dA, den // dB
-    if len(A) < len(B):
-        A, B, fa, fb = B, A, fb, fa
-    out = dict(A) if fa == 1 else {k: n * fa for k, n in A.items()}
-    get = out.get
-    for k, n in B.items():
-        s = get(k, 0) + n * fb
-        if s:
-            out[k] = s
-        else:
-            del out[k]
-    return _canon(out, den)
-
-
-def _mul(A, B, den):
-    if len(A) > len(B):
-        A, B = B, A
-    out = {}
-    get = out.get
-    for k1, n1 in A.items():
-        for k2, n2 in B.items():
-            k = k1 + k2
-            out[k] = get(k, 0) + n1 * n2
-    if 0 in out.values():
-        out = {k: n for k, n in out.items() if n}
-    return _canon(out, den)
-
-
-def _mul_mono(A, den, key, c):
-    """``A / den`` times the single monomial ``c * x^key``."""
-    if not c:
-        return {}, 1
-    num = c.numerator
-    if key:
-        out = {k + key: n * num for k, n in A.items()}
-    elif num != 1:
-        # key 0 keeps the key objects: ``k + 0`` would allocate a new int
-        # for every multi-digit key
-        out = {k: n * num for k, n in A.items()}
-    else:
-        out = A
-    if c.denominator == 1 and num in (1, -1):
-        return out, den
-    return _canon(out, den * c.denominator)
-
-
-def _diff(A, den, shift):
-    """Differentiate with respect to the variable whose field starts at ``shift``."""
-    unit = 1 << shift
-    out = {}
-    for k, n in A.items():
-        e = (k >> shift) & EXP_MASK
-        if e:
-            out[k - unit] = n * e
-    return _canon(out, den)
-
-
-def _t_integral(dims, parts, i_power=0):
-    """The integral in t from 0 of a sum of parts, each a tuple
-    ``(c, mono, F, A, var, order)`` standing for
+def _accumulate(dims, parts):
+    """Sum parts, each a tuple ``(c, mono, F, A, var, order)`` standing for
 
         c * x^mono * F * d^order A / d var^order
 
@@ -176,25 +111,24 @@ def _t_integral(dims, parts, i_power=0):
     or 2 (``var`` is unused at order 0).
 
     The parts are summed into one integer dict over one common denominator,
-    and each derivative is taken term by term while its part is summed.  The
-    integration and the normalization are folded into one final pass, which
-    builds the only dict made after the sum.  Each part's packed field
-    maxima are checked before it is summed, and the exact maxima are
-    recomputed only when the bound trips, as a product would; the sum is
-    checked once more for the integration."""
+    and each derivative is taken term by term while its part is summed.
+    Returns ``(numerators, denominator, field maxima)``; the numerators may
+    hold zeros and share a factor with the denominator.  Each part's packed
+    field maxima are checked before it is summed, and the exact maxima are
+    recomputed only when the bound trips."""
     summands = []
     den = 1
     top = 0
     for c, mono, F, A, var, order in parts:
-        if not (A._d and F._d):
-            continue
         c = Fraction(c)
+        if not (c and A._d and F._d):
+            continue
         key = _key(dims, mono)
         shift = field_shift(dims, var) if order else 0
-        part_top = A._top + F._top + key
-        if part_top & _GUARDS:
-            part_top = _derived_top(A._d, shift, order) + _top_of(F._d) + key
-            if part_top & _GUARDS:
+        part_top = _field_sum(A._top, F._top, key)
+        if part_top is None:
+            part_top = _field_sum(_derived_top(A._d, shift, order), _top_of(F._d), key)
+            if part_top is None:
                 raise OverflowError("product exponent outside packed-field range")
         top = _max_fields(top, part_top)
         part_den = c.denominator * F._den * A._den
@@ -213,6 +147,25 @@ def _t_integral(dims, parts, i_power=0):
             for fk, fn in factor:
                 kk = k + fk
                 out[kk] = get(kk, 0) + n * fn
+    return out, den, top
+
+
+def _sum(dims, parts, i_power=0):
+    """The sum of :func:`_accumulate`'s parts as a polynomial carrying
+    ``i**i_power``.  Normalizing builds at most one dict after the sum."""
+    out, den, top = _accumulate(dims, parts)
+    g = gcd(den, *out.values())
+    if g != 1 or 0 in out.values():
+        out = {k: n // g for k, n in out.items() if n}
+    return PhasePolynomial._make(dims, i_power, out, den // g, top)
+
+
+def _t_integral(dims, parts, i_power=0):
+    """The integral in t from 0 of the sum of :func:`_accumulate`'s parts.
+    The integration and the normalization are folded into one final pass,
+    which builds the only dict made after the sum; the sum's field maxima
+    are checked once more for the integration."""
+    out, den, top = _accumulate(dims, parts)
     shift = field_shift(dims, "t")
     unit = 1 << shift
     if (top + unit) & _GUARDS:
@@ -228,6 +181,19 @@ def _t_integral(dims, parts, i_power=0):
     g = reduce(gcd, (n * scale[((k >> shift) & EXP_MASK) + 1] for k, n in out.items()), den)
     d = {k + unit: n * scale[((k >> shift) & EXP_MASK) + 1] // g for k, n in out.items() if n}
     return PhasePolynomial._make(dims, i_power, d, den // g, top + unit)
+
+
+def _field_sum(*tops):
+    """Field-by-field sum of packed field maxima, or None if a field of the
+    sum leaves its range.  Checked after each addition, so that a field
+    holds at most 2 * EXP_MASK when its guard bit is read and never carries
+    into the next field."""
+    out = 0
+    for top in tops:
+        out += top
+        if out & _GUARDS:
+            return None
+    return out
 
 
 def _derived_top(A, shift, order):
@@ -334,66 +300,42 @@ class PhasePolynomial:
         return parities.pop() if parities else None
 
     # -- arithmetic --------------------------------------------------------
-
-    def _like(self, canon, top, i_power=None):
-        d, den = canon
-        return PhasePolynomial._make(
-            self.dims, self.i_power if i_power is None else i_power, d, den, top
-        )
-
-    def _top_times(self, top, other=None):
-        """Field maxima of a product with a factor whose maxima are ``top``
-        (``other``'s, if given).  The stored maxima may be loose bounds, so
-        they are recomputed from the terms before an overflow is reported."""
-        out = self._top + top
-        if out & _GUARDS:
-            self._top = _top_of(self._d)
-            if other is not None:
-                other._top = top = _top_of(other._d)
-            out = self._top + top
-            if out & _GUARDS:
-                raise OverflowError("product exponent outside packed-field range")
-        return out
+    # each operation is one pass of the accumulator: a tuple
+    # (c, monomial, F, A, variable, order) is one part of :func:`_accumulate`
 
     def __add__(self, other):
         """Sum; the benchmark's traced rounds span it (``perfbench/spans.py``)."""
-        self._check(other)
-        return self._like(
-            _add(self._d, self._den, other._d, other._den),
-            _max_fields(self._top, other._top),
-        )
+        return self._plus(1, other)
 
     def __sub__(self, other):
-        return self + other.scaled(-1)
+        return self._plus(-1, other)
+
+    def _plus(self, sign, other):
+        self._check(other)
+        one = _ONE[self.dims]
+        parts = [(1, {}, one, self, None, 0), (sign, {}, one, other, None, 0)]
+        return _sum(self.dims, parts, self.i_power)
 
     def __mul__(self, other):
         """Product, or scaling by a number; spanned like :meth:`__add__`."""
-        if isinstance(other, PhasePolynomial):
-            self._check(other, match_i=False)
-            top = self._top_times(other._top, other)
-            return self._like(
-                _mul(self._d, other._d, self._den * other._den),
-                top,
-                i_power=self.i_power + other.i_power,
-            )
-        return self.scaled(other)
+        if not isinstance(other, PhasePolynomial):
+            return self.scaled(other)
+        self._check(other, match_i=False)
+        # the smaller polynomial is the factor that each term of the larger meets
+        small, large = (self, other) if len(self._d) <= len(other._d) else (other, self)
+        return _sum(self.dims, [(1, {}, small, large, None, 0)], self.i_power + other.i_power)
 
     __rmul__ = __mul__
 
     def scaled(self, coeff):
-        return self._like(_mul_mono(self._d, self._den, 0, Fraction(coeff)), self._top)
+        return self.times_monomial(coeff)
 
     def times_monomial(self, coeff, **exponents):
-        key = _key(self.dims, exponents)
-        top = self._top_times(key)
-        return self._like(_mul_mono(self._d, self._den, key, Fraction(coeff)), top)
+        return _sum(self.dims, [(coeff, exponents, _ONE[self.dims], self, None, 0)], self.i_power)
 
     def diff(self, name):
         """Derivative in the variable ``name``; spanned like :meth:`__add__`."""
-        return self._like(_diff(self._d, self._den, field_shift(self.dims, name)), self._top)
-
-    def with_i_power(self, i_power):
-        return self._like((self._d, self._den), self._top, i_power=i_power)
+        return _sum(self.dims, [(1, {}, _ONE[self.dims], self, name, 1)], self.i_power)
 
     def _check(self, other, match_i=True):
         if self.dims != other.dims:
@@ -429,3 +371,7 @@ class PhasePolynomial:
             f"PhasePolynomial(dims={self.dims}, terms={self.n_terms}, "
             f"i_power={self.i_power})"
         )
+
+
+#: the polynomial 1 in each dimension, the factor of a part with none
+_ONE = {dims: PhasePolynomial.one(dims) for dims in _NAMES}

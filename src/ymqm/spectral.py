@@ -515,17 +515,11 @@ def leading_log_study(
 _SPECTRUM_FORMAT = "ymqm-spectrum-v1"
 
 
-def save_spectrum(spectrum, path_or_file):
+def save_spectrum(spectrum, path):
     """Columnar text format: self-describing header, then
     ``index eigenvalue converged`` rows."""
-    close = False
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        fh = open(path_or_file, "w")
-        close = True
-    else:
-        fh = path_or_file
-    try:
-        p = spectrum.params
+    p = spectrum.params
+    with open(path, "w") as fh:
         fh.write(f"# format: {_SPECTRUM_FORMAT}\n")
         fh.write(
             f"# g: {p.g!r}\n# v: {p.v!r}\n# hbar: {p.hbar!r}\n"
@@ -540,6 +534,3 @@ def save_spectrum(spectrum, path_or_file):
         fh.write("# columns: index eigenvalue converged\n")
         for i, e in enumerate(spectrum.eigenvalues):
             fh.write(f"{i} {float(e)!r} {int(i < spectrum.count_converged)}\n")
-    finally:
-        if close:
-            fh.close()

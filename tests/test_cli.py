@@ -464,6 +464,23 @@ class TestExitCodes:
             err = json.loads(capsys.readouterr().err.splitlines()[-1])
             assert err["error"] == "config" and "v must be positive" in err["message"]
 
+    def test_singular_scan_order_below_two_exit_three(self, tmp_path, capsys, monkeypatch):
+        # the singular structures start at k = 2, so --k 0 is refused before
+        # any computation instead of failing in the route
+        def boom(*args, **kwargs):
+            raise AssertionError("a route ran")
+
+        monkeypatch.setattr("ymqm.cli.build_grid", boom)
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("[run]\nk = 2,0\n")
+        for args in (
+            ["singular-scan", "--k", "0", "--g", "1", "--v", "0.1"],
+            ["singular-scan", "--config", str(cfgfile), "--g", "1", "--v", "0.1"],
+        ):
+            assert main(args) == 3
+            err = json.loads(capsys.readouterr().err.splitlines()[-1])
+            assert err["error"] == "config" and "k >= 2" in err["message"]
+
     @pytest.mark.parametrize("quantity, model", [
         ("z2", "n3"), ("resum_total", "n3"), ("z2_n3", None), ("tf_n3", "n2"),
     ], ids=["z2-n3", "resum_total-n3", "z2_n3-default", "tf_n3-n2"])

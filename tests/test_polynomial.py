@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ymqm.polynomial import PhasePolynomial, _t_integral, variable_names
+from ymqm.polynomial import PhasePolynomial, _sum, _t_integral, variable_names
 
 
 def integrate_t(p):
@@ -57,7 +57,7 @@ class TestBasics:
 
     def test_i_power_discipline(self):
         p = PhasePolynomial.one(2)
-        q = PhasePolynomial.one(2).with_i_power(1)
+        q = PhasePolynomial(2, {(0,) * 7: 1}, i_power=1)
         with pytest.raises(ValueError):
             p + q
         assert (p * q).i_power == 1
@@ -85,6 +85,14 @@ class TestBasics:
         p = big - big + PhasePolynomial.monomial(2, 1, x=1)
         assert (p * PhasePolynomial.monomial(2, 3, x=30)).coefficient(x=31) == 3
         assert p.times_monomial(2, x=40).coefficient(x=41) == 2
+
+    def test_part_overflow_never_carries(self):
+        # three exponent fields of 127 + 127 + 2 sum to 256, which would
+        # carry out of the x field into y with the guard bit clear
+        p = PhasePolynomial.monomial(2, 1, x=127)
+        for finish in (_sum, _t_integral):
+            with pytest.raises(OverflowError):
+                finish(2, [(1, {"x": 2}, p, p, None, 0)])
 
     def test_dump_text_canonical(self):
         p = PhasePolynomial.monomial(1, Fraction(-1, 3), x=2) + PhasePolynomial.monomial(
@@ -209,3 +217,49 @@ class TestAgainstNaiveReference:
         )
         assert_matches(p.diff(names[var]), naive_diff(a, var))
         assert_matches(integrate_t(p), naive_integrate(a, names.index("t")))
+
+
+@st.composite
+def naive_parts(draw):
+    dims = draw(st.integers(min_value=1, max_value=3))
+    nvars = len(variable_names(dims))
+    exp_tuples = st.tuples(*(st.integers(min_value=0, max_value=3) for _ in range(nvars)))
+    coeff = st.builds(
+        Fraction,
+        st.integers(min_value=-12, max_value=12),
+        st.sampled_from([1, 2, 3, 5, 6, 8]),
+    ).filter(bool)
+    terms = st.dictionaries(exp_tuples, coeff, max_size=5)
+    parts = []
+    for _ in range(draw(st.integers(min_value=2, max_value=3))):
+        parts.append((
+            draw(coeff), draw(exp_tuples), draw(terms), draw(terms),
+            draw(st.integers(0, nvars - 1)), draw(st.integers(0, 2)),
+        ))
+    if draw(st.booleans()):
+        # the negated first part, so that the sum cancels terms
+        parts.append((-parts[0][0], *parts[0][1:]))
+    return dims, parts, draw(st.integers(0, 3))
+
+
+class TestSumAgainstNaiveReference:
+    @settings(max_examples=150, deadline=None)
+    @given(naive_parts())
+    def test_sum_of_parts(self, case):
+        # c * x^mono * F * d^order A / d var^order, summed over two or three
+        # parts, against the same sum in {exponent tuple: Fraction} dicts
+        dims, parts, i_power = case
+        names = variable_names(dims)
+        ref, args = {}, []
+        for c, mono, f, a, var, order in parts:
+            derived = a
+            for _ in range(order):
+                derived = naive_diff(derived, var)
+            ref = naive_add(ref, naive_times_monomial(naive_mul(f, derived), c, mono))
+            args.append((
+                c, dict(zip(names, mono)), PhasePolynomial(dims, f), PhasePolynomial(dims, a),
+                names[var], order,
+            ))
+        got = _sum(dims, args, i_power)
+        assert_matches(got, ref)
+        assert got.i_power == i_power

@@ -84,7 +84,7 @@ class TestPhaseSpaceQuadrature:
         assert got.value == pytest.approx(hk.z2_closed_n2(P1), rel=1e-6)
 
     def test_odd_kernel_vanishes(self):
-        odd = PhasePolynomial.monomial(2, 1, px=1, x=1).with_i_power(1)
+        odd = PhasePolynomial(2, {(1, 0, 1, 0, 0, 0, 0): 1}, i_power=1)
         got = phase_space_quadrature(odd, P1)
         assert got.value == pytest.approx(0.0, abs=1e-12)
 

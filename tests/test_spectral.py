@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -292,13 +291,13 @@ class TestLeadingLogStudy:
 
 
 class TestPersistence:
-    def test_roundtrip(self):
+    def test_roundtrip(self, tmp_path):
         # the saved header and rows give back the spectrum they were written from
         h = build_hamiltonian(HARMONIC, BasisSpec(12, 1.0))
         spec = eigenvalues(h, how_many=3, conv_tol=1e-8)
-        buf = io.StringIO()
-        save_spectrum(spec, buf)
-        lines = buf.getvalue().splitlines()
+        path = tmp_path / "spectrum.txt"
+        save_spectrum(spec, path)
+        lines = path.read_text().splitlines()
         header = dict(line[2:].split(": ") for line in lines if line.startswith("# "))
         assert header["format"] == "ymqm-spectrum-v1"
         assert header["columns"] == "index eigenvalue converged"
