@@ -639,6 +639,11 @@ def _needs_positive_v(cfg):
 
 
 def _check_spectrum(cfg, swept):
+    if 0.0 in _parse_axis(cfg.g) and 0.0 in _parse_axis(cfg.v):
+        raise ConfigError(
+            f"spectrum needs g > 0 or v > 0 at every point, got --g {cfg.g!r} --v {cfg.v!r}: "
+            "at g = v = 0 the free particle has no discrete spectrum"
+        )
     if cfg.study:
         if cfg.save_spectrum:
             raise ConfigError("--study solves a basis ladder; --save-spectrum keeps one spectrum")

@@ -10,12 +10,20 @@ permutation of the axes, so sectors whose parities are permutations of each
 other (planar (0,1) and (1,0); 3-D {001, 010, 100} and {011, 101, 110})
 have the same spectrum: one sector of each such orbit is solved and its
 levels serve the whole orbit.  A block at or below a size cap is solved
-completely by dense LAPACK, split by the permutations that leave its sector
-unchanged: when all three axes share a parity (3-D 000 and 111), into the
-irreps A1, A2 and E of S3, whose two-dimensional E gives each of its levels
-twice; when two axes share a parity, into the symmetric and antisymmetric
-halves under their swap.  Above the cap an iterative extremal solver
-returns only the lowest levels of the whole block.
+completely, split by the permutations that leave its sector unchanged: when
+all three axes share a parity (3-D 000 and 111), into the irreps A1, A2 and
+E of S3, whose two-dimensional E gives each of its levels twice; when two
+axes share a parity, into the symmetric and antisymmetric halves under their
+swap.  In its natural order a planar piece is a band matrix about N/2 wide,
+so it is solved from its upper band by LAPACK's band solver; a 3-D piece,
+whose band is about N^2/4 wide, by dense LAPACK.  Above the cap an iterative
+extremal solver returns only the lowest levels of the whole block.
+
+At frequency omega the 1-D operators are x^2 = (hbar/omega) X and
+p^2 = hbar omega P, so every block is omega K + (v^2/omega) X +
+(g^2/omega^2) Q in its kinetic, harmonic and quartic parts K, X and Q at
+omega = 1.  The omega scan assembles and splits those once, and each of its
+frequencies only combines and solves the pieces.
 
 Every computed eigenvalue is variational (an upper bound that decreases
 monotonically with the cutoff), hence every truncated partition sum is a
@@ -30,7 +38,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigvals_banded
 from scipy.sparse import csr_matrix, diags, vstack
 from scipy.sparse.linalg import eigsh
 
@@ -116,27 +124,64 @@ def _kron_sum(terms):
     )
 
 
-def _swap_halves(H, sec, N):
-    """Dense symmetric and antisymmetric halves of the sparse block H of
-    parity sector ``sec`` (N levels per axis) under the swap of its first
-    two axes of equal parity, which leaves H and the sector unchanged;
-    ``None`` when every axis has its own parity."""
+def _sector_terms(d, x2, p2):
+    """``(sec, kinetic, harmonic, quartic)`` per parity sector of the d-axis
+    product basis: the :func:`_kron_sum` terms of 1/2 sum_i p_i^2,
+    1/2 sum_i x_i^2 and 1/2 sum_(i<j) x_i^2 x_j^2 built from the 1-D x^2
+    and p^2 on all levels."""
+    sl = _parity_slices(x2.shape[0])
+    xb = {p: x2[np.ix_(sl[p], sl[p])] for p in (0, 1)}
+    pb = {p: p2[np.ix_(sl[p], sl[p])] for p in (0, 1)}
+    pairs = [(0, 1)] if d == 2 else [(0, 1), (1, 2), (2, 0)]
+    for sec in itertools.product((0, 1), repeat=d):
+        eyes = [np.eye(len(sl[p])) for p in sec]
+
+        def embed(ops):
+            return [ops.get(i, eyes[i]) for i in range(d)]
+
+        yield (
+            sec,
+            [(0.5, embed({i: pb[sec[i]]})) for i in range(d)],
+            [(0.5, embed({i: xb[sec[i]]})) for i in range(d)],
+            [(0.5, embed({i: xb[sec[i]], j: xb[sec[j]]})) for i, j in pairs],
+        )
+
+
+def _orbit_rows(tuples, perms, pattern, shape):
+    """CSR matrix whose unit row r is sum_i pattern[i] e_(tuples[r]
+    permuted by perms[i]), over the product basis of the given per-axis
+    shape; repeated permuted tuples add up."""
+    m = len(tuples)
+    cols = np.concatenate([np.ravel_multi_index(tuples[:, p].T, shape) for p in perms])
+    rows = np.tile(np.arange(m), len(perms))
+    B = csr_matrix(
+        (np.repeat(np.asarray(pattern, float), m), (rows, cols)), shape=(m, math.prod(shape))
+    )
+    return diags(1.0 / np.sqrt(B.multiply(B).sum(axis=1).A1)) @ B
+
+
+def _swap_rows(sec, N):
+    """Orthonormal rows of the symmetric and antisymmetric halves of parity
+    sector ``sec`` (N levels per axis) under the swap of its first two axes
+    of equal parity, which leaves the Hamiltonian and the sector unchanged;
+    ``None`` when every axis has its own parity.  The rows run over the
+    index tuples with a <= b (a < b) for the swapped pair (a, b), in
+    lexicographic order, so a planar half keeps the band of its block."""
     pair = next(((i, j) for i, j in itertools.combinations(range(len(sec)), 2)
                  if sec[i] == sec[j]), None)
     if pair is None:
         return None
-    idx = np.arange(H.shape[0])
-    shape = [len(range(p, N, 2)) for p in sec]
-    sigma = np.swapaxes(idx.reshape(shape), *pair).ravel()
-    # basis (e_r + e_sr)/sqrt(2) over r < sr and e_r over the fixed points
-    r = np.nonzero(idx <= sigma)[0]
-    c = np.where(r == sigma[r], math.sqrt(0.5), 1.0)
-    Hr = H[r]
-    sym = (Hr[:, r] + Hr[:, sigma[r]]).toarray() * np.outer(c, c)
-    a = np.nonzero(idx < sigma)[0]
-    Ha = H[a]
-    anti = (Ha[:, a] - Ha[:, sigma[a]]).toarray()
-    return sym, anti
+    i, j = pair
+    shape = tuple(len(range(p, N, 2)) for p in sec)
+    idx = np.indices(shape).reshape(len(sec), -1).T
+    swap = list(range(len(sec)))
+    swap[i], swap[j] = j, i
+    perms = (list(range(len(sec))), swap)
+    a, b = idx[:, i], idx[:, j]
+    return (
+        _orbit_rows(idx[a <= b], perms, (1, 1), shape),
+        _orbit_rows(idx[a < b], perms, (1, -1), shape),
+    )
 
 
 # the permutations of three axes, even ones first; entry i of a pattern
@@ -150,37 +195,70 @@ _E1 = (2, -1, -1, 2, -1, -1)
 _E2 = (0, 1, -1, 0, 1, -1)
 
 
-def _orbit_rows(triples, pattern, n):
-    """CSR matrix whose unit row r is sum_i pattern[i] e_(triples[r]
-    permuted by _S3[i]), over the product basis of three axes of n levels
-    each; repeated permuted triples add up."""
-    m = len(triples)
-    cols = np.concatenate(
-        [(triples[:, i] * n + triples[:, j]) * n + triples[:, k] for i, j, k in _S3]
-    )
-    rows = np.tile(np.arange(m), len(_S3))
-    B = csr_matrix((np.repeat(np.asarray(pattern, float), m), (rows, cols)), shape=(m, n**3))
-    return diags(1.0 / np.sqrt(B.multiply(B).sum(axis=1).A1)) @ B
-
-
-def _s3_irreps(H, n):
-    """Dense A1, A2 and E blocks ``B H B^T`` of the sparse block H of a 3-D
-    parity sector whose three axes share a parity (n levels per axis): every
-    permutation of the axes leaves H and the sector unchanged.  The rows of
-    each B are orthonormal combinations within one S3 orbit of index
-    triples (a, b, c): A1 their symmetric sum; A2 their antisymmetric sum,
-    when a, b and c all differ; E the part of the span symmetric under the
-    swap of the first two axes that is orthogonal to A1, which is one row
-    of the two-dimensional irrep, so each E level is a level of H twice."""
+def _s3_rows(n):
+    """Orthonormal rows of the A1, A2 and E blocks of a 3-D parity sector
+    whose three axes share a parity (n levels per axis): every permutation
+    of the axes leaves the Hamiltonian and the sector unchanged.  The rows
+    are combinations within one S3 orbit of index triples (a, b, c): A1
+    their symmetric sum; A2 their antisymmetric sum, when a, b and c all
+    differ; E the part of the span symmetric under the swap of the first two
+    axes that is orthogonal to A1, which is one row of the two-dimensional
+    irrep, so each E level is a level of the sector twice."""
     tri = np.array(list(itertools.combinations_with_replacement(range(n), 3)))
     a, b, c = tri.T
     distinct = tri[(a < b) & (b < c)]
-    bases = (
-        _orbit_rows(tri, _A1, n),
-        _orbit_rows(distinct, _A2, n),
-        vstack([_orbit_rows(tri[a < c], _E1, n), _orbit_rows(distinct, _E2, n)]),
+    shape = (n, n, n)
+    return (
+        _orbit_rows(tri, _S3, _A1, shape),
+        _orbit_rows(distinct, _S3, _A2, shape),
+        vstack([_orbit_rows(tri[a < c], _S3, _E1, shape),
+                _orbit_rows(distinct, _S3, _E2, shape)]),
     )
-    return [(B @ H @ B.T).toarray() for B in bases]
+
+
+def _s3_irreps(H, n):
+    """Dense A1, A2 and E blocks ``B H B^T`` of the sparse block H over the
+    rows of :func:`_s3_rows`: the pieces :func:`_pieces` makes of a 3-D
+    sector with three equal parities, as the 3-D solve densifies them."""
+    return [(B @ H @ B.T).toarray() for B in _s3_rows(n)]
+
+
+def _pieces(H, sec, N):
+    """Sparse ``(piece, copies)`` pairs of the block H of parity sector
+    ``sec`` (N levels per axis): the levels of the pieces, each taken
+    ``copies`` times, are the levels of H.  The pieces are ``B H B^T`` over
+    the rows of the S3 irreps when all three axes share a parity (E taken
+    twice), else of the swap halves when two axes do, else H itself."""
+    if len(sec) == 3 and len(set(sec)) == 1:
+        rows = zip(_s3_rows(len(range(sec[0], N, 2))), (1, 1, 2))
+    else:
+        rows = ((B, 1) for B in _swap_rows(sec, N) or ())
+    return [(B @ H @ B.T, copies) for B, copies in rows] or [(H, 1)]
+
+
+def _bandwidth(h):
+    """Number of nonzero superdiagonals of the symmetric matrix h."""
+    r, c = h.nonzero()
+    return int(np.max(c - r, initial=0))
+
+
+def _upper_band(h, width):
+    """The diagonal and ``width`` superdiagonals of the symmetric (sparse)
+    matrix h in the upper band layout of ``eigvals_banded``."""
+    band = np.zeros((width + 1, h.shape[0]))
+    for k in range(width + 1):
+        band[width - k, k:] = h.diagonal(k)
+    return band
+
+
+def _form_levels(form, d):
+    """Levels of a piece of the d-axis model in the form its solver takes:
+    a planar piece as its upper band (:func:`_upper_band`), solved by
+    ``eigvals_banded``; a 3-D piece sparse, solved densified by ``eigh``,
+    which beat the band solver there (3-D bands are about N^2/4 wide)."""
+    if d == 2:
+        return eigvals_banded(form, overwrite_a_band=True)
+    return eigh(form.toarray(), eigvals_only=True, overwrite_a=True)
 
 
 class HamiltonianBlocks:
@@ -194,25 +272,16 @@ class HamiltonianBlocks:
             raise DomainError(f"basis dimension {N**d} exceeds the size cap {SIZE_CAP}")
         self.params = params
         self.basis = basis
-        x2, p2 = _one_axis_ops(N, params.hbar, basis.oscillator_scale)
-        sl = _parity_slices(N)
-        xb = {p: x2[np.ix_(sl[p], sl[p])] for p in (0, 1)}
-        pb = {p: p2[np.ix_(sl[p], sl[p])] for p in (0, 1)}
         g2, v2 = params.g**2, params.v**2
-        pairs = [(0, 1)] if d == 2 else [(0, 1), (1, 2), (2, 0)]
-        self.blocks = []
-        for sec in itertools.product((0, 1), repeat=d):
-            eyes = [np.eye(len(sl[p])) for p in sec]
-
-            def embed(ops):
-                return [ops.get(i, eyes[i]) for i in range(d)]
-
-            T = _kron_sum([(0.5, embed({i: pb[sec[i]]})) for i in range(d)])
-            V = _kron_sum(
-                [(0.5 * v2, embed({i: xb[sec[i]]})) for i in range(d)]
-                + [(0.5 * g2, embed({i: xb[sec[i]], j: xb[sec[j]]})) for i, j in pairs]
+        x2, p2 = _one_axis_ops(N, params.hbar, basis.oscillator_scale)
+        self.blocks = [
+            (
+                sec,
+                _kron_sum(kinetic),
+                _kron_sum([(c * v2, f) for c, f in harmonic] + [(c * g2, f) for c, f in quartic]),
             )
-            self.blocks.append((sec, T, V))
+            for sec, kinetic, harmonic, quartic in _sector_terms(d, x2, p2)
+        ]
 
     @property
     def dimension(self):
@@ -224,9 +293,7 @@ class HamiltonianBlocks:
 
         Sectors whose parities are permutations of each other have the same
         spectrum, so one representative of each orbit, keyed by its sorted
-        parities, is solved and every member gets its levels.  A dense
-        block is solved as its S3 irreps when its three axes share a parity
-        (:func:`_s3_irreps`), else as its swap halves when two axes do."""
+        parities, is solved and every member gets its levels (:func:`_levels`)."""
         N = self.basis.cutoff_per_axis
         solved = {}
         sector_data = []
@@ -241,17 +308,19 @@ class HamiltonianBlocks:
 
 def _levels(H, sec, N):
     """Sorted levels of the sparse block H of parity sector ``sec``: all of
-    them at or below ``DENSE_BLOCK_CAP``, else the lowest
-    ``ITERATIVE_LEVELS``.  Read-only, as the sectors of an orbit share them."""
+    them at or below ``DENSE_BLOCK_CAP``, from its :func:`_pieces` (planar
+    ones from their band, 3-D ones dense, see :func:`_form_levels`), else
+    the lowest ``ITERATIVE_LEVELS`` of the whole block by ``eigsh``.
+    Read-only, as the sectors of an orbit share them."""
     if H.shape[0] > DENSE_BLOCK_CAP:
         kk = min(ITERATIVE_LEVELS, H.shape[0] - 2)
         w = eigsh(H, k=kk, which="SA", return_eigenvectors=False)
-    elif len(sec) == 3 and len(set(sec)) == 1:
-        a1, a2, e = (eigh(h, eigvals_only=True) for h in _s3_irreps(H, len(range(sec[0], N, 2))))
-        w = np.concatenate([a1, a2, e, e])  # E is two-dimensional
     else:
-        parts = _swap_halves(H, sec, N) or (H.toarray(),)
-        w = np.concatenate([eigh(h, eigvals_only=True) for h in parts])
+        d = len(sec)
+        w = np.concatenate([
+            np.tile(_form_levels(_upper_band(h, _bandwidth(h)) if d == 2 else h, d), copies)
+            for h, copies in _pieces(H, sec, N)
+        ])
     w = np.sort(w)
     w.flags.writeable = False
     return w
@@ -268,24 +337,63 @@ def _omega_grid(params):
     return np.exp(np.linspace(math.log(0.05 * s), math.log(20.0 * s), SCAN_POINTS))
 
 
+def _omega_free_pieces(params, N):
+    """The solved pieces of the basis of N levels per axis with the
+    frequency factored out, as ``(copies, K, X, Q)`` per piece.
+
+    At frequency omega the 1-D operators are x^2 = (hbar/omega) X and
+    p^2 = hbar omega P, so every block is
+    omega K + (v^2/omega) X + (g^2/omega^2) Q with K, X and Q its kinetic,
+    harmonic and quartic parts at omega = 1.  Those are assembled and split
+    into :func:`_pieces` once, for one sector of each orbit (``copies``
+    counts the orbit and the E irrep), and kept in the form
+    :func:`_form_levels` takes, planar ones as bands of one common width.
+    A block above ``DENSE_BLOCK_CAP`` would be solved only for its lowest
+    levels, so it raises :class:`ConvergenceError`."""
+    d = params.n_model
+    out = []
+    for sec, *terms in _sector_terms(d, *_one_axis_ops(N, params.hbar, 1.0)):
+        if list(sec) != sorted(sec):
+            continue  # the orbit is solved as its sorted member
+        parts = [_kron_sum(t) for t in terms]
+        size = parts[0].shape[0]
+        if size > DENSE_BLOCK_CAP:
+            raise ConvergenceError(
+                f"omega scan basis N = {N} has a {size}-state block above the dense "
+                f"cap {DENSE_BLOCK_CAP}, whose higher levels would be missing",
+            )
+        orbit = math.comb(d, sum(sec))
+        for (K, copies), (X, _), (Q, _) in zip(*(_pieces(m, sec, N) for m in parts)):
+            forms = (K, X, Q)
+            if d == 2:
+                width = max(map(_bandwidth, forms))
+                forms = tuple(_upper_band(m, width) for m in forms)
+            out.append((orbit * copies, *forms))
+    return out
+
+
+def _levels_at(pieces, params, omega):
+    """Sorted levels at frequency ``omega`` of :func:`_omega_free_pieces`."""
+    d = params.n_model
+    a, b = params.v**2 / omega, params.g**2 / omega**2
+    return np.sort(np.concatenate([
+        np.tile(_form_levels(omega * K + a * X + b * Q, d), copies)
+        for copies, K, X, Q in pieces
+    ]))
+
+
 def trace_maximizing_omega(params, t_ref):
     """Basis frequency of :func:`_omega_grid` maximizing the truncated
     partition sum at ``t_ref``; every truncated sum is a lower bound, so the
     maximum is the tightest.  Scanned at the prescan basis of
-    ``SCAN_CUTOFF`` levels per axis, which must be solved completely: raises
-    :class:`ConvergenceError` when a sector's higher levels are missing."""
+    ``SCAN_CUTOFF`` levels per axis, which is assembled and split once
+    (:func:`_omega_free_pieces`); each grid frequency only combines and
+    solves its pieces.  The basis must be solved completely: raises
+    :class:`ConvergenceError` when a block is above ``DENSE_BLOCK_CAP``."""
+    pieces = _omega_free_pieces(params, SCAN_CUTOFF)
     best, best_om = -np.inf, None
     for om in _omega_grid(params):
-        h = HamiltonianBlocks(params, BasisSpec(SCAN_CUTOFF, float(om)))
-        ev, sectors = h.solve()
-        n = _complete_count(ev, sectors)
-        if n < len(ev):
-            raise ConvergenceError(
-                f"omega scan basis N = {SCAN_CUTOFF} solved only partly "
-                f"(complete below level {n} of {len(ev)})",
-                first_unconverged=n,
-            )
-        z = float(np.sum(np.exp(-t_ref * ev)))
+        z = float(np.sum(np.exp(-t_ref * _levels_at(pieces, params, float(om)))))
         if z > best:
             best, best_om = z, float(om)
     return best_om

@@ -346,6 +346,20 @@ class TestExitCodes:
                      "--basis-n", "32", "--out", str(out)])
         assert code == 3 and not out.exists()
 
+    @pytest.mark.parametrize("g, v", [("0", "0"), ("0", "0:1:3"), ("0:1:2", "0")])
+    def test_free_particle_point_fails_before_the_scan(self, capsys, monkeypatch, g, v):
+        # g = v = 0 anywhere on the grid is the free particle, whose scan
+        # would end in a convergence failure and lose the other rows
+        from ymqm import spectral
+
+        def boom(*args, **kwargs):
+            raise AssertionError("the omega scan ran")
+
+        monkeypatch.setattr(spectral, "trace_maximizing_omega", boom)
+        assert main(["spectrum", "--g", g, "--v", v, "--t", "1"]) == 3
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "config" and "free particle" in err["message"]
+
     def test_basis_that_cannot_fit_fails_before_the_scan(self, capsys, monkeypatch):
         # 3-D: the N + 8 enlargement of the convergence check must fit SIZE_CAP
         from ymqm import spectral
@@ -413,10 +427,13 @@ class TestExitCodes:
         assert build_config(["compare", "--disc-tol", "0"]).disc_tol == 0.0
 
     def test_axis_domain_boundaries_accepted(self):
-        cfg = build_config(
-            ["spectrum", "--g", "0", "--v", "0:1:3", "--hbar", "1e-3", "--t", "0.1:2:3:log"]
-        )
-        assert (cfg.g, cfg.v) == ("0", "0:1:3")
+        # g = 0 and v = 0 are each accepted; together they are the free
+        # particle, which spectrum refuses
+        for g, v in (("0", "0.5:1:3"), ("0:1:3", "0.5"), ("1", "0:1:3")):
+            cfg = build_config(
+                ["spectrum", "--g", g, "--v", v, "--hbar", "1e-3", "--t", "0.1:2:3:log"]
+            )
+            assert (cfg.g, cfg.v) == (g, v)
 
     @pytest.mark.parametrize("argv", [
         ["tf", "--g", "0", "--v", "1"],
@@ -659,8 +676,8 @@ class TestResultSnapshot:
          "63dbc3f303d682c6fa2cdcac03d1d27f5567696fe1f5a2ecdddd64334737ecc1"),
         ("spectrum.csv", ["spectrum", "--g", "1", "--v", "1", "--t", "2:3:2",
                           "--omega", "1.2", "--basis-n", "24"], 1,
-         "cd397715ad189bc221cd9600971803eac4b436eef22377e6145d1cae4a3064ab",
-         "fc833b91a405a107e5a1884b3748dfa81db09efa366a3b7d2c2958b89c8c90b7"),
+         "d23d870c02c238086e3b32ae3cb71b9d5e5cd42187891325889f9c3ea91c8d1d",
+         "d31d775aa3c4aa3da994c118c666841136aa16ffe6b93a1145db392caf65358f"),
         ("config.json", ["compare", "--config", "{cfg}", "--t", "0.7"], 0,
          "d5e213740f8611a81400504224a85340d641546acad70a9d2335650495207147",
          "6a53897583867a25f36f751e6e0d225361c44741d8751b6fd86d416206c50917"),

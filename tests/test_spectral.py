@@ -88,19 +88,28 @@ class TestMatrixElements:
             ref = np.linalg.eigvalsh((T + V).toarray())
             np.testing.assert_allclose(w, ref, rtol=0, atol=1e-11)
 
+    @pytest.mark.parametrize("v", [0.0, 0.4])
+    def test_planar_band_solve_matches_dense_block(self, v):
+        # every planar piece is solved from its band; together they give the
+        # levels of each undivided parity block
+        p = ModelParams(g=1.0, v=v, hbar=1.0, t=1.0)
+        _, sectors = build_hamiltonian(p, BasisSpec(40, 1.0)).solve()
+        for sec, w, T, V in sectors:
+            ref = np.linalg.eigvalsh((T + V).toarray())
+            np.testing.assert_allclose(w, ref, rtol=1e-10, atol=0)
+
     @pytest.mark.parametrize("d, calls", [(2, 5), (3, 10)])
     def test_one_solve_per_symmetry_class(self, monkeypatch, d, calls):
-        # one dense solve per orbit of permuted parity sectors: planar (0,0)
-        # and (1,1) as swap halves, (0,1) whole; 3-D 001 and 011 as swap
-        # halves, 000 and 111 as their A1, A2 and E blocks
-        real = spectral.eigh
+        # one solve per piece of each orbit of permuted parity sectors, band
+        # or dense: planar (0,0) and (1,1) as swap halves, (0,1) whole; 3-D
+        # 001 and 011 as swap halves, 000 and 111 as their A1, A2 and E blocks
         seen = []
+        for name in ("eigh", "eigvals_banded"):
+            def counting(a, *args, real=getattr(spectral, name), **kwargs):
+                seen.append(a.shape)
+                return real(a, *args, **kwargs)
 
-        def counting(a, *args, **kwargs):
-            seen.append(a.shape)
-            return real(a, *args, **kwargs)
-
-        monkeypatch.setattr(spectral, "eigh", counting)
+            monkeypatch.setattr(spectral, name, counting)
         p = ModelParams(g=1.0, v=0.4, hbar=1.0, t=1.0, n_model=d)
         _, sectors = build_hamiltonian(p, BasisSpec(10, 1.0)).solve()
         assert len(seen) == calls
@@ -257,6 +266,43 @@ class TestOmegaChoices:
     def test_harmonic_prescan_recovers_matched_scale(self):
         om = trace_maximizing_omega(HARMONIC, t_ref=1.0)
         assert om == pytest.approx(1.0, rel=0.35)
+
+
+# planar with v > 0, planar at v = 0, and 3-D on a smaller scan basis
+SCAN_CASES = [
+    (ModelParams(g=1.0, v=0.4, hbar=1.0, t=1.0), None),
+    (QUARTIC, None),
+    (ModelParams(g=1.0, v=0.5, hbar=1.0, t=1.0, n_model=3), 10),
+]
+
+
+class TestOmegaFreeScan:
+    @pytest.mark.parametrize("p, cutoff", SCAN_CASES)
+    def test_factored_levels_match_direct_assembly(self, monkeypatch, p, cutoff):
+        # omega K + (v^2/omega) X + (g^2/omega^2) Q, split once, gives the
+        # levels of the basis assembled at omega
+        if cutoff:
+            monkeypatch.setattr(spectral, "SCAN_CUTOFF", cutoff)
+        N = spectral.SCAN_CUTOFF
+        pieces = spectral._omega_free_pieces(p, N)
+        grid = spectral._omega_grid(p)
+        for om in (grid[0], grid[len(grid) // 2], grid[-1]):
+            direct, _ = build_hamiltonian(p, BasisSpec(N, float(om))).solve()
+            factored = spectral._levels_at(pieces, p, float(om))
+            np.testing.assert_allclose(factored, direct, rtol=1e-11, atol=0)
+
+    @pytest.mark.parametrize("p, cutoff", SCAN_CASES)
+    def test_scan_picks_the_per_frequency_choice(self, monkeypatch, p, cutoff):
+        # the grid frequency of a loop that assembles and solves every basis
+        if cutoff:
+            monkeypatch.setattr(spectral, "SCAN_CUTOFF", cutoff)
+        for t_ref in (0.4, 1.0, 2.5):
+            zs = []
+            for om in spectral._omega_grid(p):
+                ev, _ = build_hamiltonian(p, BasisSpec(spectral.SCAN_CUTOFF, float(om))).solve()
+                zs.append(np.sum(np.exp(-t_ref * ev)))
+            best = float(spectral._omega_grid(p)[int(np.argmax(zs))])
+            assert trace_maximizing_omega(p, t_ref) == best
 
 
 class TestLeadingLogStudy:
