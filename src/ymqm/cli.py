@@ -654,6 +654,10 @@ def _check_spectrum(cfg, swept):
             )
         if cfg.model == "n3":
             raise ConfigError("--study is defined for the planar model (--model n2)")
+        if 0.0 in _parse_axis(cfg.g):
+            raise ConfigError(
+                "--study needs g > 0: its t window scales as (g^2 hbar^4)^(-1/3)"
+            )
         try:
             spectral.study_ladder(cfg.basis_n)
         except DomainError as exc:

@@ -4,26 +4,28 @@ The quantum Hamiltonians are assembled in a product basis of harmonic
 oscillator levels (frequency ``omega`` per axis, a numerical knob), where
 x^2 and p^2 have exact ladder-operator matrix elements and the pairwise
 quartic couplings are tensor products of 1-D x^2 matrices.  Per-axis parity
-is conserved, so the matrix splits into 2^d blocks, each assembled sparse
-from the tridiagonal 1-D factors.  The Hamiltonian is symmetric under every
-permutation of the axes, so sectors whose parities are permutations of each
-other (planar (0,1) and (1,0); 3-D {001, 010, 100} and {011, 101, 110})
-have the same spectrum: one sector of each such orbit is solved and its
-levels serve the whole orbit.  A block at or below a size cap is solved
-completely, split by the permutations that leave its sector unchanged: when
-all three axes share a parity (3-D 000 and 111), into the irreps A1, A2 and
-E of S3, whose two-dimensional E gives each of its levels twice; when two
-axes share a parity, into the symmetric and antisymmetric halves under their
-swap.  In its natural order a planar piece is a band matrix about N/2 wide,
-so it is solved from its upper band by LAPACK's band solver; a 3-D piece,
-whose band is about N^2/4 wide, by dense LAPACK.  Above the cap an iterative
-extremal solver returns only the lowest levels of the whole block.
+is conserved, so the matrix splits into 2^d blocks.  The Hamiltonian is
+symmetric under every permutation of the axes, so sectors whose parities are
+permutations of each other (planar (0,1) and (1,0); 3-D {001, 010, 100} and
+{011, 101, 110}) have the same spectrum: only one sector of each such orbit
+is assembled, sparse from the tridiagonal 1-D factors, and its levels serve
+the whole orbit.
 
 At frequency omega the 1-D operators are x^2 = (hbar/omega) X and
 p^2 = hbar omega P, so every block is omega K + (v^2/omega) X +
 (g^2/omega^2) Q in its kinetic, harmonic and quartic parts K, X and Q at
-omega = 1.  The omega scan assembles and splits those once, and each of its
-frequencies only combines and solves the pieces.
+omega = 1.  A basis keeps those parts, and the rows that split its blocks,
+built once; solving it at a frequency forms each block there and solves it.
+A block at or below a size cap is solved completely, split by the
+permutations that leave its sector unchanged: when all three axes share a
+parity (3-D 000 and 111), into the irreps A1, A2 and E of S3, whose
+two-dimensional E gives each of its levels twice; when two axes share a
+parity, into the symmetric and antisymmetric halves under their swap.  In
+its natural order a planar piece is a band matrix about N/2 wide, so it is
+solved from its upper band by LAPACK's band solver; a 3-D piece, whose band
+is about N^2/4 wide, by dense LAPACK.  Above the cap an iterative extremal
+solver returns only the lowest levels of the whole block.  The omega scan
+solves one such basis at each of its frequencies.
 
 Every computed eigenvalue is variational (an upper bound that decreases
 monotonically with the cutoff), hence every truncated partition sum is a
@@ -85,16 +87,17 @@ class SpectrumResult:
         return self.eigenvalues[: self.count_converged]
 
 
-def _one_axis_ops(N, hbar, omega):
-    """x^2 and p^2 on levels 0..N-1 (couplings k <-> k+2 only)."""
+def _one_axis_ops(N, hbar):
+    """x^2 and p^2 at unit frequency on levels 0..N-1 (couplings k <-> k+2
+    only); at frequency omega they are x^2/omega and omega p^2."""
     k = np.arange(N)
     off = np.sqrt((k[: N - 2] + 1.0) * (k[: N - 2] + 2.0))
-    x2 = np.diag((hbar / omega) * (k + 0.5))
-    x2[np.arange(N - 2), np.arange(2, N)] = hbar / (2.0 * omega) * off
-    x2[np.arange(2, N), np.arange(N - 2)] = hbar / (2.0 * omega) * off
-    p2 = np.diag((hbar * omega) * (k + 0.5))
-    p2[np.arange(N - 2), np.arange(2, N)] = -hbar * omega / 2.0 * off
-    p2[np.arange(2, N), np.arange(N - 2)] = -hbar * omega / 2.0 * off
+    x2 = np.diag(hbar * (k + 0.5))
+    x2[np.arange(N - 2), np.arange(2, N)] = hbar / 2.0 * off
+    x2[np.arange(2, N), np.arange(N - 2)] = hbar / 2.0 * off
+    p2 = np.diag(hbar * (k + 0.5))
+    p2[np.arange(N - 2), np.arange(2, N)] = -hbar / 2.0 * off
+    p2[np.arange(2, N), np.arange(N - 2)] = -hbar / 2.0 * off
     return x2, p2
 
 
@@ -216,54 +219,49 @@ def _s3_rows(n):
     )
 
 
-def _s3_irreps(H, n):
-    """Dense A1, A2 and E blocks ``B H B^T`` of the sparse block H over the
-    rows of :func:`_s3_rows`: the pieces :func:`_pieces` makes of a 3-D
-    sector with three equal parities, as the 3-D solve densifies them."""
-    return [(B @ H @ B.T).toarray() for B in _s3_rows(n)]
-
-
-def _pieces(H, sec, N):
-    """Sparse ``(piece, copies)`` pairs of the block H of parity sector
-    ``sec`` (N levels per axis): the levels of the pieces, each taken
-    ``copies`` times, are the levels of H.  The pieces are ``B H B^T`` over
-    the rows of the S3 irreps when all three axes share a parity (E taken
-    twice), else of the swap halves when two axes do, else H itself."""
+def _split_rows(sec, N):
+    """``(B, copies)`` pairs that split the block of parity sector ``sec``
+    (N levels per axis) into pieces ``B H B^T`` whose levels, each taken
+    ``copies`` times, are the levels of the block: the S3 irreps when all
+    three axes share a parity (E taken twice), else the swap halves when two
+    axes do; empty when every axis has its own parity."""
     if len(sec) == 3 and len(set(sec)) == 1:
-        rows = zip(_s3_rows(len(range(sec[0], N, 2))), (1, 1, 2))
-    else:
-        rows = ((B, 1) for B in _swap_rows(sec, N) or ())
-    return [(B @ H @ B.T, copies) for B, copies in rows] or [(H, 1)]
+        return list(zip(_s3_rows(len(range(sec[0], N, 2))), (1, 1, 2)))
+    return [(B, 1) for B in _swap_rows(sec, N) or ()]
 
 
-def _bandwidth(h):
-    """Number of nonzero superdiagonals of the symmetric matrix h."""
-    r, c = h.nonzero()
-    return int(np.max(c - r, initial=0))
-
-
-def _upper_band(h, width):
-    """The diagonal and ``width`` superdiagonals of the symmetric (sparse)
-    matrix h in the upper band layout of ``eigvals_banded``."""
+def _upper_band(h):
+    """The diagonal and the superdiagonals up to the last nonzero one of the
+    symmetric sparse matrix h, in the upper band layout of
+    ``eigvals_banded``."""
+    h = h.tocoo()
+    keep = (h.col >= h.row) & (h.data != 0)
+    r, c, v = h.row[keep], h.col[keep], h.data[keep]
+    width = int(np.max(c - r, initial=0))
     band = np.zeros((width + 1, h.shape[0]))
-    for k in range(width + 1):
-        band[width - k, k:] = h.diagonal(k)
+    band[width - (c - r), c] = v
     return band
 
 
-def _form_levels(form, d):
-    """Levels of a piece of the d-axis model in the form its solver takes:
-    a planar piece as its upper band (:func:`_upper_band`), solved by
-    ``eigvals_banded``; a 3-D piece sparse, solved densified by ``eigh``,
-    which beat the band solver there (3-D bands are about N^2/4 wide)."""
+def _piece_levels(h, d):
+    """All levels of the sparse piece h of the d-axis model: a planar piece
+    from its upper band (:func:`_upper_band`) by ``eigvals_banded``; a 3-D
+    piece densified by ``eigh``, which beat the band solver there (3-D bands
+    are about N^2/4 wide)."""
     if d == 2:
-        return eigvals_banded(form, overwrite_a_band=True)
-    return eigh(form.toarray(), eigvals_only=True, overwrite_a=True)
+        return eigvals_banded(_upper_band(h), overwrite_a_band=True)
+    return eigh(h.toarray(), eigvals_only=True, overwrite_a=True)
 
 
 class HamiltonianBlocks:
-    """Parity-blocked sparse matrices of H = T + V, with T and V kept
-    separate."""
+    """The parity blocks of H = T + V in the product basis, kept free of the
+    basis frequency so that any frequency can be solved.
+
+    ``blocks`` holds ``(sec, K, (X, Q))`` for one sector of each orbit of
+    permuted parities (its sorted member): the sparse kinetic, harmonic and
+    quartic parts at omega = 1, so that at frequency omega the block is
+    omega K + (v^2/omega) X + (g^2/omega^2) Q.  The rows that split each
+    block (:func:`_split_rows`) are built once with it."""
 
     def __init__(self, params, basis):
         d = params.n_model
@@ -272,58 +270,51 @@ class HamiltonianBlocks:
             raise DomainError(f"basis dimension {N**d} exceeds the size cap {SIZE_CAP}")
         self.params = params
         self.basis = basis
-        g2, v2 = params.g**2, params.v**2
-        x2, p2 = _one_axis_ops(N, params.hbar, basis.oscillator_scale)
-        self.blocks = [
-            (
-                sec,
-                _kron_sum(kinetic),
-                _kron_sum([(c * v2, f) for c, f in harmonic] + [(c * g2, f) for c, f in quartic]),
-            )
-            for sec, kinetic, harmonic, quartic in _sector_terms(d, x2, p2)
-        ]
+        self.blocks = []
+        self._rows = []
+        for sec, kinetic, harmonic, quartic in _sector_terms(d, *_one_axis_ops(N, params.hbar)):
+            if list(sec) != sorted(sec):
+                continue  # the orbit is solved as its sorted member
+            self.blocks.append((sec, _kron_sum(kinetic), (_kron_sum(harmonic), _kron_sum(quartic))))
+            self._rows.append(_split_rows(sec, N))
 
     @property
     def dimension(self):
-        return sum(T.shape[0] for _, T, _ in self.blocks)
+        return self.basis.cutoff_per_axis**self.params.n_model
+
+    def levels(self, omega):
+        """Sorted merged spectrum at basis frequency ``omega`` and per-sector
+        ``(sec, w, size)``, one entry per parity sector.
+
+        Each orbit's block is solved once and every sector of the orbit gets
+        its sorted, read-only levels w: all of them at or below
+        ``DENSE_BLOCK_CAP``, from the pieces of :func:`_split_rows`
+        (:func:`_piece_levels`), else the lowest ``ITERATIVE_LEVELS`` of the
+        whole block by ``eigsh``."""
+        d = self.params.n_model
+        a, b = self.params.v**2 / omega, self.params.g**2 / omega**2
+        solved = {}
+        for (sec, K, (X, Q)), rows in zip(self.blocks, self._rows):
+            H = omega * K + a * X + b * Q
+            size = H.shape[0]
+            if size > DENSE_BLOCK_CAP:
+                kk = min(ITERATIVE_LEVELS, size - 2)
+                w = eigsh(H, k=kk, which="SA", return_eigenvectors=False)
+            else:
+                pieces = [(B @ H @ B.T, copies) for B, copies in rows] or [(H, 1)]
+                w = np.concatenate([np.tile(_piece_levels(h, d), c) for h, c in pieces])
+            w = np.sort(w)
+            w.flags.writeable = False
+            solved[sec] = (w, size)
+        sectors = [
+            (sec, *solved[tuple(sorted(sec))]) for sec in itertools.product((0, 1), repeat=d)
+        ]
+        merged = np.sort(np.concatenate([w for _, w, _ in sectors]))
+        return merged, sectors
 
     def solve(self):
-        """Sorted merged spectrum and per-sector ``(sec, w, T, V)``, one
-        entry per parity sector.
-
-        Sectors whose parities are permutations of each other have the same
-        spectrum, so one representative of each orbit, keyed by its sorted
-        parities, is solved and every member gets its levels (:func:`_levels`)."""
-        N = self.basis.cutoff_per_axis
-        solved = {}
-        sector_data = []
-        for sec, T, V in self.blocks:
-            key = tuple(sorted(sec))
-            if key not in solved:
-                solved[key] = _levels(T + V, sec, N)
-            sector_data.append((sec, solved[key], T, V))
-        merged = np.sort(np.concatenate([w for _, w, _, _ in sector_data]))
-        return merged, sector_data
-
-
-def _levels(H, sec, N):
-    """Sorted levels of the sparse block H of parity sector ``sec``: all of
-    them at or below ``DENSE_BLOCK_CAP``, from its :func:`_pieces` (planar
-    ones from their band, 3-D ones dense, see :func:`_form_levels`), else
-    the lowest ``ITERATIVE_LEVELS`` of the whole block by ``eigsh``.
-    Read-only, as the sectors of an orbit share them."""
-    if H.shape[0] > DENSE_BLOCK_CAP:
-        kk = min(ITERATIVE_LEVELS, H.shape[0] - 2)
-        w = eigsh(H, k=kk, which="SA", return_eigenvectors=False)
-    else:
-        d = len(sec)
-        w = np.concatenate([
-            np.tile(_form_levels(_upper_band(h, _bandwidth(h)) if d == 2 else h, d), copies)
-            for h, copies in _pieces(H, sec, N)
-        ])
-    w = np.sort(w)
-    w.flags.writeable = False
-    return w
+        """:meth:`levels` at the basis frequency."""
+        return self.levels(self.basis.oscillator_scale)
 
 
 def build_hamiltonian(params, basis):
@@ -337,63 +328,26 @@ def _omega_grid(params):
     return np.exp(np.linspace(math.log(0.05 * s), math.log(20.0 * s), SCAN_POINTS))
 
 
-def _omega_free_pieces(params, N):
-    """The solved pieces of the basis of N levels per axis with the
-    frequency factored out, as ``(copies, K, X, Q)`` per piece.
-
-    At frequency omega the 1-D operators are x^2 = (hbar/omega) X and
-    p^2 = hbar omega P, so every block is
-    omega K + (v^2/omega) X + (g^2/omega^2) Q with K, X and Q its kinetic,
-    harmonic and quartic parts at omega = 1.  Those are assembled and split
-    into :func:`_pieces` once, for one sector of each orbit (``copies``
-    counts the orbit and the E irrep), and kept in the form
-    :func:`_form_levels` takes, planar ones as bands of one common width.
-    A block above ``DENSE_BLOCK_CAP`` would be solved only for its lowest
-    levels, so it raises :class:`ConvergenceError`."""
-    d = params.n_model
-    out = []
-    for sec, *terms in _sector_terms(d, *_one_axis_ops(N, params.hbar, 1.0)):
-        if list(sec) != sorted(sec):
-            continue  # the orbit is solved as its sorted member
-        parts = [_kron_sum(t) for t in terms]
-        size = parts[0].shape[0]
-        if size > DENSE_BLOCK_CAP:
-            raise ConvergenceError(
-                f"omega scan basis N = {N} has a {size}-state block above the dense "
-                f"cap {DENSE_BLOCK_CAP}, whose higher levels would be missing",
-            )
-        orbit = math.comb(d, sum(sec))
-        for (K, copies), (X, _), (Q, _) in zip(*(_pieces(m, sec, N) for m in parts)):
-            forms = (K, X, Q)
-            if d == 2:
-                width = max(map(_bandwidth, forms))
-                forms = tuple(_upper_band(m, width) for m in forms)
-            out.append((orbit * copies, *forms))
-    return out
-
-
-def _levels_at(pieces, params, omega):
-    """Sorted levels at frequency ``omega`` of :func:`_omega_free_pieces`."""
-    d = params.n_model
-    a, b = params.v**2 / omega, params.g**2 / omega**2
-    return np.sort(np.concatenate([
-        np.tile(_form_levels(omega * K + a * X + b * Q, d), copies)
-        for copies, K, X, Q in pieces
-    ]))
-
-
 def trace_maximizing_omega(params, t_ref):
     """Basis frequency of :func:`_omega_grid` maximizing the truncated
     partition sum at ``t_ref``; every truncated sum is a lower bound, so the
     maximum is the tightest.  Scanned at the prescan basis of
-    ``SCAN_CUTOFF`` levels per axis, which is assembled and split once
-    (:func:`_omega_free_pieces`); each grid frequency only combines and
-    solves its pieces.  The basis must be solved completely: raises
-    :class:`ConvergenceError` when a block is above ``DENSE_BLOCK_CAP``."""
-    pieces = _omega_free_pieces(params, SCAN_CUTOFF)
+    ``SCAN_CUTOFF`` levels per axis, which is assembled and its split rows
+    built once; each grid frequency solves it through
+    :meth:`HamiltonianBlocks.levels`.  The basis must be solved completely:
+    raises :class:`ConvergenceError` before any solve when a block is above
+    ``DENSE_BLOCK_CAP``."""
+    h = HamiltonianBlocks(params, BasisSpec(SCAN_CUTOFF, 1.0))
+    size = max(K.shape[0] for _, K, _ in h.blocks)
+    if size > DENSE_BLOCK_CAP:
+        raise ConvergenceError(
+            f"omega scan basis N = {SCAN_CUTOFF} has a {size}-state block above the dense "
+            f"cap {DENSE_BLOCK_CAP}, whose higher levels would be missing",
+        )
     best, best_om = -np.inf, None
     for om in _omega_grid(params):
-        z = float(np.sum(np.exp(-t_ref * _levels_at(pieces, params, float(om)))))
+        merged, _ = h.levels(float(om))
+        z = float(np.sum(np.exp(-t_ref * merged)))
         if z > best:
             best, best_om = z, float(om)
     return best_om
@@ -411,7 +365,7 @@ def _complete_count(merged, sector_data):
     """Length of the prefix of the merged spectrum with no level missing: a
     sector solved iteratively returns only its lowest levels, so above its
     top one the merge may skip levels of that sector."""
-    tops = [w[-1] for _, w, T, _ in sector_data if len(w) < T.shape[0]]
+    tops = [w[-1] for _, w, size in sector_data if len(w) < size]
     if not tops:
         return len(merged)
     return int(np.searchsorted(merged, min(tops), side="right"))
@@ -459,7 +413,7 @@ def eigenvalues(handle, how_many, conv_tol=1e-6):
         conv_tol=conv_tol,
         count_converged=count,
         params=handle.params,
-        sectors=[(sec, w) for sec, w, _, _ in sectors],
+        sectors=[(sec, w) for sec, w, _ in sectors],
     )
 
 

@@ -133,3 +133,17 @@ def test_unreferenced_functions_are_test_oracles():
         if short not in refs and "test oracle" not in doc.lower()
     ]
     assert not unmarked, f"no caller in src/ or perfbench/, and not a test oracle: {unmarked}"
+
+
+@pytest.mark.parametrize("d, N", [(2, 12), (3, 7)])
+def test_build_counters_read_real_handles(d, N):
+    # the tracer's spectral.build callback unpacks the handle's blocks; a
+    # change to their shape would otherwise show only in traced benchmark runs
+    from ymqm.params import ModelParams
+    from ymqm.spectral import BasisSpec, HamiltonianBlocks
+
+    params, basis = ModelParams(g=1.0, v=0.5, hbar=1.0, t=1.0, n_model=d), BasisSpec(N, 1.0)
+    tracer = spans.Tracer()
+    tracer._after("spectral.build")((HamiltonianBlocks(params, basis), params, basis), None)
+    assert tracer.counters["spectral.dimension"] == N**d
+    assert tracer.counters["spectral.bytes_assembled"] > 0

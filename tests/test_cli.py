@@ -562,6 +562,23 @@ class TestExitCodes:
             assert build_config(base + ["--basis-n", str(n)]).basis_n == n
         assert main(base + ["--model", "n3", "--basis-n", "28"]) == 3
 
+    def test_study_zero_coupling_exit_three(self, tmp_path, capsys, monkeypatch):
+        # the study's t window needs g > 0; g = 0 is refused before any
+        # computation instead of dividing by g^2 in the route
+        from ymqm import spectral
+
+        def boom(*args, **kwargs):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr(spectral, "leading_log_study", boom)
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("[run]\ng = 0\n")
+        base = ["spectrum", "--study", "--v", "1", "--t", "1"]
+        for args in (base + ["--g", "0"], base + ["--config", str(cfgfile)]):
+            assert main(args) == 3
+            err = json.loads(capsys.readouterr().err.splitlines()[-1])
+            assert err["error"] == "config" and "--study needs g > 0" in err["message"]
+
     def test_study_uses_given_omega(self, tmp_path, monkeypatch):
         from ymqm import spectral
 

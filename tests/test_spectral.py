@@ -20,30 +20,45 @@ HARMONIC = ModelParams(g=0.0, v=1.0, hbar=1.0, t=1.0)
 QUARTIC = ModelParams(g=1.0, v=0.0, hbar=1.0, t=1.0)
 
 
+def _sector_blocks(p, N):
+    """Sparse block of every parity sector at unit basis frequency,
+    permuted members included, assembled from the Kronecker terms of each
+    sector: the reference that the solved levels are checked against."""
+    x2, p2 = spectral._one_axis_ops(N, p.hbar)
+    for sec, kinetic, harmonic, quartic in spectral._sector_terms(p.n_model, x2, p2):
+        yield sec, (
+            spectral._kron_sum(kinetic)
+            + p.v**2 * spectral._kron_sum(harmonic)
+            + p.g**2 * spectral._kron_sum(quartic)
+        )
+
+
 class TestMatrixElements:
     def test_one_dim_x2_diagonal(self):
         from ymqm.spectral import _one_axis_ops
 
-        x2, p2 = _one_axis_ops(6, hbar=2.0, omega=0.5)
+        # unit frequency; a basis frequency omega scales them by 1/omega and omega
+        x2, p2 = _one_axis_ops(6, hbar=2.0)
         k = np.arange(6)
-        assert np.allclose(np.diag(x2), (2.0 / 0.5) * (k + 0.5))
-        assert np.allclose(np.diag(p2), (2.0 * 0.5) * (k + 0.5))
+        assert np.allclose(np.diag(x2), 2.0 * (k + 0.5))
+        assert np.allclose(np.diag(p2), 2.0 * (k + 0.5))
         # off-diagonal couples k, k+2 only
-        assert x2[0, 2] == pytest.approx(2.0 / (2 * 0.5) * math.sqrt(2.0))
+        assert x2[0, 2] == pytest.approx(2.0 / 2 * math.sqrt(2.0))
+        assert p2[0, 2] == pytest.approx(-2.0 / 2 * math.sqrt(2.0))
         assert np.count_nonzero(x2 - np.diag(np.diag(x2))) == 8
 
     def test_hamiltonian_symmetric(self):
         h = build_hamiltonian(QUARTIC, BasisSpec(12, 1.0))
-        for _, T, V in h.blocks:
-            H = (T + V).toarray()
-            assert np.allclose(H, H.T, atol=1e-13)
+        for _, K, (X, Q) in h.blocks:
+            for m in (K, X, Q):
+                m = m.toarray()
+                assert np.allclose(m, m.T, atol=1e-13)
 
     def test_swap_symmetry_of_spectrum(self):
         # the blocks with swapped parities carry identical spectra
-        h = build_hamiltonian(QUARTIC, BasisSpec(10, 1.0))
-        spectra = {}
-        for sec, T, V in h.blocks:
-            spectra[sec] = np.linalg.eigvalsh((T + V).toarray())
+        spectra = {
+            sec: np.linalg.eigvalsh(H.toarray()) for sec, H in _sector_blocks(QUARTIC, 10)
+        }
         assert np.allclose(spectra[(0, 1)], spectra[(1, 0)], atol=1e-10)
 
     def test_dimension_cap(self):
@@ -55,12 +70,15 @@ class TestMatrixElements:
 
     def test_blocking_preserves_merged_spectrum(self):
         # independent unblocked assembly of the full product-basis matrix,
-        # planar and three-coordinate
+        # planar and three-coordinate, at a basis frequency omega != 1,
+        # where x^2 scales by hbar/omega and p^2 by hbar omega
         from ymqm.spectral import _one_axis_ops
 
+        om = 0.7
         for d, N, pairs in ((2, 8, [(0, 1)]), (3, 6, [(0, 1), (1, 2), (2, 0)])):
             p = ModelParams(g=1.0, v=0.4, hbar=1.0, t=1.0, n_model=d)
-            x2, p2 = _one_axis_ops(N, p.hbar, 1.0)
+            x2, p2 = _one_axis_ops(N, 1.0)
+            x2, p2 = (p.hbar / om) * x2, (p.hbar * om) * p2
 
             def on(axes):
                 out = np.eye(1)
@@ -71,7 +89,7 @@ class TestMatrixElements:
             H = sum(0.5 * on({i: p2}) + 0.5 * p.v**2 * on({i: x2}) for i in range(d))
             H = H + sum(0.5 * p.g**2 * on({i: x2, j: x2}) for i, j in pairs)
             full = np.sort(np.linalg.eigvalsh(H))
-            merged, _ = build_hamiltonian(p, BasisSpec(N, 1.0)).solve()
+            merged, _ = build_hamiltonian(p, BasisSpec(N, om)).solve()
             assert np.allclose(merged, full, atol=1e-10)
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -81,11 +99,12 @@ class TestMatrixElements:
         # the symmetric and antisymmetric halves together carry exactly the
         # levels of the undivided parity block
         p = ModelParams(g=g, v=v, hbar=1.0, t=1.0, n_model=d)
-        h = build_hamiltonian(p, BasisSpec(N, 1.0))
-        _, sectors = h.solve()
+        _, sectors = build_hamiltonian(p, BasisSpec(N, 1.0)).solve()
         assert len(sectors) == 2**d
-        for sec, w, T, V in sectors:
-            ref = np.linalg.eigvalsh((T + V).toarray())
+        blocks = dict(_sector_blocks(p, N))
+        for sec, w, size in sectors:
+            ref = np.linalg.eigvalsh(blocks[sec].toarray())
+            assert size == len(ref)
             np.testing.assert_allclose(w, ref, rtol=0, atol=1e-11)
 
     @pytest.mark.parametrize("v", [0.0, 0.4])
@@ -94,8 +113,9 @@ class TestMatrixElements:
         # levels of each undivided parity block
         p = ModelParams(g=1.0, v=v, hbar=1.0, t=1.0)
         _, sectors = build_hamiltonian(p, BasisSpec(40, 1.0)).solve()
-        for sec, w, T, V in sectors:
-            ref = np.linalg.eigvalsh((T + V).toarray())
+        blocks = dict(_sector_blocks(p, 40))
+        for sec, w, _ in sectors:
+            ref = np.linalg.eigvalsh(blocks[sec].toarray())
             np.testing.assert_allclose(w, ref, rtol=1e-10, atol=0)
 
     @pytest.mark.parametrize("d, calls", [(2, 5), (3, 10)])
@@ -120,14 +140,13 @@ class TestMatrixElements:
         # each level of the E block is a doubly degenerate level of the
         # undivided 000 or 111 block, and each A1 and A2 level a simple one
         p = ModelParams(g=1.0, v=0.4, hbar=1.0, t=1.0, n_model=3)
-        h = build_hamiltonian(p, BasisSpec(N, 1.0))
-        for sec, T, V in h.blocks:
+        for sec, H in _sector_blocks(p, N):
             if len(set(sec)) > 1:
                 continue
-            H = T + V
             whole = np.linalg.eigvalsh(H.toarray())
             a1, a2, e = (
-                np.linalg.eigvalsh(b) for b in spectral._s3_irreps(H, len(range(sec[0], N, 2)))
+                np.linalg.eigvalsh((B @ H @ B.T).toarray())
+                for B in spectral._s3_rows(len(range(sec[0], N, 2)))
             )
 
             def multiplicity(levels):
@@ -191,16 +210,18 @@ class TestEigenvalues:
     def test_iterative_sectors_claim_only_computed_levels(self, monkeypatch):
         # every sector above the cap is solved iteratively for its
         # ITERATIVE_LEVELS lowest levels, so the merge is complete only below
-        # the lowest sector top
+        # the lowest sector top; at the matched frequency and away from it
         p = ModelParams(g=0.05, v=1.0, hbar=1.0, t=1.0)
-        dense = eigenvalues(build_hamiltonian(p, BasisSpec(40, 1.0)), how_many=4)
-        monkeypatch.setattr(spectral, "DENSE_BLOCK_CAP", 100)
-        capped = eigenvalues(build_hamiltonian(p, BasisSpec(40, 1.0)), how_many=4)
-        n = capped.count_converged
-        assert 4 <= n <= dense.count_converged
-        np.testing.assert_allclose(
-            capped.converged(), dense.eigenvalues[:n], rtol=0, atol=dense.conv_tol
-        )
+        for om in (1.0, 0.7):
+            dense = eigenvalues(build_hamiltonian(p, BasisSpec(40, om)), how_many=4)
+            with monkeypatch.context() as m:
+                m.setattr(spectral, "DENSE_BLOCK_CAP", 100)
+                capped = eigenvalues(build_hamiltonian(p, BasisSpec(40, om)), how_many=4)
+            n = capped.count_converged
+            assert 4 <= n <= dense.count_converged
+            np.testing.assert_allclose(
+                capped.converged(), dense.eigenvalues[:n], rtol=0, atol=dense.conv_tol
+            )
 
     def test_omega_scan_refuses_partial_spectra(self, monkeypatch):
         # a scan basis with sectors above the cap would sum missing levels
@@ -277,20 +298,6 @@ SCAN_CASES = [
 
 
 class TestOmegaFreeScan:
-    @pytest.mark.parametrize("p, cutoff", SCAN_CASES)
-    def test_factored_levels_match_direct_assembly(self, monkeypatch, p, cutoff):
-        # omega K + (v^2/omega) X + (g^2/omega^2) Q, split once, gives the
-        # levels of the basis assembled at omega
-        if cutoff:
-            monkeypatch.setattr(spectral, "SCAN_CUTOFF", cutoff)
-        N = spectral.SCAN_CUTOFF
-        pieces = spectral._omega_free_pieces(p, N)
-        grid = spectral._omega_grid(p)
-        for om in (grid[0], grid[len(grid) // 2], grid[-1]):
-            direct, _ = build_hamiltonian(p, BasisSpec(N, float(om))).solve()
-            factored = spectral._levels_at(pieces, p, float(om))
-            np.testing.assert_allclose(factored, direct, rtol=1e-11, atol=0)
-
     @pytest.mark.parametrize("p, cutoff", SCAN_CASES)
     def test_scan_picks_the_per_frequency_choice(self, monkeypatch, p, cutoff):
         # the grid frequency of a loop that assembles and solves every basis
