@@ -157,7 +157,8 @@ def rows_tf(cfg, grid):
                     "tf_small_v": limit,
                     "rel_gap": abs(exact - limit) / abs(exact) if exact == exact else float("nan"),
                     "route": "closed",
-                    "flag": not p.z_in_regime(),
+                    # v = 0 has no planar Thomas-Fermi value: a NaN is flagged
+                    "flag": math.isnan(exact) or not p.z_in_regime(),
                 }
             )
     return rows
@@ -631,8 +632,9 @@ def build_config(argv):
 def _needs_positive_v(cfg):
     """Whether no route of the command evaluates v = 0, where the planar
     terms diverge: every wk/compare route (closed, symbolic, quadrature),
-    singular-scan, and the tf and z2 sweeps.  tf (its row is NaN), resum,
-    n3, spectrum and the other sweeps take v = 0."""
+    singular-scan, and the tf and z2 sweeps.  tf (its planar v = 0 row is
+    NaN and flagged, so the run exits 1), resum, n3, spectrum and the other
+    sweeps take v = 0."""
     if cfg.command == "sweep":
         return cfg.quantity in ("tf", "z2")
     return cfg.command in ("wk", "compare", "singular-scan")

@@ -13,6 +13,24 @@ carries a uniform factor i^k, so we store the real polynomials
                  - t^2/8 LapLapV] S_{k-4}
               - t^4/32 (grad LapV)^2 S_{k-6}.
 
+Every model potential is invariant under the cyclic rotation of the axes,
+x -> y -> z with px -> py -> pz together (the swap in the plane), and by
+induction so is every S_k.  The right-hand side is a sum over the axes of
+the same one-axis terms, with L = LapV and d the number of coordinates,
+
+    A_x = p_x (d_x - t d_xV) S_{k-1}
+          - 1/2 [d_x^2 + t^2 (d_xV)^2 - 2 t d_xV d_x] S_{k-2}
+          + t^2/4 p_x d_xL S_{k-3}
+          + [t^3/4 d_xV d_xL - t^2/4 d_xL d_x - t^2/(8d) Lap L] S_{k-4}
+          - t^4/32 (d_xL)^2 S_{k-6},
+
+and the terms of the other axes are the rotated images of A_x.  So a step
+sums A_x alone and adds its d - 1 images.  In three coordinates (d_xV)^2
+has 6 terms against 13 for (gradV)^2, and the per-axis parts are summed
+once instead of three times; the images cost the rotations of one key per
+orbit of keys and one write per key of the result.  The step checks that
+its sources are invariant, exactly, term by term.
+
 Multiplying back by the Taylor series of the exponential factor recovers
 the conventional (un-resummed) kernels W_k.  Even-k kernels are even in the
 momenta, odd-k kernels odd (their phase-space integrals vanish).
@@ -26,27 +44,30 @@ from .errors import DomainError
 from .polynomial import PhasePolynomial, _sum, _t_integral
 
 _COORDS = ("x", "y", "z")
-_MOMENTA = ("px", "py", "pz")
 
 
 class Potential:
-    """Polynomial potential with precomputed derivative combinations."""
+    """Polynomial potential V, invariant under the rotation of the axes
+    (:meth:`PhasePolynomial.rotated`), with the one-axis derivative
+    products of the recursion along x: with L = LapV, ``dV = d_xV``,
+    ``dL = d_xL``, ``dV_dV = (d_xV)^2``, ``dV_dL = d_xV d_xL``,
+    ``dL_dL = (d_xL)^2``, and ``lap = L``, ``lap_lap = Lap L``."""
 
     def __init__(self, dims, V, label):
+        if V.rotated() != V:
+            raise DomainError(
+                f"potential {label!r} is not invariant under the rotation of the axes"
+            )
         self.dims = dims
         self.label = label
-        self.V = V
         coords = _COORDS[:dims]
         one = PhasePolynomial.one(dims)
-        self.grad = [V.diff(c) for c in coords]
         self.lap = _sum(dims, [(1, {}, one, V, c, 2) for c in coords])
-        self.grad_sq = _sum(dims, [(1, {}, gi, gi, None, 0) for gi in self.grad])
-        self.grad_lap = [self.lap.diff(c) for c in coords]
-        self.grad_dot_grad_lap = _sum(
-            dims, [(1, {}, gi, li, None, 0) for gi, li in zip(self.grad, self.grad_lap)]
-        )
         self.lap_lap = _sum(dims, [(1, {}, one, self.lap, c, 2) for c in coords])
-        self.grad_lap_sq = _sum(dims, [(1, {}, li, li, None, 0) for li in self.grad_lap])
+        self.dV, self.dL = V.diff("x"), self.lap.diff("x")
+        self.dV_dV = _sum(dims, [(1, {}, self.dV, self.dV, None, 0)])
+        self.dV_dL = _sum(dims, [(1, {}, self.dV, self.dL, None, 0)])
+        self.dL_dL = _sum(dims, [(1, {}, self.dL, self.dL, None, 0)])
 
     def __repr__(self):
         return f"Potential({self.label}, dims={self.dims})"
@@ -81,33 +102,34 @@ def potential(dims, quartic=True, higgs=True):
 def recursion_step(prev, k, pot):
     """One step of the kernel recursion: from ``prev = [S_0 .. S_{k-1}]``
     (missing leading entries treated as zero) build S_k, as one sum of the
-    terms of the recursion integrated in t."""
+    one-axis terms A_x of the module docstring that :func:`_t_integral`
+    completes with their rotated images and integrates in t.  A source that
+    is not invariant under the rotation of the axes raises ``DomainError``."""
     if k < 1:
         raise DomainError("recursion starts at k = 1")
-    zero, one = PhasePolynomial.zero(pot.dims), PhasePolynomial.one(pot.dims)
+    d = pot.dims
+    zero, one = PhasePolynomial.zero(d), PhasePolynomial.one(d)
     s1, s2, s3, s4, s6 = (
         prev[k - j] if 0 <= k - j < len(prev) else zero for j in (1, 2, 3, 4, 6)
     )
+    if any(s.rotated() != s for s in (s1, s2, s3, s4, s6)):
+        raise DomainError("a source is not invariant under the rotation of the axes")
     # (c, monomial, factor, source, variable, order) stands for
     # c * monomial * factor * d^order source / d variable^order, and the
-    # parts follow the recursion in the module docstring term by term
-    parts = []
-    for x, p, grad, grad_lap in zip(_COORDS, _MOMENTA, pot.grad, pot.grad_lap):
-        parts += [
-            (1, {p: 1}, one, s1, x, 1),
-            (-1, {"t": 1, p: 1}, grad, s1, None, 0),
-            (Fraction(-1, 2), {}, one, s2, x, 2),
-            (1, {"t": 1}, grad, s2, x, 1),
-            (Fraction(1, 4), {"t": 2, p: 1}, grad_lap, s3, None, 0),
-            (Fraction(-1, 4), {"t": 2}, grad_lap, s4, x, 1),
-        ]
-    parts += [
-        (Fraction(-1, 2), {"t": 2}, pot.grad_sq, s2, None, 0),
-        (Fraction(1, 4), {"t": 3}, pot.grad_dot_grad_lap, s4, None, 0),
-        (Fraction(-1, 8), {"t": 2}, pot.lap_lap, s4, None, 0),
-        (Fraction(-1, 32), {"t": 4}, pot.grad_lap_sq, s6, None, 0),
+    # parts follow A_x in the module docstring term by term
+    parts = [
+        (1, {"px": 1}, one, s1, "x", 1),
+        (-1, {"t": 1, "px": 1}, pot.dV, s1, None, 0),
+        (Fraction(-1, 2), {}, one, s2, "x", 2),
+        (Fraction(-1, 2), {"t": 2}, pot.dV_dV, s2, None, 0),
+        (1, {"t": 1}, pot.dV, s2, "x", 1),
+        (Fraction(1, 4), {"t": 2, "px": 1}, pot.dL, s3, None, 0),
+        (Fraction(1, 4), {"t": 3}, pot.dV_dL, s4, None, 0),
+        (Fraction(-1, 4), {"t": 2}, pot.dL, s4, "x", 1),
+        (Fraction(-1, 8 * d), {"t": 2}, pot.lap_lap, s4, None, 0),
+        (Fraction(-1, 32), {"t": 4}, pot.dL_dL, s6, None, 0),
     ]
-    return _t_integral(pot.dims, parts, i_power=k)
+    return _t_integral(d, parts, i_power=k)
 
 
 def resummed_kernels(pot, order):

@@ -22,8 +22,11 @@ which sums parts ``c * x^m * F * d^j A`` over one common denominator and
 takes each derivative while it sums: a sum, a difference, a product, a
 scaling, a monomial factor and a derivative are each one call of
 :func:`_sum`, which normalizes the result with a single ``math.gcd``, and a
-kernel of the recursion is one call of :func:`_t_integral`, which also
-integrates in t in its final pass.
+kernel of the recursion is one call of :func:`_t_integral`, which adds the
+images of the sum under the rotation of the axes and integrates in t in its
+final pass.  The rotation, x -> y -> z with px -> py -> pz together (the
+swap in the plane), moves whole fields of a key, so it is three masks and
+two shifts of the packed integer (:func:`_rotate`).
 
 Each polynomial also carries the packed maxima of its exponent fields, an
 upper bound that the accumulator propagates without looking at the terms.
@@ -54,6 +57,44 @@ _NAMES = {
 _GUARDS = sum(
     (EXP_MASK + 1) << (_FIELD_BITS * i) for i in range(len(_NAMES[3]))
 )
+
+
+def _rotations(dims):
+    """Masks and shifts of the ``dims - 1`` nontrivial rotations of the axes
+    on packed keys, the r-th as ``(up, lift, down, drop)``.  The r-th rotation
+    moves the exponent of each coordinate, and of its momentum with it, r
+    axes on, cyclically: of the fields of a block of ``dims`` coordinate or
+    momentum fields, ``up`` holds those that rise ``lift`` bits and ``down``
+    those that wrap round, ``drop`` bits down.  The fields of t, g2 and v2
+    (the mask ``_STAY``) stay."""
+    field = (1 << _FIELD_BITS) - 1
+    out = []
+    for r in range(1, dims):
+        up = down = 0
+        for i in range(dims):
+            mask = field << (_FIELD_BITS * i) | field << (_FIELD_BITS * (dims + i))
+            if i < dims - r:
+                up |= mask
+            else:
+                down |= mask
+        out.append((up, _FIELD_BITS * r, down, _FIELD_BITS * (dims - r)))
+    return tuple(out)
+
+
+#: per dims, the mask of every bit above the momentum fields, which no
+#: rotation of the axes moves
+_STAY = {dims: -1 << (2 * dims * _FIELD_BITS) for dims in _NAMES}
+_ROTATIONS = {dims: _rotations(dims) for dims in _NAMES}
+
+
+def _rotate(key, dims):
+    """Image of a packed key of 2 or 3 coordinates under the rotation of the
+    axes x -> y -> z: the exponent of x moves to y, of y to z and of z to x,
+    and the momenta with them (in the plane x and y swap).  Applied to field
+    maxima it gives the field maxima of the image.  The loops over the terms
+    of a polynomial inline it."""
+    up, lift, down, drop = _ROTATIONS[dims][0]
+    return key & _STAY[dims] | (key & up) << lift | (key & down) >> drop
 
 
 def variable_names(dims):
@@ -161,10 +202,15 @@ def _sum(dims, parts, i_power=0):
 
 
 def _t_integral(dims, parts, i_power=0):
-    """The integral in t from 0 of the sum of :func:`_accumulate`'s parts.
-    The integration and the normalization are folded into one final pass,
-    which builds the only dict made after the sum; the sum's field maxima
-    are checked once more for the integration."""
+    """The integral in t from 0 of the sum of :func:`_accumulate`'s parts
+    and of its ``dims - 1`` images under the rotation of the axes
+    (:func:`_rotate`).  That total is invariant: on each orbit of keys under
+    the rotation it takes one value, the sum of the parts' sum over the
+    orbit.  The final pass meets each orbit once, at its first key in the
+    sum, and writes that value, integrated in t, to every key of the orbit;
+    no image of the whole sum is built.  The rotation leaves t alone, so
+    the sum's field maxima are checked once more for the integration, and
+    the total's field maxima are the maxima of their rotated images."""
     out, den, top = _accumulate(dims, parts)
     shift = field_shift(dims, "t")
     unit = 1 << shift
@@ -172,14 +218,28 @@ def _t_integral(dims, parts, i_power=0):
         top = _top_of(k for k, n in out.items() if n)
         if (top + unit) & _GUARDS:
             raise OverflowError("integrated exponent outside packed-field range")
+    stay, rotations = _STAY[dims], _ROTATIONS[dims]
+    for up, lift, down, drop in rotations:
+        top = _max_fields(top, top & stay | (top & up) << lift | (top & down) >> drop)
     divisors = {((k >> shift) & EXP_MASK) + 1 for k in out}
     m = lcm(*divisors)
     scale = {e: m // e for e in divisors}
+    total = {}
+    get = out.get
+    for k, n in out.items():
+        if k in total:
+            continue
+        orbit = [k & stay | (k & up) << a | (k & down) >> b for up, a, down, b in rotations]
+        for image in orbit:
+            n += get(image, 0)
+        if n:
+            n *= scale[((k >> shift) & EXP_MASK) + 1]
+            total[k] = n
+            for image in orbit:
+                total[image] = n
     den *= m
-    # the gcd of the integrated numerators first, so that the final dict is
-    # the only one built after the sum
-    g = reduce(gcd, (n * scale[((k >> shift) & EXP_MASK) + 1] for k, n in out.items()), den)
-    d = {k + unit: n * scale[((k >> shift) & EXP_MASK) + 1] // g for k, n in out.items() if n}
+    g = gcd(den, *total.values())
+    d = {k + unit: n // g for k, n in total.items()}
     return PhasePolynomial._make(dims, i_power, d, den // g, top + unit)
 
 
@@ -290,6 +350,17 @@ class PhasePolynomial:
     def coefficient(self, **exponents):
         """Test oracle: the exact coefficient of one monomial."""
         return Fraction(self._d.get(_key(self.dims, exponents), 0), self._den)
+
+    def rotated(self):
+        """The image under the rotation of the axes (:func:`_rotate`; one
+        axis has none); a polynomial equal to its image is invariant, as the
+        kernel recursion needs its potential and sources to be."""
+        if self.dims == 1:
+            return self
+        stay, (up, lift, down, drop) = _STAY[self.dims], _ROTATIONS[self.dims][0]
+        d = {k & stay | (k & up) << lift | (k & down) >> drop: n for k, n in self._d.items()}
+        top = _rotate(self._top, self.dims)
+        return PhasePolynomial._make(self.dims, self.i_power, d, self._den, top)
 
     def momentum_parity(self):
         """0 or 1 if every term has that total momentum-degree parity, else None."""

@@ -147,3 +147,20 @@ def test_build_counters_read_real_handles(d, N):
     tracer._after("spectral.build")((HamiltonianBlocks(params, basis), params, basis), None)
     assert tracer.counters["spectral.dimension"] == N**d
     assert tracer.counters["spectral.bytes_assembled"] > 0
+
+
+def test_recursion_span_covers_every_order():
+    # the tracer wraps kernels.recursion_step by name, so its self time
+    # measures the recursion only while resummed_kernels calls that name
+    # once per order
+    for module in sorted(MODULES):
+        importlib.import_module(module)
+    kernels = importlib.import_module("ymqm.kernels")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        kernels.resummed_kernels(kernels.potential(3), 8)
+    finally:
+        tracer.uninstall()
+    assert tracer.stats["kernels.recursion_step"][0] == 8
+    assert tracer.counters["kernels.top_order_terms"] == 43972

@@ -305,6 +305,14 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert "0 FLAG" in proc.stdout
 
+    @pytest.mark.parametrize("v", ["0", "0:1:3"])
+    def test_tf_nan_row_is_flagged(self, v):
+        # the planar Thomas-Fermi value is NaN at v = 0; its row is flagged
+        # and the run exits 1 instead of passing the NaN as ok
+        code, rows, _, _ = run(build_config(["tf", "--g", "1", "--v", v, "--t", "1"]))
+        assert code == 1
+        assert rows[0]["v"] == 0.0 and math.isnan(rows[0]["tf"]) and rows[0]["flag"]
+
     def test_compare_rejects_three_coordinates(self, capsys):
         code = main(
             ["compare", "--model", "n3", "--routes", "closed", "--k", "2", "--g", "1",

@@ -7,13 +7,14 @@ import pytest
 
 from ymqm.errors import DomainError
 from ymqm.kernels import (
+    Potential,
     conventional_kernels,
     potential,
     recursion_step,
     resummed_kernels,
     unresum,
 )
-from ymqm.polynomial import PhasePolynomial, variable_names
+from ymqm.polynomial import EXP_MASK, PhasePolynomial, variable_names
 from ymqm.reduction import (
     extract_coefficients,
     harmonic_partition_exact,
@@ -77,33 +78,155 @@ class TestRecursionBasics:
         assert W[0].n_terms == 1 and W[0].coefficient() == 1
 
 
+def _planar(*terms):
+    """The sum of planar monomials with coefficient 1, one per exponent dict."""
+    out = PhasePolynomial.zero(2)
+    for exponents in terms:
+        out = out + PhasePolynomial.monomial(2, 1, **exponents)
+    return out
+
+
 class TestRecursionOverflow:
     """An exponent that would leave its packed field raises from inside the
     recursion as it does from the polynomial operators; a bound left loose by
-    a cancellation does not."""
+    a cancellation does not.  Every source is invariant under the swap of
+    the axes, as the recursion requires."""
 
     @pytest.mark.parametrize(
-        "exponents", [{"x": 127}, {"t": 126}], ids=["product", "t_integration"]
+        "terms",
+        [({"x": EXP_MASK}, {"y": EXP_MASK}), ({"t": EXP_MASK - 1},)],
+        ids=["product", "t_integration"],
     )
-    def test_overflow_raises(self, exponents):
-        # x^127 times the x-derivative of the quartic leaves the x field;
-        # t^126 times the t of the drift term integrates to t^128
-        S1 = PhasePolynomial.monomial(2, 1, **exponents)
+    def test_overflow_raises(self, terms):
+        # x^EXP_MASK times the x-derivative of the quartic leaves the x field;
+        # t^(EXP_MASK-1) times the t of the drift term integrates past the t field
+        S1 = _planar(*terms)
         with pytest.raises(OverflowError):
             recursion_step([PhasePolynomial.one(2), S1], 2, potential(2))
 
     def test_largest_exponent_still_builds(self):
-        # d_y V = g2 x^2 y + v2 y lifts x by two, to the field's top 127
-        S1 = PhasePolynomial.monomial(2, 1, x=125)
+        # d_y V = g2 x^2 y + v2 y lifts x by two, to the field's top EXP_MASK
+        S1 = _planar({"x": EXP_MASK - 2}, {"y": EXP_MASK - 2})
         S2 = recursion_step([PhasePolynomial.one(2), S1], 2, potential(2))
-        assert S2.coefficient(x=127, y=1, py=1, t=2, g2=1) == Fraction(-1, 2)
+        assert S2.coefficient(x=EXP_MASK, y=1, py=1, t=2, g2=1) == Fraction(-1, 2)
 
     def test_loose_bound_is_rechecked(self):
-        big = PhasePolynomial.monomial(2, 1, x=127)
-        x = PhasePolynomial.monomial(2, 1, x=1)
-        loose = big - big + x
+        big = _planar({"x": EXP_MASK}, {"y": EXP_MASK})
+        xy = _planar({"x": 1}, {"y": 1})
+        loose = big - big + xy
         pot = potential(2)
-        assert recursion_step([loose, loose], 2, pot) == recursion_step([x, x], 2, pot)
+        assert recursion_step([loose, loose], 2, pot) == recursion_step([xy, xy], 2, pot)
+
+
+def _model_V(dims, quartic=True, higgs=True):
+    """g^2/2 sum_{i<j} x_i^2 x_j^2 + v^2/2 sum_i x_i^2, term by term."""
+    coords = ("x", "y", "z")[:dims]
+    V = PhasePolynomial.zero(dims)
+    for i, c in enumerate(coords):
+        if higgs:
+            V = V + PhasePolynomial.monomial(dims, Fraction(1, 2), v2=1, **{c: 2})
+        for other in coords[i + 1 :]:
+            if quartic:
+                V = V + PhasePolynomial.monomial(dims, Fraction(1, 2), g2=1, **{c: 2, other: 2})
+    return V
+
+
+def _integrate_t(p):
+    """The integral of ``p`` in t from 0, term by term."""
+    it = variable_names(p.dims).index("t")
+    return PhasePolynomial(
+        p.dims, {e[:it] + (e[it] + 1,) + e[it + 1 :]: c / (e[it] + 1) for e, c in p.terms()}
+    )
+
+
+def _rotated(p):
+    """The image of ``p`` under x -> y -> z with px -> py -> pz, from its
+    exponent tuples."""
+    d = p.dims
+    return PhasePolynomial(
+        d,
+        {e[d - 1 : d] + e[: d - 1] + e[2 * d - 1 : 2 * d] + e[d : 2 * d - 1] + e[2 * d :]: c
+         for e, c in p.terms()},
+        p.i_power,
+    )
+
+
+def _plain_resummed_kernels(V, order):
+    """S_0 .. S_order by the recursion of the ``kernels`` module docstring,
+    every term summed over all the axes with plain ``PhasePolynomial``
+    operations (no rotation), with i_power 0 throughout."""
+    d = V.dims
+    coords, momenta = ("x", "y", "z")[:d], ("px", "py", "pz")[:d]
+    zero, one = PhasePolynomial.zero(d), PhasePolynomial.one(d)
+    grads = [V.diff(c) for c in coords]
+    lap = zero
+    for c in coords:
+        lap = lap + V.diff(c).diff(c)
+    grad_laps = [lap.diff(c) for c in coords]
+    lap_lap = zero
+    for c in coords:
+        lap_lap = lap_lap + lap.diff(c).diff(c)
+    S = [one]
+    for k in range(1, order + 1):
+        s1, s2, s3, s4, s6 = (S[k - j] if k >= j else zero for j in (1, 2, 3, 4, 6))
+        rhs = zero
+        for c, p, gv, gl in zip(coords, momenta, grads, grad_laps):
+            drift = s1.diff(c) - (gv * s1).times_monomial(1, t=1)
+            rhs = rhs + drift.times_monomial(1, **{p: 1})
+            rhs = rhs - (s2.diff(c).diff(c) + (gv * gv * s2).times_monomial(1, t=2)).scaled(
+                Fraction(1, 2)
+            )
+            rhs = rhs + (gv * s2.diff(c)).times_monomial(1, t=1)
+            rhs = rhs + (gl * s3).times_monomial(Fraction(1, 4), t=2, **{p: 1})
+            rhs = rhs + (gv * gl * s4).times_monomial(Fraction(1, 4), t=3)
+            rhs = rhs - (gl * s4.diff(c)).times_monomial(Fraction(1, 4), t=2)
+            rhs = rhs - (gl * gl * s6).times_monomial(Fraction(1, 32), t=4)
+        rhs = rhs - (lap_lap * s4).times_monomial(Fraction(1, 8), t=2)
+        S.append(_integrate_t(rhs))
+    return S
+
+
+class TestRotationInvariance:
+    """The recursion sums the terms of one axis and adds their images under
+    the rotation of the axes, which needs the potential and every source
+    invariant."""
+
+    @pytest.mark.parametrize(
+        "dims, quartic, higgs",
+        [(1, False, True), (2, True, False), (2, True, True), (3, True, True)],
+        ids=["d1_harmonic", "d2_quartic", "d2_quartic_higgs", "d3_quartic_higgs"],
+    )
+    def test_kernels_equal_their_images(self, dims, quartic, higgs):
+        for k, S in enumerate(resummed_kernels(potential(dims, quartic=quartic, higgs=higgs), 8)):
+            assert _rotated(S) == S, k
+
+    @pytest.mark.parametrize("dims", [2, 3])
+    def test_kernels_match_the_recursion_over_all_axes(self, dims):
+        S = resummed_kernels(potential(dims), 6)
+        ref = _plain_resummed_kernels(_model_V(dims), 6)
+        for k in range(7):
+            assert PhasePolynomial(dims, dict(S[k].terms())) == ref[k], k
+
+    def test_potential_must_be_invariant(self):
+        with pytest.raises(DomainError):
+            Potential(2, PhasePolynomial.monomial(2, 1, x=4), "x^4")
+        # invariant under the swap of x and y, not under x -> y -> z
+        with pytest.raises(DomainError):
+            Potential(3, PhasePolynomial.monomial(3, 1, x=2, y=2), "x^2 y^2")
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 4, 6])
+    def test_source_must_be_invariant(self, j):
+        # x + 2y has invariant field maxima, so only an exact check refuses
+        # it; x + y is invariant under the swap of x and y, not under x -> y -> z
+        pot = potential(2)
+        prev = [PhasePolynomial.one(2)] * 6
+        prev[6 - j] = _planar({"x": 1}, {"y": 1}, {"y": 1})
+        with pytest.raises(DomainError):
+            recursion_step(prev, 6, pot)
+        prev3 = [PhasePolynomial.one(3)] * 6
+        prev3[6 - j] = PhasePolynomial.monomial(3, 1, x=1) + PhasePolynomial.monomial(3, 1, y=1)
+        with pytest.raises(DomainError):
+            recursion_step(prev3, 6, potential(3))
 
 
 class TestOrderEightSnapshot:
@@ -130,8 +253,9 @@ class TestOrderEightSnapshot:
 
 class TestKirkwoodOracle:
     """The conventional kernels against the un-resummed Kirkwood recursion,
-    which shares nothing with the resummed S recursion but the potential:
-    in the (-i)^k convention, with W_0 = 1 and W_k(t=0) = 0 for k >= 1,
+    which shares nothing with the resummed S recursion (the test writes out
+    the potential and its derivatives itself): in the (-i)^k convention,
+    with W_0 = 1 and W_k(t=0) = 0 for k >= 1,
 
         dW_k/dt = p.(grad - t gradV) W_{k-1}
                   - 1/2 (Lap - 2t gradV.grad - t LapV + t^2 (gradV)^2) W_{k-2}.
@@ -149,18 +273,24 @@ class TestKirkwoodOracle:
         W = [PhasePolynomial(dims, dict(w.terms())) for w in conventional_kernels(pot, 8)]
         coords, momenta = ("x", "y", "z")[:dims], ("px", "py", "pz")[:dims]
         zero = PhasePolynomial.zero(dims)
+        V = _model_V(dims, quartic=quartic, higgs=higgs)
+        grads = [V.diff(c) for c in coords]
+        lap = grad_sq = zero
+        for c, grad in zip(coords, grads):
+            lap = lap + grad.diff(c)
+            grad_sq = grad_sq + grad * grad
         it = variable_names(dims).index("t")
         for k in range(1, 9):
             assert all(exps[it] > 0 for exps, _ in W[k].terms()), k
             rhs = zero
-            for c, p, grad in zip(coords, momenta, pot.grad):
+            for c, p, grad in zip(coords, momenta, grads):
                 drift = W[k - 1].diff(c) - (grad * W[k - 1]).times_monomial(1, t=1)
                 rhs = rhs + drift.times_monomial(1, **{p: 1})
             if k >= 2:
                 w2 = W[k - 2]
-                op = (pot.lap * w2).times_monomial(-1, t=1)
-                op = op + (pot.grad_sq * w2).times_monomial(1, t=2)
-                for c, grad in zip(coords, pot.grad):
+                op = (lap * w2).times_monomial(-1, t=1)
+                op = op + (grad_sq * w2).times_monomial(1, t=2)
+                for c, grad in zip(coords, grads):
                     op = op + w2.diff(c).diff(c) - (grad * w2.diff(c)).times_monomial(2, t=1)
                 rhs = rhs - op.scaled(Fraction(1, 2))
             assert W[k].diff("t") == rhs, k

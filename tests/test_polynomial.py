@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ymqm.polynomial import PhasePolynomial, _sum, _t_integral, variable_names
+from ymqm.polynomial import EXP_MASK, PhasePolynomial, _sum, _t_integral, variable_names
 
 
 def integrate_t(p):
-    """The integral of ``p`` in t from 0, as the kernel recursion takes it:
-    one part of the accumulator, ``1 * x^0 * 1 * p``."""
+    """The integral in t from 0 of ``p`` and its images under the rotation
+    of the axes, as the kernel recursion takes it: one part of the
+    accumulator, ``1 * x^0 * 1 * p``."""
     return _t_integral(p.dims, [(1, {}, PhasePolynomial.one(p.dims), p, None, 0)], p.i_power)
 
 
@@ -45,6 +46,7 @@ class TestBasics:
         p = PhasePolynomial.monomial(2, Fraction(1, 2), x=3, t=2)
         assert p.diff("x").coefficient(x=2, t=2) == Fraction(3, 2)
         assert integrate_t(p).coefficient(x=3, t=3) == Fraction(1, 6)
+        assert integrate_t(p).coefficient(y=3, t=3) == Fraction(1, 6)
         assert p.diff("y") == PhasePolynomial.zero(2)
 
     def test_momentum_parity(self):
@@ -64,19 +66,20 @@ class TestBasics:
 
     def test_exponent_overflow_guard(self):
         with pytest.raises(OverflowError):
-            PhasePolynomial.monomial(1, 1, x=200)
+            PhasePolynomial.monomial(1, 1, x=EXP_MASK + 1)
 
     def test_product_exponent_overflow(self):
-        # a packed key sum must not carry x^200 into the next field as x^72 y
-        p = PhasePolynomial.monomial(2, 1, x=100)
+        # a packed key sum must not carry x^(2h) past the x field
+        h = EXP_MASK // 2 + 1
+        p = PhasePolynomial.monomial(2, 1, x=h)
         with pytest.raises(OverflowError):
             p * p
         with pytest.raises(OverflowError):
-            p.times_monomial(1, x=100)
+            p.times_monomial(1, x=h)
         with pytest.raises(OverflowError):
-            integrate_t(PhasePolynomial.monomial(2, 1, t=127))
+            integrate_t(PhasePolynomial.monomial(2, 1, t=EXP_MASK))
         # the largest exponent still fits
-        assert (p * PhasePolynomial.monomial(2, 1, x=27)).coefficient(x=127) == 1
+        assert (p * PhasePolynomial.monomial(2, 1, x=EXP_MASK - h)).coefficient(x=EXP_MASK) == 1
 
     def test_overflow_check_sees_through_loose_bounds(self):
         # x^100 cancels, so its field maximum stored for the sum is only an
@@ -87,9 +90,10 @@ class TestBasics:
         assert p.times_monomial(2, x=40).coefficient(x=41) == 2
 
     def test_part_overflow_never_carries(self):
-        # three exponent fields of 127 + 127 + 2 sum to 256, which would
-        # carry out of the x field into y with the guard bit clear
-        p = PhasePolynomial.monomial(2, 1, x=127)
+        # three exponent fields of EXP_MASK + EXP_MASK + 2 sum to
+        # 2 (EXP_MASK + 1), which would carry out of the x field into y with
+        # the guard bit clear
+        p = PhasePolynomial.monomial(2, 1, x=EXP_MASK)
         for finish in (_sum, _t_integral):
             with pytest.raises(OverflowError):
                 finish(2, [(1, {"x": 2}, p, p, None, 0)])
@@ -171,6 +175,23 @@ def naive_integrate(a, i):
     return {e[:i] + (e[i] + 1,) + e[i + 1 :]: c / (e[i] + 1) for e, c in a.items()}
 
 
+def naive_rotate(a, d):
+    """x -> y -> z with px -> py -> pz: the exponent of x moves to y."""
+    return {
+        e[d - 1 : d] + e[: d - 1] + e[2 * d - 1 : 2 * d] + e[d : 2 * d - 1] + e[2 * d :]: c
+        for e, c in a.items()
+    }
+
+
+def naive_orbit(a, d):
+    """The sum of ``a`` and its images under the d - 1 nontrivial rotations."""
+    out, image = a, a
+    for _ in range(d - 1):
+        image = naive_rotate(image, d)
+        out = naive_add(out, image)
+    return out
+
+
 def assert_matches(poly, ref):
     """``poly`` equals the reference and is stored in canonical form."""
     assert dict(poly.terms()) == ref
@@ -216,7 +237,8 @@ class TestAgainstNaiveReference:
             p.times_monomial(c, **dict(zip(names, shift))), naive_times_monomial(a, c, shift)
         )
         assert_matches(p.diff(names[var]), naive_diff(a, var))
-        assert_matches(integrate_t(p), naive_integrate(a, names.index("t")))
+        assert_matches(p.rotated(), naive_rotate(a, dims))
+        assert_matches(integrate_t(p), naive_integrate(naive_orbit(a, dims), names.index("t")))
 
 
 @st.composite
