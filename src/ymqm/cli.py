@@ -38,7 +38,8 @@ AXES = ("g", "v", "hbar", "t")
 CONFIG_SECTIONS = ("run", "quadrature", "spectral")
 #: each sweep quantity with the model its formula computes: the planar
 #: terms and the resummed ones (in units of the planar prefactor K), or the
-#: three-coordinate terms
+#: three-coordinate terms.  Each formula takes the whole grid at once
+#: (``ModelParams.grid``) and returns one value per point.
 SWEEP_QUANTITIES = {
     "tf": ("n2", lambda p: heatkernel.tf_partition_n2(p)),
     "z2": ("n2", lambda p: heatkernel.z2_closed_n2(p)),
@@ -243,14 +244,15 @@ def rows_n3(cfg, grid):
     spec = QuadratureSpec(rel_tol=cfg.tol_quad)
     for p in grid:
         lam = p.lam
+        j0, j2 = heatkernel.radial_Jb(lam)
         row = {
             **_param_cols(p),
             "lam": lam,
             "tf_n3": heatkernel.tf_term_n3(p),
             "z2_n3": heatkernel.z2_n3(p),
             "z2_structure": heatkernel.z2_n3_structure(p),
-            "j0_sqrtlam": heatkernel.radial_Jb(0, lam) * math.sqrt(lam),
-            "j2": heatkernel.radial_Jb(2, lam),
+            "j0_sqrtlam": j0 * math.sqrt(lam),
+            "j2": j2,
         }
         try:
             radial_quadrature_n3(1, p, spec, effective=False)
@@ -340,14 +342,16 @@ def rows_study(cfg, grid):
 
 
 def rows_sweep(cfg, grid):
+    """One row per point.  Every column is evaluated over the whole grid at
+    once, the quantity in one call of its formula."""
     _, fn = SWEEP_QUANTITIES[cfg.quantity]
-    return [
-        {**_param_cols(p), cfg.quantity: fn(p), "flag": not p.lam2_in_regime()}
-        for p in grid
-    ]
+    points = ModelParams.grid(grid)
+    cols = {**_param_cols(points), cfg.quantity: fn(points), "flag": ~points.lam2_in_regime()}
+    return [dict(zip(cols, row)) for row in zip(*(c.tolist() for c in cols.values()))]
 
 
 def _param_cols(p):
+    """The columns of the point ``p``, or arrays of them over a grid."""
     return {"g": p.g, "v": p.v, "hbar": p.hbar, "t": p.t, "lam2": p.lam2}
 
 
@@ -395,20 +399,26 @@ def _columns(rows):
     return list(dict.fromkeys(c for r in rows for c in r))
 
 
-def _cell(row, col):
-    return _fmt(row[col]) if col in row else ""
+def _table(rows):
+    """``(columns, cells, n_flagged)``: every key of every row in first-seen
+    order, each row's cells, every value formatted once ("" where a row
+    lacks the column), and the number of flagged rows.  The stdout table
+    and the CSV file both print these strings."""
+    cols = _columns(rows)
+    cells = [[_fmt(r[c]) if c in r else "" for c in cols] for r in rows]
+    return cols, cells, sum(1 for r in rows if r.get("flag"))
 
 
-def write_csv(rows, cfg, fh, summary=None):
+def write_csv(table, cfg, fh, summary=None):
+    """The manifest as ``#`` lines, then the :func:`_table` ``table`` as CSV."""
     for key, value in manifest(cfg, summary).items():
         fh.write(f"# {key}: {value}\n")
-    if not rows:
+    cols, cells, _ = table
+    if not cells:
         fh.write("\n")
         return
-    cols = _columns(rows)
     fh.write(",".join(cols) + "\n")
-    for r in rows:
-        fh.write(",".join(_cell(r, c) for c in cols) + "\n")
+    fh.writelines(",".join(row) + "\n" for row in cells)
 
 
 def write_json(rows, cfg, fh, summary=None):
@@ -416,20 +426,17 @@ def write_json(rows, cfg, fh, summary=None):
     fh.write("\n")
 
 
-def report(rows, summary=None):
-    """Aligned human-readable table; returns (text, n_flagged)."""
+def report(table, summary=None):
+    """Aligned human-readable table from a :func:`_table` ``table``;
+    returns (text, n_flagged)."""
     lines = []
-    n_flag = 0
-    if rows:
-        cols = _columns(rows)
-        table = [[_cell(r, c) for c in cols] for r in rows]
+    cols, cells, n_flag = table
+    if cells:
         widths = [
-            max(len(c), *(len(row[i]) for row in table)) for i, c in enumerate(cols)
+            max(len(c), *(len(row[i]) for row in cells)) for i, c in enumerate(cols)
         ]
         lines.append("  ".join(c.ljust(w) for c, w in zip(cols, widths)))
-        for r, row in zip(rows, table):
-            if r.get("flag"):
-                n_flag += 1
+        for row in cells:
             lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
     else:
         lines.append("(no rows)")
@@ -701,12 +708,15 @@ def run(cfg):
             rows = rows_spectrum(cfg, grid)
         else:  # sweep
             rows = rows_sweep(cfg, grid)
-    text, n_flag = report(rows, summary)
+    table = _table(rows)
+    text, n_flag = report(table, summary)
     if cfg.out:
         try:
             with open(cfg.out, "w") as fh:
-                writer = write_csv if cfg.fmt == "csv" else write_json
-                writer(rows, cfg, fh, summary)
+                if cfg.fmt == "csv":
+                    write_csv(table, cfg, fh, summary)
+                else:
+                    write_json(rows, cfg, fh, summary)
         except OSError as exc:
             raise ConfigError(f"cannot write output: {exc}")
     return (1 if n_flag else 0), rows, summary, text

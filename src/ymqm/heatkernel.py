@@ -27,6 +27,20 @@ Routes implemented here:
   and the order-hbar^2 correction.
 
 Dimensionless outputs depend only on lam2 and z = t v^4/(2 g^2).
+
+Grids.  The closed forms that ``ymqm sweep`` evaluates -- :func:`tf_partition_n2`,
+:func:`integral_Imn_closed`, :func:`z2_closed_n2`, :func:`resummed_term`,
+:func:`tf_term_n3`, :func:`radial_Jb` and :func:`z2_n3` -- take a grid of
+parameter points (:meth:`ModelParams.grid`, or an array of lam) as well as
+one point, and return one value per point.  Each point's value is the one
+that point gets alone, bit for bit: every power goes through libm ``pow``
+(:func:`special.power`), each point's terms are summed by ``math.fsum`` or
+along its own row, and each guard decides per point, sending the points it
+refuses, one at a time, to :func:`integral_Imn_whittaker` or
+:func:`radial_Jb_quadrature`.  A domain check fails for the whole grid if
+it fails at any point.  One point stays a number through the arithmetic:
+arrays begin only at the rows of :func:`radial_Jb` and at a point that a
+guard refuses.
 """
 
 from __future__ import annotations
@@ -43,12 +57,16 @@ from .errors import AccuracyError, DomainError, RegimeWarning
 from .special import (
     EULER_GAMMA,
     WhittakerArgs,
+    all_points,
     bessel_k0_scaled,
     bessel_k1_scaled,
     digamma,
     double_factorial,
     gamma_fn,
     gamma_upper,
+    per_point,
+    power,
+    sqrt,
     whittaker_w,
 )
 
@@ -62,20 +80,39 @@ _FIVE_LN2 = 5.0 * math.log(2.0)
 #: terms of the incomplete-gamma series of radial_Jb; at lam = 4 the last
 #: one is about 1e-9 of the sum, so the guard hands the point to quadrature
 _JB_TERMS = 40
+#: the orders k/2 + 1/4 of the table G_k, k = 0 .. _JB_TERMS, and the
+#: divisors n = 1 .. _JB_TERMS - 1 of the running product of radial_Jb
+_JB_ORDERS = np.arange(_JB_TERMS + 1.0) / 2.0 + 0.25
+_JB_STEPS = np.arange(1.0, _JB_TERMS)
 #: small-lam2 constants of the resummed series in units of K:
 #: Z = K [-ln lam2 + LEADING_LOG_CONSTANT + RESUMMED_CONSTANTS[2] + RESUMMED_CONSTANTS[4] + ..]
 LEADING_LOG_CONSTANT = _FIVE_LN2 - _C
 RESUMMED_CONSTANTS = {2: 5.0 / 3.0, 4: 127.0 / 180.0}
 
 
+def _row(x):
+    """A number, or each entry of an array over a grid, as the start of a
+    row: the row quantities of a point broadcast along the last axis."""
+    return np.asarray(x)[..., None]
+
+
+def _fsum(terms):
+    """``math.fsum`` of the terms at each point: the terms are numbers, or
+    one array per term over a grid."""
+    if isinstance(terms[0], np.ndarray):
+        return np.array(list(map(math.fsum, zip(*(c.tolist() for c in terms)))))
+    return math.fsum(terms)
+
+
 def tf_partition_n2(params):
     """Leading term of the planar model: K e^(z/2) K_0(z/2) with z/2 = t v^4/(4 g^2)."""
-    if params.v <= 0:
+    if not all_points(params.v > 0):
         raise DomainError("v must be positive (use tf_limit_v0 for the limit)")
-    if params.g <= 0:
+    if not all_points(params.g > 0):
         raise DomainError("g must be positive")
-    w = params.t * params.v**4 / (4.0 * params.g**2)
-    return params.prefactor_K() * bessel_k0_scaled(w)
+    K = params.prefactor_K()
+    w = params.t * power(params.v, 4) / (4.0 * power(params.g, 2))
+    return K * bessel_k0_scaled(w)
 
 
 def tf_limit_v0(params):
@@ -130,9 +167,13 @@ def _bessel_form(m, n):
 
 @lru_cache(maxsize=None)
 def _bessel_terms(m, n):
-    """``(j, p, float(c))`` of :func:`_bessel_form`.  Every term has
-    p + 2q = -(m+n), so a^p b^q = b^(-(m+n)/2) r^p with r = a/sqrt(b)."""
-    return tuple((j, p, float(c)) for (j, p, _), c in sorted(_bessel_form(m, n).items()))
+    """``(powers, terms)``: the distinct p of :func:`_bessel_form`, and
+    ``(j, i, float(c))`` for each of its terms, where ``powers[i]`` is the
+    term's p.  Every term has p + 2q = -(m+n), so a^p b^q = b^(-(m+n)/2) r^p
+    with r = a/sqrt(b)."""
+    form = sorted(_bessel_form(m, n).items())
+    powers = sorted({p for (_, p, _), _ in form})
+    return powers, tuple((j, powers.index(p), float(c)) for (j, p, _), c in form)
 
 
 def integral_Imn_closed(m, n, params):
@@ -147,23 +188,37 @@ def integral_Imn_closed(m, n, params):
     coefficients c of :func:`_bessel_form`, built once per (m, n).  The
     terms have both signs and cancel as z grows (for (8, 8) at z = 50 by
     about sixteen digits), so when the sum is not positive or
-    sum |terms| * 2^-52 > 1e-12 * sum the value comes from the Whittaker
-    form :func:`integral_Imn_whittaker` instead.
+    sum |terms| * 2^-52 > 1e-12 * sum the value at that point comes from the
+    Whittaker form :func:`integral_Imn_whittaker` instead.  Over a grid the
+    guard decides per point.  A b that underflows to 0 raises
+    :class:`DomainError`.
     """
     if m < n or n < 0:
         raise DomainError("requires m >= n >= 0 (symmetrize the indices first)")
-    if params.v <= 0 or params.g <= 0:
+    if not (all_points(params.v > 0) and all_points(params.g > 0)):
         raise DomainError("g and v must be positive")
-    b = 0.5 * params.t * params.g**2
-    r = 0.5 * params.t * params.v**2 / math.sqrt(b)
+    t = params.t
+    b = 0.5 * t * power(params.g, 2)
+    if not all_points(b > 0):
+        raise DomainError("b = t g^2/2 underflows to 0: the moment is infinite")
+    r = 0.5 * t * power(params.v, 2) / sqrt(b)
     u = 0.5 * r * r
     e = (bessel_k0_scaled(u), bessel_k1_scaled(u))
-    terms = [c * r**p * e[j] for j, p, c in _bessel_terms(m, n)]
-    total = math.fsum(terms)
-    rounding = math.fsum(map(abs, terms)) * 2.0**-52
-    if not 0.0 < total < math.inf or rounding > _CANCEL_TOL * total:
-        return integral_Imn_whittaker(m, n, params)
-    return _SQRT_PI * b ** (-(m + n + 1) / 2.0) * total
+    powers, form = _bessel_terms(m, n)
+    r_p = [power(r, p) for p in powers]
+    terms = [c * r_p[i] * e[j] for j, i, c in form]
+    total = _fsum(terms)
+    rounding = _fsum([abs(x) for x in terms]) * 2.0**-52
+    ok = (0.0 < total) & (total < math.inf) & (rounding <= _CANCEL_TOL * total)
+    if all_points(ok):
+        return _SQRT_PI * power(b, -(m + n + 1) / 2.0) * total
+    # the guard refuses some point: each such point goes alone to the
+    # Whittaker form, the others keep their closed value
+    ok, b, values = np.atleast_1d(ok), np.atleast_1d(b), np.atleast_1d(total)
+    values[ok] = _SQRT_PI * power(b[ok], -(m + n + 1) / 2.0) * values[ok]
+    for i in np.flatnonzero(~ok):
+        values[i] = integral_Imn_whittaker(m, n, params.point(i))
+    return per_point(params.g, values)
 
 
 def integral_Imn_whittaker(m, n, params):
@@ -200,18 +255,18 @@ def z2_closed_n2(params):
         Z_2 = (t / 12 pi) [ (-g^2 + t v^4/2) I_10 + (t g^4/2) I_21
                             - v^2 I_00 + t g^2 v^2 I_11 ].
     """
-    if params.v <= 0 or params.g <= 0:
+    if not (all_points(params.v > 0) and all_points(params.g > 0)):
         raise DomainError("g and v must be positive")
-    g2 = params.g**2
-    v2 = params.v**2
+    g2 = power(params.g, 2)
+    v2 = power(params.v, 2)
     t = params.t
     i00 = integral_Imn_closed(0, 0, params)
     i10 = integral_Imn_closed(1, 0, params)
     i11 = integral_Imn_closed(1, 1, params)
     i21 = integral_Imn_closed(2, 1, params)
     bracket = (
-        (-g2 + 0.5 * t * v2**2) * i10
-        + 0.5 * t * g2**2 * i21
+        (-g2 + 0.5 * t * power(v2, 2)) * i10
+        + 0.5 * t * power(g2, 2) * i21
         - v2 * i00
         + t * g2 * v2 * i11
     )
@@ -298,9 +353,9 @@ def zk_diagonal_log(k, m, params):
 
 
 def _warn_lam2(params):
-    if not params.lam2_in_regime():
+    if not all_points(params.lam2_in_regime()):
         warnings.warn(
-            f"lam2 = {params.lam2:.3g} outside the small-lam2 regime",
+            f"lam2 = {np.max(params.lam2):.3g} outside the small-lam2 regime",
             RegimeWarning,
         )
 
@@ -313,8 +368,7 @@ def resummed_term(k, params):
     """
     K = params.prefactor_K()
     if k == 0:
-        w = params.lam2 / 16.0
-        return K * bessel_k0_scaled(w)
+        return K * bessel_k0_scaled(params.lam2 / 16.0)
     _warn_lam2(params)
     if k in RESUMMED_CONSTANTS:
         return RESUMMED_CONSTANTS[k] * K
@@ -410,9 +464,13 @@ def _check_jb(b, lam):
         raise DomainError("only the b = 0, 2 members are used")
 
 
-def radial_Jb(b, lam):
-    """J_b(lam) = int_0^inf u^b e^(-u^2 - lam u) (lam + 8u)^(-3/2) du, b = 0, 2,
-    as a series in upper incomplete gamma functions.
+def radial_Jb(lam):
+    """(J_0(lam), J_2(lam)), where
+
+        J_b(lam) = int_0^inf u^b e^(-u^2 - lam u) (lam + 8u)^(-3/2) du,
+
+    as series in upper incomplete gamma functions; elementwise over an
+    array of lam.
 
     With y = (lam + 8u)/8, a = lam/8, c = 3 lam/8 and
     F_s = int_a^inf y^s e^(-(y+c)^2) dy,
@@ -431,33 +489,51 @@ def radial_Jb(b, lam):
                         sum_{n<40} (-2c)^n/n! (alpha G_{n+1} + beta G_n)/2],
 
     alpha = -4, beta = -4c for b = 0 and alpha = 1 - 4a^2,
-    beta = -2a(1 + 2ac) for b = 2.  The terms have both signs; when their
-    sum is not finite and positive, sum |terms| * 2^-52 > 1e-12 * sum, or
-    the last term exceeds 1e-12 * sum, the value comes from
+    beta = -2a(1 + 2ac) for b = 2.  Both members read one table of G_k.
+    The terms have both signs; when their sum is not finite and positive,
+    sum |terms| * 2^-52 > 1e-12 * sum, or the last term exceeds
+    1e-12 * sum, the value of that member at that point comes from
     :func:`radial_Jb_quadrature` instead.  That happens from lam of about
     3.4 on, never for lam < 1.
     """
-    _check_jb(b, lam)
+    if not all_points(lam > 0):
+        raise DomainError("lam must be positive")
+    # a, c and the coefficients are numbers per point; G, the running
+    # product and the series are one row per point
     a = lam / 8.0
     c = 3.0 * a
-    n = np.arange(_JB_TERMS + 1.0)
-    G = gamma_upper(n / 2.0 + 0.25, a * a)
-    if b == 0:
-        edge, alpha, beta = 2.0 / math.sqrt(a), -4.0, -4.0 * c
-    else:
-        edge, alpha, beta = 2.0 * a * math.sqrt(a), 1.0 - 4.0 * a * a, -2.0 * a * (1.0 + 2.0 * a * c)
+    G = gamma_upper(_JB_ORDERS, _row(a * a))
+    root = sqrt(a)
+    members = (
+        (0, 2.0 / root, -4.0, -4.0 * c),
+        (2, 2.0 * a * root, 1.0 - 4.0 * a * a, -2.0 * a * (1.0 + 2.0 * a * c)),
+    )
     # a large lam overflows to inf or nan terms, which the guard refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        # e^(lam^2/4 - c^2) (-2c)^n / (2 n!) as a running product
-        coef = np.empty(_JB_TERMS)
-        coef[0] = 0.5 * np.exp(lam * lam / 4.0 - c * c)
-        coef[1:] = -2.0 * c / n[1:-1]
-        series = coef.cumprod() * (alpha * G[1:] + beta * G[:-1])
-        total = edge + series.sum()
-        rounding = (edge + np.abs(series).sum()) * 2.0**-52
-    if not 0.0 < total < math.inf or max(rounding, abs(series[-1])) > _CANCEL_TOL * total:
-        return radial_Jb_quadrature(b, lam)
-    return 8.0**-1.5 * float(total)
+        # e^(lam^2/4 - c^2) (-2c)^n / (2 n!) as a running product along each row
+        first = 0.5 * np.exp(_row(lam * lam / 4.0 - c * c))
+        coef = np.concatenate([first, _row(-2.0 * c) / _JB_STEPS], axis=-1).cumprod(axis=-1)
+    out = []
+    for b, edge, alpha, beta in members:
+        with np.errstate(over="ignore", invalid="ignore"):
+            # coef * (alpha G_{n+1} + beta G_n), built in place
+            series = _row(alpha) * G[..., 1:]
+            series += _row(beta) * G[..., :-1]
+            series *= coef
+            total = edge + series.sum(axis=-1)
+            rounding = (edge + np.abs(series).sum(axis=-1)) * 2.0**-52
+            # the cancellation or the truncation, whichever is larger
+            error = np.maximum(rounding, np.abs(series[..., -1]))
+        ok = (0.0 < total) & (total < math.inf) & (error <= _CANCEL_TOL * total)
+        values = 8.0**-1.5 * total
+        if not all_points(ok):
+            # the guard refuses some point: each such point goes alone to
+            # quadrature, the others keep their series value
+            ok, values = np.atleast_1d(ok), np.atleast_1d(values)
+            for i in np.flatnonzero(~ok):
+                values[i] = radial_Jb_quadrature(b, float(np.atleast_1d(lam)[i]))
+        out.append(per_point(lam, values))
+    return tuple(out)
 
 
 def radial_Jb_quadrature(b, lam, rel_tol=1e-11):
@@ -502,17 +578,16 @@ def z2_n3(params):
     """
     if params.n_model != 3:
         raise DomainError("z2_n3 requires n_model = 3")
-    if params.g <= 0:
+    if not all_points(params.g > 0):
         raise DomainError("g must be positive")
     lam = params.lam
-    if lam >= 1.0:
-        warnings.warn(f"lam = {lam:.3g} outside the small-lam regime", RegimeWarning)
-    j0 = radial_Jb(0, lam)
-    j2 = radial_Jb(2, lam)
+    if not all_points(lam < 1.0):
+        warnings.warn(f"lam = {np.max(lam):.3g} outside the small-lam regime", RegimeWarning)
+    j0, j2 = radial_Jb(lam)
     return (
         math.sqrt(2.0)
-        * params.t**-0.75
-        / (params.hbar * math.sqrt(params.g))
+        * power(params.t, -0.75)
+        / (params.hbar * sqrt(params.g))
         * (-j0 + 4.0 * j2)
     )
 

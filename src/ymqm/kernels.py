@@ -48,13 +48,13 @@ _COORDS = ("x", "y", "z")
 
 class Potential:
     """Polynomial potential V, invariant under the rotation of the axes
-    (:meth:`PhasePolynomial.rotated`), with the one-axis derivative
+    (:meth:`PhasePolynomial.is_invariant`), with the one-axis derivative
     products of the recursion along x: with L = LapV, ``dV = d_xV``,
     ``dL = d_xL``, ``dV_dV = (d_xV)^2``, ``dV_dL = d_xV d_xL``,
     ``dL_dL = (d_xL)^2``, and ``lap = L``, ``lap_lap = Lap L``."""
 
     def __init__(self, dims, V, label):
-        if V.rotated() != V:
+        if not V.is_invariant():
             raise DomainError(
                 f"potential {label!r} is not invariant under the rotation of the axes"
             )
@@ -112,7 +112,7 @@ def recursion_step(prev, k, pot):
     s1, s2, s3, s4, s6 = (
         prev[k - j] if 0 <= k - j < len(prev) else zero for j in (1, 2, 3, 4, 6)
     )
-    if any(s.rotated() != s for s in (s1, s2, s3, s4, s6)):
+    if not all(s.is_invariant() for s in (s1, s2, s3, s4, s6)):
         raise DomainError("a source is not invariant under the rotation of the axes")
     # (c, monomial, factor, source, variable, order) stands for
     # c * monomial * factor * d^order source / d variable^order, and the

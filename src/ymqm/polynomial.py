@@ -26,7 +26,7 @@ kernel of the recursion is one call of :func:`_t_integral`, which adds the
 images of the sum under the rotation of the axes and integrates in t in its
 final pass.  The rotation, x -> y -> z with px -> py -> pz together (the
 swap in the plane), moves whole fields of a key, so it is three masks and
-two shifts of the packed integer (:func:`_rotate`).
+two shifts of the packed integer (:func:`_rotations`).
 
 Each polynomial also carries the packed maxima of its exponent fields, an
 upper bound that the accumulator propagates without looking at the terms.
@@ -85,16 +85,6 @@ def _rotations(dims):
 #: rotation of the axes moves
 _STAY = {dims: -1 << (2 * dims * _FIELD_BITS) for dims in _NAMES}
 _ROTATIONS = {dims: _rotations(dims) for dims in _NAMES}
-
-
-def _rotate(key, dims):
-    """Image of a packed key of 2 or 3 coordinates under the rotation of the
-    axes x -> y -> z: the exponent of x moves to y, of y to z and of z to x,
-    and the momenta with them (in the plane x and y swap).  Applied to field
-    maxima it gives the field maxima of the image.  The loops over the terms
-    of a polynomial inline it."""
-    up, lift, down, drop = _ROTATIONS[dims][0]
-    return key & _STAY[dims] | (key & up) << lift | (key & down) >> drop
 
 
 def variable_names(dims):
@@ -204,7 +194,7 @@ def _sum(dims, parts, i_power=0):
 def _t_integral(dims, parts, i_power=0):
     """The integral in t from 0 of the sum of :func:`_accumulate`'s parts
     and of its ``dims - 1`` images under the rotation of the axes
-    (:func:`_rotate`).  That total is invariant: on each orbit of keys under
+    (:func:`_rotations`).  That total is invariant: on each orbit of keys under
     the rotation it takes one value, the sum of the parts' sum over the
     orbit.  The final pass meets each orbit once, at its first key in the
     sum, and writes that value, integrated in t, to every key of the orbit;
@@ -351,16 +341,20 @@ class PhasePolynomial:
         """Test oracle: the exact coefficient of one monomial."""
         return Fraction(self._d.get(_key(self.dims, exponents), 0), self._den)
 
-    def rotated(self):
-        """The image under the rotation of the axes (:func:`_rotate`; one
-        axis has none); a polynomial equal to its image is invariant, as the
-        kernel recursion needs its potential and sources to be."""
+    def is_invariant(self):
+        """Whether the polynomial equals its image under the rotation of the
+        axes, as the kernel recursion needs its potential and sources to.
+        One pass looks up the rotated key of each term, stops at the first
+        whose numerator differs and builds no image; the check is exact,
+        since the rotation maps the keys one to one."""
         if self.dims == 1:
-            return self
+            return True
         stay, (up, lift, down, drop) = _STAY[self.dims], _ROTATIONS[self.dims][0]
-        d = {k & stay | (k & up) << lift | (k & down) >> drop: n for k, n in self._d.items()}
-        top = _rotate(self._top, self.dims)
-        return PhasePolynomial._make(self.dims, self.i_power, d, self._den, top)
+        get = self._d.get
+        for k, n in self._d.items():
+            if get(k & stay | (k & up) << lift | (k & down) >> drop) != n:
+                return False
+        return True
 
     def momentum_parity(self):
         """0 or 1 if every term has that total momentum-degree parity, else None."""

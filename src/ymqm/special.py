@@ -13,6 +13,13 @@ exact-rational combinations of the scaled Bessel functions e^u K_0(u) and
 e^u K_1(u).  The Laplace integral is the oracle those combinations are
 tested against and their fallback where they cancel.
 Everything else is a thin, domain-checked layer over scipy.special.
+
+A closed form evaluated over a grid of parameter points takes a float
+array with one entry per point where it would take a number.  The
+functions marked "elementwise" accept either and return the same kind;
+over an array they give every point the value that the number gives.
+:func:`power` exists for that: numpy's own ``**`` rounds some results
+differently from the libm ``pow`` behind Python's.
 """
 
 from __future__ import annotations
@@ -31,6 +38,32 @@ from .errors import AccuracyError, DomainError
 EULER_GAMMA = float(np.euler_gamma)
 
 _QUAD_OPTS = dict(epsabs=0.0, epsrel=2e-13, limit=400)
+
+
+def all_points(mask):
+    """Whether a condition holds at every point: ``mask`` is a bool, or a
+    bool array over a grid."""
+    return mask.all() if isinstance(mask, np.ndarray) else mask
+
+
+def power(x, y):
+    """x ** y for a number, or for each entry of a 1-D array through libm
+    ``pow``, as Python's ``**`` computes a number; numpy's own ``**``
+    differs from it in the last place for some inputs."""
+    if isinstance(x, np.ndarray):
+        return np.array([math.pow(e, y) for e in x.tolist()])
+    return x**y
+
+
+def sqrt(x):
+    """Square root, elementwise (correctly rounded both ways)."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def per_point(x, values):
+    """``values``, computed at each point of ``x``: the array for an array
+    ``x``, a float for a number (``values`` then holds one value)."""
+    return values if isinstance(x, np.ndarray) else values.item()
 
 
 @dataclass(frozen=True)
@@ -120,17 +153,17 @@ def bessel_k0(z):
 
 
 def bessel_k0_scaled(z):
-    """e^z K_0(z), stable for large z."""
-    if not z > 0:
+    """e^z K_0(z), stable for large z; elementwise."""
+    if not all_points(z > 0):
         raise DomainError("K_0 requires z > 0")
-    return float(sp.k0e(z))
+    return per_point(z, sp.k0e(z))
 
 
 def bessel_k1_scaled(z):
-    """e^z K_1(z), stable for large z."""
-    if not z > 0:
+    """e^z K_1(z), stable for large z; elementwise."""
+    if not all_points(z > 0):
         raise DomainError("K_1 requires z > 0")
-    return float(sp.k1e(z))
+    return per_point(z, sp.k1e(z))
 
 
 def bessel_i0(z):
@@ -159,8 +192,8 @@ def gamma_fn(x):
 
 def gamma_upper(s, x):
     """Upper incomplete gamma Gamma(s, x) = int_x^inf y^(s-1) e^-y dy,
-    elementwise over an array of s > 0, for x >= 0."""
-    if not x >= 0:
+    elementwise over arrays of s > 0 and x >= 0 that broadcast together."""
+    if not all_points(x >= 0):
         raise DomainError("Gamma(s, x) requires x >= 0")
     return sp.gammaincc(s, x) * sp.gamma(s)
 

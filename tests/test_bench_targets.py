@@ -164,3 +164,30 @@ def test_recursion_span_covers_every_order():
         tracer.uninstall()
     assert tracer.stats["kernels.recursion_step"][0] == 8
     assert tracer.counters["kernels.top_order_terms"] == 43972
+
+
+@pytest.mark.parametrize("argv, n_rows, span, calls", [
+    (["sweep", "--quantity", "z2", "--g", "1", "--v", "0.5:1.5:60", "--t", "0.2:0.4:40"],
+     2400, "heatkernel.integral_Imn_closed", 4),
+    (["sweep", "--quantity", "z2_n3", "--model", "n3", "--g", "0.6:1.2:40", "--t", "0.05:0.4:40"],
+     1600, "heatkernel.radial_Jb", 1),
+], ids=["z2", "z2_n3"])
+def test_sweep_evaluates_its_grid_at_once(tmp_path, monkeypatch, argv, n_rows, span, calls):
+    # on grids the size of the benchmark's sweeps, z2 calls its four moments
+    # and z2_n3 its J_0, J_2 pair once for the whole grid (point by point it
+    # was 9,600 and 3,200 calls), and every cell of the table is formatted
+    # once for the stdout table and the CSV file together
+    for module in sorted(MODULES):
+        importlib.import_module(module)
+    cli = importlib.import_module("ymqm.cli")
+    formatted = []
+    fmt = cli._fmt
+    monkeypatch.setattr(cli, "_fmt", lambda x: formatted.append(x) or fmt(x))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        _, rows, _, _ = cli.run(cli.build_config([*argv, "--out", str(tmp_path / "out.csv")]))
+    finally:
+        tracer.uninstall()
+    assert len(rows) == n_rows and tracer.stats[span][0] == calls
+    assert len(formatted) == len(rows) * len(rows[0])

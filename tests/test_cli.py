@@ -6,10 +6,12 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import ymqm
-from ymqm.cli import ConfigError, build_config, main, report, run
+from ymqm.cli import ConfigError, _table, build_config, main, report, run
+from ymqm.errors import DomainError, RegimeWarning
 from ymqm.special import EULER_GAMMA
 
 
@@ -154,7 +156,7 @@ class TestOutputs:
         assert "manifest" in payload and payload["manifest"]["seed"] == "none"
 
     def test_empty_rows_header_only(self):
-        text, n_flag = report([])
+        text, n_flag = report(_table([]))
         assert "(no rows)" in text and n_flag == 0
         assert text.strip().endswith("0 FLAG")
 
@@ -601,6 +603,20 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out.read_text())["manifest"]["omega"] == "1.0"
 
+    @pytest.mark.parametrize("argv, underflow", [
+        (["tf", "--v", "1"], "g^2 underflows"),
+        (["sweep", "--quantity", "resum_total"], "lam2 = g^2 hbar^4 t^3 underflows"),
+        (["sweep", "--quantity", "z2", "--v", "1"], "b = t g^2/2 underflows"),
+        (["n3"], "lam2 = g^2 hbar^4 t^3 underflows"),
+    ], ids=["tf", "sweep-resum_total", "sweep-z2", "n3"])
+    def test_coupling_underflow_is_a_domain_error(self, capsys, argv, underflow):
+        # at g = 1e-200, g^2 and lam2 = g^2 hbar^4 t^3 are 0 in floating point:
+        # the prefactor or moment that divides by them is refused by name
+        # instead of dividing by zero
+        assert main([*argv, "--g", "1e-200", "--t", "1"]) == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["type"] == "DomainError" and underflow in err["message"]
+
     def test_regime_flag_sets_exit_one(self):
         assert main(["tf", "--g", "1", "--v", "1", "--hbar", "1", "--t", "1"]) == 1
 
@@ -628,6 +644,64 @@ class TestSweepAndN3:
         assert row["i1_divergent"] is True
         assert row["j0_sqrtlam"] == pytest.approx(0.25, rel=1e-3)
         assert math.isfinite(row["i2"])
+
+
+class TestSweepGrid:
+    """``sweep`` evaluates its quantity over the whole grid in one call; each
+    grid value must equal the value of the same point alone, bit for bit."""
+
+    # planar: z = t v^4/(2 g^2) reaches 40.5 at v = 3, t = 1, where I_11 and
+    # I_21 go to the Whittaker form.  n3: lam = g t^(3/2) from 0.03 to 7.3,
+    # where J_0 and J_2 go to quadrature from lam of about 3.4; z2_n3 divides
+    # by no power of g, so its value at g = 1e-200, where lam2 underflows to
+    # 0, is finite
+    PLANAR = [(g, v, 1.0, t) for g in (0.3, 1.0) for v in (0.05, 0.7, 3.0) for t in (0.2, 1.0)]
+    N3 = [(g, 0.0, h, t) for g in (0.1, 1.0, 4.0) for h in (0.8, 1.0) for t in (0.3, 1.5)]
+    N3_UNDERFLOW = (1e-200, 0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("quantity", ["tf", "z2", "resum_total", "tf_n3", "z2_n3"])
+    def test_grid_equals_each_point(self, monkeypatch, quantity):
+        from ymqm import cli, heatkernel
+        from ymqm.params import ModelParams
+
+        model, fn = cli.SWEEP_QUANTITIES[quantity]
+        n_model = 3 if model == "n3" else 2
+        rows = self.PLANAR if n_model == 2 else self.N3
+        if quantity == "z2_n3":
+            rows = rows + [self.N3_UNDERFLOW]
+        points = [ModelParams(*x, n_model=n_model) for x in rows]
+        fallbacks = []
+        for name in ("integral_Imn_whittaker", "radial_Jb_quadrature"):
+            original = getattr(heatkernel, name)
+            monkeypatch.setattr(heatkernel, name, lambda *a, f=original, name=name:
+                                fallbacks.append(name) or f(*a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            grid = fn(ModelParams.grid(points))
+            alone = [fn(p) for p in points]
+        assert isinstance(grid, np.ndarray) and all(type(x) is float for x in alone)
+        assert [x.hex() for x in grid.tolist()] == [x.hex() for x in alone]
+        if quantity == "z2":
+            assert "integral_Imn_whittaker" in fallbacks
+        if quantity == "z2_n3":
+            assert "radial_Jb_quadrature" in fallbacks
+
+    @pytest.mark.parametrize("quantity", ["tf", "z2", "resum_total", "tf_n3"])
+    def test_underflow_point_fails_the_grid(self, quantity):
+        # one point whose g^2 underflows raises the DomainError that it
+        # raises alone, not an inf in the grid (z2_n3 has a value there, see
+        # N3_UNDERFLOW)
+        from ymqm import cli
+        from ymqm.params import ModelParams
+
+        model, fn = cli.SWEEP_QUANTITIES[quantity]
+        n_model = 3 if model == "n3" else 2
+        bad = ModelParams(1e-200, 1.0, 1.0, 1.0, n_model=n_model)
+        with pytest.raises(DomainError) as alone:
+            fn(bad)
+        with pytest.raises(DomainError) as grid:
+            fn(ModelParams.grid([ModelParams(1.0, 1.0, 1.0, 0.5, n_model=n_model), bad]))
+        assert "underflows" in str(alone.value) and str(grid.value) == str(alone.value)
 
 
 class TestRegimeWarnings:
@@ -696,6 +770,14 @@ class TestResultSnapshot:
                        "--t", "0.2:0.8:4"], 1,
          "7627c4dd07df3f6c86c7cb511be1088a6a569306b2df8cd53ac3492440af760d",
          "d2ad6b94a62c1ca69f7bdce39a9b53af330258f360cc840b0b0c34dc71e289d7"),
+        ("sweep_z2.csv", ["sweep", "--quantity", "z2", "--g", "1", "--v", "0.5:3:3",
+                          "--t", "0.2:1:2"], 1,
+         "f7d23848cf5bff6e5d5afe5316f163493db7e79abee69c519c26ab7760ea64e9",
+         "d8d96499db690c50d4f0cea6a91918b21ec19906dde3cbfd6ef7d54a5fa292b0"),
+        ("sweep_z2_n3.csv", ["sweep", "--quantity", "z2_n3", "--model", "n3", "--g", "1:4:3",
+                             "--t", "0.2:1.5:3"], 1,
+         "5f6f09e21048bb96a4044477819fb21e43ad05b0f29c51d6013f1d02a6a37411",
+         "9cf764e8261556ce0e2acee46e846725f296aaffb491046f981bc0e602ed8792"),
         ("n3.csv", ["n3", "--g", "1", "--t", "0.3:1.5:3"], 1,
          "e421b0fcae166b75ecfadc75df791d8462c6fd32a476a29c379c4d513973f79c",
          "63dbc3f303d682c6fa2cdcac03d1d27f5567696fe1f5a2ecdddd64334737ecc1"),

@@ -346,18 +346,18 @@ class TestThreeCoordinate:
 
     def test_j0_limit(self):
         lam = 1e-6
-        assert math.sqrt(lam) * hk.radial_Jb(0, lam) == pytest.approx(0.25, rel=1e-3)
+        assert math.sqrt(lam) * hk.radial_Jb(lam)[0] == pytest.approx(0.25, rel=1e-3)
 
     def test_j2_limit(self):
         lam = 1e-6
         expected = math.gamma(0.75) / (32.0 * math.sqrt(2.0))
-        assert hk.radial_Jb(2, lam) == pytest.approx(expected, rel=1e-3)
+        assert hk.radial_Jb(lam)[1] == pytest.approx(expected, rel=1e-3)
 
     def test_jb_small_lam_against_mpmath(self):
         # the boundary layer at u ~ lam and the u^(-3/2) stretch above it
         for lam in (1e-10, 4e-7):
-            for b in (0, 2):
-                assert hk.radial_Jb(b, lam) == pytest.approx(_jb_mpmath(b, lam), rel=1e-10)
+            for b, value in zip((0, 2), hk.radial_Jb(lam)):
+                assert value == pytest.approx(_jb_mpmath(b, lam), rel=1e-10)
 
     @pytest.mark.parametrize("lam", [1e-10, 1e-6, 1e-3, 0.01, 0.1, 0.3, 0.7, 1.0])
     def test_jb_series_against_mpmath(self, monkeypatch, lam):
@@ -366,8 +366,8 @@ class TestThreeCoordinate:
             raise AssertionError("the series handed lam < 1 to quadrature")
 
         monkeypatch.setattr(hk, "radial_Jb_quadrature", refuse)
-        for b in (0, 2):
-            assert hk.radial_Jb(b, lam) == pytest.approx(_jb_mpmath(b, lam), rel=1e-13)
+        for b, value in zip((0, 2), hk.radial_Jb(lam)):
+            assert value == pytest.approx(_jb_mpmath(b, lam), rel=1e-13)
 
     @pytest.mark.parametrize("lam", [4.0, 6.0, 10.0, 100.0])
     def test_jb_guard_falls_back_to_quadrature(self, monkeypatch, lam):
@@ -377,23 +377,22 @@ class TestThreeCoordinate:
         calls = []
         monkeypatch.setattr(hk, "radial_Jb_quadrature",
                             lambda b, lam: calls.append(b) or oracle(b, lam))
-        for b in (0, 2):
-            value = hk.radial_Jb(b, lam)
+        for b, value in zip((0, 2), hk.radial_Jb(lam)):
             assert value == oracle(b, lam)
             assert value == pytest.approx(_jb_mpmath(b, lam), rel=1e-10)
         assert calls == [0, 2]
 
     def test_jb_cancellation_guard(self, monkeypatch):
-        # at lam = 1, sum |terms| * 2^-52 is about 1e-15 of the sum while the
-        # last term is 1e-34 of it: a tolerance of 1e-16 trips only the
-        # cancellation half of the guard
+        # at lam = 1, sum |terms| * 2^-52 is about 1e-15 of the sum of both
+        # members while the last term is 1e-34 of it: a tolerance of 1e-16
+        # trips only the cancellation half of the guard
         monkeypatch.setattr(hk, "_CANCEL_TOL", 1e-16)
         oracle = hk.radial_Jb_quadrature
         calls = []
         monkeypatch.setattr(hk, "radial_Jb_quadrature",
                             lambda b, lam: calls.append(b) or oracle(b, lam))
-        assert hk.radial_Jb(0, 1.0) == oracle(0, 1.0)
-        assert calls == [0]
+        assert hk.radial_Jb(1.0) == (oracle(0, 1.0), oracle(2, 1.0))
+        assert calls == [0, 2]
 
     def test_z2_n3_without_quadrature(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -424,6 +423,8 @@ class TestThreeCoordinate:
 
     def test_jb_domain(self):
         with pytest.raises(DomainError):
-            hk.radial_Jb(0, 0.0)
+            hk.radial_Jb(0.0)
         with pytest.raises(DomainError):
-            hk.radial_Jb(1, 1.0)
+            hk.radial_Jb(np.array([1.0, 0.0]))
+        with pytest.raises(DomainError):
+            hk.radial_Jb_quadrature(1, 1.0)

@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,3 +64,48 @@ class TestRescaling:
         assert q.z == pytest.approx(p.z, rel=1e-12)
         assert q.prefactor_K() == pytest.approx(p.prefactor_K(), rel=1e-12)
         assert q.prefactor_L() == pytest.approx(p.prefactor_L(), rel=1e-12)
+
+
+def _random_points(n, seed=19):
+    """``n`` points with log-uniform g, v, hbar and t."""
+    rng = random.Random(seed)
+    ranges = ((-1, 0.7), (-2, 0.5), (-0.5, 0.3), (-2, 0.6))
+    return [ModelParams(*(10 ** rng.uniform(lo, hi) for lo, hi in ranges)) for _ in range(n)]
+
+
+class TestGrid:
+    """A grid of points in one ModelParams gives every point the value it
+    gets alone, bit for bit (numpy's own power differs from libm's in the
+    last place at some of these points)."""
+
+    POINTS = _random_points(300)
+
+    def test_derived_quantities_per_point(self):
+        grid = ModelParams.grid(self.POINTS)
+        for name in ("lam2", "lam", "z", "veff2"):
+            assert getattr(grid, name).tolist() == [getattr(p, name) for p in self.POINTS], name
+        for name in ("prefactor_K", "prefactor_L", "lam2_in_regime", "z_in_regime"):
+            values = getattr(grid, name)().tolist()
+            assert values == [getattr(p, name)() for p in self.POINTS], name
+        assert [grid.point(i) for i in range(len(self.POINTS))] == self.POINTS
+        assert self.POINTS[0].point(0) is self.POINTS[0]
+
+    def test_checks_hold_at_every_point(self):
+        ok = np.ones(3)
+        with pytest.raises(DomainError):
+            ModelParams(g=np.array([1.0, -1.0, 1.0]), v=ok, hbar=ok, t=ok)
+        with pytest.raises(DomainError):
+            ModelParams(g=ok, v=ok, hbar=ok, t=np.array([1.0, 1.0, 0.0]))
+        with pytest.raises(DomainError):
+            ModelParams(g=np.array([1.0, 0.0, 1.0]), v=ok, hbar=ok, t=ok).prefactor_K()
+
+    def test_underflow_named(self):
+        # g = 1e-200 is positive, but g^2 and lam2 are 0 in floating point
+        p = ModelParams(g=1e-200, v=1.0, hbar=1.0, t=1.0)
+        grid = ModelParams.grid([ModelParams(g=1.0, v=1.0, hbar=1.0, t=1.0), p])
+        for q in (p, grid):
+            for prefactor in (q.prefactor_K, q.prefactor_L):
+                with pytest.raises(DomainError, match="lam2 = g\\^2 hbar\\^4 t\\^3 underflows"):
+                    prefactor()
+            with pytest.raises(DomainError, match="underflows"):
+                _ = q.z

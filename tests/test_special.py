@@ -16,6 +16,9 @@ from ymqm.special import (
     digamma,
     double_factorial,
     gamma_fn,
+    gamma_upper,
+    power,
+    sqrt,
     whittaker_w,
 )
 
@@ -185,3 +188,31 @@ class TestGammaFamily:
             double_factorial(-3)
         with pytest.raises(OverflowError):
             gamma_fn(500.0)
+
+
+class TestElementwise:
+    """Over an array each entry gets the value that the number gets."""
+
+    x = np.geomspace(1e-3, 1e3, 2001) * (1.0 + 1e-9 * np.arange(2001))
+
+    @pytest.mark.parametrize("y", [2, 3, 4, 1.5, -0.5, -0.75, -2.0])
+    def test_power_is_libm_pow(self, y):
+        assert power(self.x, y).tolist() == [e**y for e in self.x.tolist()]
+        assert power(2.0, y) == 2.0**y and power(3, 2) == 9
+
+    def test_sqrt_and_bessel(self):
+        for f in (sqrt, bessel_k0_scaled, bessel_k1_scaled):
+            values = f(self.x)
+            assert isinstance(values, np.ndarray) and isinstance(f(0.5), float)
+            assert values.tolist() == [f(e) for e in self.x.tolist()]
+        with pytest.raises(DomainError):
+            bessel_k0_scaled(np.array([1.0, 0.0]))
+
+    def test_gamma_upper_broadcasts(self):
+        s = np.arange(5) / 2.0 + 0.25
+        table = gamma_upper(s, self.x[:7, None])
+        assert table.shape == (7, 5)
+        for row, x in zip(table, self.x[:7]):
+            assert row.tolist() == gamma_upper(s, float(x)).tolist()
+        with pytest.raises(DomainError):
+            gamma_upper(s, np.array([[1.0], [-1.0]]))
