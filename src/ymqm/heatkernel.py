@@ -56,7 +56,6 @@ from scipy.integrate import IntegrationWarning, quad
 from .errors import AccuracyError, DomainError, RegimeWarning
 from .special import (
     EULER_GAMMA,
-    WhittakerArgs,
     all_points,
     bessel_k0_scaled,
     bessel_k1_scaled,
@@ -64,10 +63,10 @@ from .special import (
     double_factorial,
     gamma_fn,
     gamma_upper,
+    laplace_integral,
     per_point,
     power,
     sqrt,
-    whittaker_w,
 )
 
 _C = EULER_GAMMA
@@ -225,27 +224,25 @@ def integral_Imn_whittaker(m, n, params):
     """Coordinate moment I_mn (m >= n >= 0) in Whittaker form:
 
         I_mn = sqrt(2 pi) (2n-1)!! (v^2)^(m-n) t^(-n-1/2) g^(-2m-1)
-               e^(z/2) z^(-(m-n+1)/2) Gamma(m+1/2) W_{-(m+n)/2,(m-n)/2}(z),
+               e^(z/2) z^(-(m-n+1)/2) Gamma(m+1/2) W_{-(m+n)/2,(m-n)/2}(z)
+             = sqrt(2 pi) (2n-1)!! (v^2)^(m-n) t^(-n-1/2) g^(-2m-1)
+               int_0^inf u^(m-1/2) (1+u)^(-n-1/2) e^(-zu) du,
 
-    with W from its Laplace integral: the fallback of
-    :func:`integral_Imn_closed` and the oracle it is tested against.
+    the second line cancelling e^(z/2), Gamma(m+1/2) and the powers of z
+    against those in W, so that it stays finite at large z: the fallback
+    of :func:`integral_Imn_closed` and the oracle it is tested against.
     """
     if m < n or n < 0:
         raise DomainError("requires m >= n >= 0 (symmetrize the indices first)")
     if params.v <= 0 or params.g <= 0:
         raise DomainError("g and v must be positive")
-    z = params.z
-    w = whittaker_w(WhittakerArgs(-(m + n) / 2.0, (m - n) / 2.0, z))
     return (
         _SQRT_2PI
         * double_factorial(2 * n - 1)
         * params.v ** (2 * (m - n))
         * params.t ** -(n + 0.5)
         * params.g ** -(2 * m + 1)
-        * math.exp(0.5 * z)
-        * z ** (-(m - n + 1) / 2.0)
-        * gamma_fn(m + 0.5)
-        * w
+        * laplace_integral(m - 0.5, -n - 0.5, params.z)
     )
 
 

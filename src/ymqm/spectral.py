@@ -15,17 +15,17 @@ At frequency omega the 1-D operators are x^2 = (hbar/omega) X and
 p^2 = hbar omega P, so every block is omega K + (v^2/omega) X +
 (g^2/omega^2) Q in its kinetic, harmonic and quartic parts K, X and Q at
 omega = 1.  A basis keeps those parts, and the rows that split its blocks,
-built once; solving it at a frequency forms each block there and solves it.
-A block at or below a size cap is solved completely, split by the
-permutations that leave its sector unchanged: when all three axes share a
-parity (3-D 000 and 111), into the irreps A1, A2 and E of S3, whose
-two-dimensional E gives each of its levels twice; when two axes share a
-parity, into the symmetric and antisymmetric halves under their swap.  In
-its natural order a planar piece is a band matrix about N/2 wide, so it is
-solved from its upper band by LAPACK's band solver; a 3-D piece, whose band
-is about N^2/4 wide, by dense LAPACK.  Above the cap an iterative extremal
-solver returns only the lowest levels of the whole block.  The omega scan
-solves one such basis at each of its frequencies.
+built once; solving it at a frequency forms each block there and solves it
+completely, split by the permutations that leave its sector unchanged:
+when all three axes share a parity (3-D 000 and 111), into the irreps A1,
+A2 and E of S3, whose two-dimensional E gives each of its levels twice;
+when two axes share a parity, into the symmetric and antisymmetric halves
+under their swap.  In its natural order a planar piece is a band matrix
+about N/2 wide, so it is solved from its upper band by LAPACK's band
+solver; a 3-D piece, whose band is about N^2/4 wide, by dense LAPACK.
+Within ``SIZE_CAP`` a dense piece has at most 3,990 rows (the symmetric
+half of sector 001 at 39 levels per axis).  The omega scan solves one such
+basis at each of its frequencies.
 
 Every computed eigenvalue is variational (an upper bound that decreases
 monotonically with the cutoff), hence every truncated partition sum is a
@@ -37,18 +37,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh, eigvals_banded
 from scipy.sparse import csr_matrix, diags, vstack
-from scipy.sparse.linalg import eigsh
 
 from .errors import ConvergenceError, DomainError
 from .params import ModelParams
 
-DENSE_BLOCK_CAP = 4000
-ITERATIVE_LEVELS = 64  # lowest levels solved in a sector above DENSE_BLOCK_CAP
 SIZE_CAP = 60000  # refuse to assemble beyond this total dimension
 MIN_CUTOFF = 4  # levels per axis
 ENLARGEMENT = 8  # extra levels per axis of the convergence check in eigenvalues
@@ -80,8 +77,8 @@ class SpectrumResult:
     basis: BasisSpec
     conv_tol: float
     count_converged: int
-    params: ModelParams | None = None
-    sectors: list = field(default_factory=list)
+    params: ModelParams
+    sectors: list
 
     def converged(self):
         return self.eigenvalues[: self.count_converged]
@@ -247,10 +244,11 @@ def _piece_levels(h, d):
     """All levels of the sparse piece h of the d-axis model: a planar piece
     from its upper band (:func:`_upper_band`) by ``eigvals_banded``; a 3-D
     piece densified by ``eigh``, which beat the band solver there (3-D bands
-    are about N^2/4 wide)."""
+    are about N^2/4 wide), in Fortran order so that ``eigh`` overwrites it
+    instead of a copy."""
     if d == 2:
         return eigvals_banded(_upper_band(h), overwrite_a_band=True)
-    return eigh(h.toarray(), eigvals_only=True, overwrite_a=True)
+    return eigh(h.toarray(order="F"), eigvals_only=True, overwrite_a=True)
 
 
 class HamiltonianBlocks:
@@ -284,32 +282,22 @@ class HamiltonianBlocks:
 
     def levels(self, omega):
         """Sorted merged spectrum at basis frequency ``omega`` and per-sector
-        ``(sec, w, size)``, one entry per parity sector.
+        ``(sec, w)``, one entry per parity sector.
 
-        Each orbit's block is solved once and every sector of the orbit gets
-        its sorted, read-only levels w: all of them at or below
-        ``DENSE_BLOCK_CAP``, from the pieces of :func:`_split_rows`
-        (:func:`_piece_levels`), else the lowest ``ITERATIVE_LEVELS`` of the
-        whole block by ``eigsh``."""
+        Each orbit's block is solved once, completely, from the pieces of
+        :func:`_split_rows` (:func:`_piece_levels`), and every sector of the
+        orbit gets its sorted, read-only levels w."""
         d = self.params.n_model
         a, b = self.params.v**2 / omega, self.params.g**2 / omega**2
         solved = {}
         for (sec, K, (X, Q)), rows in zip(self.blocks, self._rows):
             H = omega * K + a * X + b * Q
-            size = H.shape[0]
-            if size > DENSE_BLOCK_CAP:
-                kk = min(ITERATIVE_LEVELS, size - 2)
-                w = eigsh(H, k=kk, which="SA", return_eigenvectors=False)
-            else:
-                pieces = [(B @ H @ B.T, copies) for B, copies in rows] or [(H, 1)]
-                w = np.concatenate([np.tile(_piece_levels(h, d), c) for h, c in pieces])
-            w = np.sort(w)
+            pieces = [(B @ H @ B.T, copies) for B, copies in rows] or [(H, 1)]
+            w = np.sort(np.concatenate([np.tile(_piece_levels(h, d), c) for h, c in pieces]))
             w.flags.writeable = False
-            solved[sec] = (w, size)
-        sectors = [
-            (sec, *solved[tuple(sorted(sec))]) for sec in itertools.product((0, 1), repeat=d)
-        ]
-        merged = np.sort(np.concatenate([w for _, w, _ in sectors]))
+            solved[sec] = w
+        sectors = [(sec, solved[tuple(sorted(sec))]) for sec in itertools.product((0, 1), repeat=d)]
+        merged = np.sort(np.concatenate([w for _, w in sectors]))
         return merged, sectors
 
     def solve(self):
@@ -334,16 +322,8 @@ def trace_maximizing_omega(params, t_ref):
     maximum is the tightest.  Scanned at the prescan basis of
     ``SCAN_CUTOFF`` levels per axis, which is assembled and its split rows
     built once; each grid frequency solves it through
-    :meth:`HamiltonianBlocks.levels`.  The basis must be solved completely:
-    raises :class:`ConvergenceError` before any solve when a block is above
-    ``DENSE_BLOCK_CAP``."""
+    :meth:`HamiltonianBlocks.levels`."""
     h = HamiltonianBlocks(params, BasisSpec(SCAN_CUTOFF, 1.0))
-    size = max(K.shape[0] for _, K, _ in h.blocks)
-    if size > DENSE_BLOCK_CAP:
-        raise ConvergenceError(
-            f"omega scan basis N = {SCAN_CUTOFF} has a {size}-state block above the dense "
-            f"cap {DENSE_BLOCK_CAP}, whose higher levels would be missing",
-        )
     best, best_om = -np.inf, None
     for om in _omega_grid(params):
         merged, _ = h.levels(float(om))
@@ -357,18 +337,8 @@ def _natural_scale(params):
     # harmonic: v; pure quartic: the g^(2/3) hbar^(1/3) ladder scale
     if params.v > 0 and params.g == 0:
         return params.v
-    base = (params.g * params.hbar) ** (2.0 / 3.0) / max(params.hbar, 1e-300) ** (1.0 / 3.0)
+    base = (params.g * params.hbar) ** (2.0 / 3.0) / params.hbar ** (1.0 / 3.0)
     return max(base, params.v, 1e-3)
-
-
-def _complete_count(merged, sector_data):
-    """Length of the prefix of the merged spectrum with no level missing: a
-    sector solved iteratively returns only its lowest levels, so above its
-    top one the merge may skip levels of that sector."""
-    tops = [w[-1] for _, w, size in sector_data if len(w) < size]
-    if not tops:
-        return len(merged)
-    return int(np.searchsorted(merged, min(tops), side="right"))
 
 
 def max_cutoff(n_model):
@@ -391,20 +361,15 @@ def eigenvalues(handle, how_many, conv_tol=1e-6):
     if how_many > handle.dimension // 4:
         raise DomainError("how_many exceeds the dimension/4 safety margin")
     ev, sectors = handle.solve()
-    big = HamiltonianBlocks(handle.params, handle.basis.enlarged())
-    ev_big, sectors_big = big.solve()
-    n = min(_complete_count(ev, sectors), _complete_count(ev_big, sectors_big))
-    diffs = np.abs(ev[:n] - ev_big[:n])
+    ev_big, _ = HamiltonianBlocks(handle.params, handle.basis.enlarged()).solve()
+    n = len(ev)
+    diffs = np.abs(ev - ev_big[:n])
     bad = np.nonzero(diffs > conv_tol)[0]
     count = int(bad[0]) if bad.size else n
     if count < how_many:
-        why = (
-            f"changed by {diffs[count]:.3g} under basis enlargement"
-            if count < n
-            else "higher levels of an iteratively solved sector were not computed"
-        )
         raise ConvergenceError(
-            f"eigenvalue {count} not converged to {conv_tol:g} ({why})",
+            f"eigenvalue {count} not converged to {conv_tol:g} "
+            f"(changed by {diffs[count]:.3g} under basis enlargement)",
             first_unconverged=count,
         )
     return SpectrumResult(
@@ -413,7 +378,7 @@ def eigenvalues(handle, how_many, conv_tol=1e-6):
         conv_tol=conv_tol,
         count_converged=count,
         params=handle.params,
-        sectors=[(sec, w) for sec, w, _ in sectors],
+        sectors=sectors,
     )
 
 
@@ -490,11 +455,12 @@ class LeadingLogStudy:
     flags: dict
 
 
-def study_ladder(n_top, ladder_steps=LADDER_STEPS, step=LADDER_STEP):
-    """Cutoffs per axis of the leading-log study's planar basis ladder,
-    ending at ``n_top``; raises :class:`DomainError` unless every rung lies
-    within ``MIN_CUTOFF`` and ``SIZE_CAP``."""
-    ladder = tuple(n_top - step * i for i in range(ladder_steps - 1, -1, -1))
+def study_ladder(n_top):
+    """Cutoffs per axis of the leading-log study's planar basis ladder:
+    ``LADDER_STEPS`` rungs ``LADDER_STEP`` apart, ending at ``n_top``; raises
+    :class:`DomainError` unless every rung lies within ``MIN_CUTOFF`` and
+    ``SIZE_CAP``."""
+    ladder = tuple(n_top - LADDER_STEP * i for i in range(LADDER_STEPS - 1, -1, -1))
     top = max_cutoff(2) + ENLARGEMENT  # the ladder solves no enlargement
     if min(ladder) < MIN_CUTOFF or max(ladder) > top:
         raise DomainError(
@@ -504,13 +470,7 @@ def study_ladder(n_top, ladder_steps=LADDER_STEPS, step=LADDER_STEP):
     return ladder
 
 
-def leading_log_study(
-    params,
-    n_top=60,
-    ladder_steps=LADDER_STEPS,
-    step=LADDER_STEP,
-    omega=None,
-):
+def leading_log_study(params, n_top=60, omega=None):
     """Regression of Z/K against -ln(lam2) over the asymptotic window.
 
     Partition sums are computed on a basis ladder ending at ``n_top`` per
@@ -518,13 +478,11 @@ def leading_log_study(
     part of the asymptotic window; the basis deficit is modeled jointly as
     (a + b x) (n_top/N)^p and removed, which is what turns the variationally
     biased raw sums into a usable estimate of the true trace.  The
-    asymptotic flag restricts the window to lam2 <= 0.1.  Each sum runs over
-    the complete prefix of its basis's spectrum; the ``complete_spectra``
-    flag is False when a sector solved iteratively cut that prefix short.
+    asymptotic flag restricts the window to lam2 <= 0.1.
     """
     if params.n_model != 2:
         raise DomainError("the leading-log study is defined for the planar model")
-    ladder = study_ladder(n_top, ladder_steps, step)
+    ladder = study_ladder(n_top)
     thi = (0.097 / (params.g**2 * params.hbar**4)) ** (1.0 / 3.0)
     tlo = (0.022 / (params.g**2 * params.hbar**4)) ** (1.0 / 3.0)
     t_grid = np.linspace(tlo, thi, 10)
@@ -533,14 +491,9 @@ def leading_log_study(
     if omega is None:
         omega = trace_maximizing_omega(params, t_ref=float(np.median(t_grid)))
     sums = {}
-    complete = True
     for N in ladder:
-        h = HamiltonianBlocks(params, BasisSpec(N, omega))
-        ev, sectors = h.solve()
-        n = _complete_count(ev, sectors)
-        complete = complete and n == len(ev)
-        sums[N] = np.array([np.sum(np.exp(-t * ev[:n])) for t in t_grid])
-    flags["complete_spectra"] = complete
+        ev, _ = HamiltonianBlocks(params, BasisSpec(N, omega)).solve()
+        sums[N] = np.array([np.sum(np.exp(-t * ev)) for t in t_grid])
     x = -np.log(lam2)
     K = 1.0 / np.sqrt(2.0 * np.pi * lam2)
     from scipy.optimize import least_squares

@@ -149,6 +149,23 @@ class TestMomentIntegralsClosed:
                     oracle = hk.integral_Imn_whittaker(m, n, p)
                     assert closed == pytest.approx(oracle, rel=1e-10), (m, n, z)
 
+    @pytest.mark.parametrize("v", [8.0, 12.0])  # z = 2048 and 10368
+    def test_whittaker_form_at_large_z(self, v):
+        # the integral is Gamma(m+1/2) U(m+1/2, m-n+1, z); mpmath's U is
+        # independent of the quadrature
+        p = params(v=v)
+        for m in range(9):
+            for n in range(m + 1):
+                with mpmath.workdps(30):
+                    ref = float(
+                        mpmath.sqrt(2 * mpmath.pi)
+                        * hk.double_factorial(2 * n - 1)
+                        * mpmath.mpf(v) ** (2 * (m - n))
+                        * mpmath.gamma(m + 0.5)
+                        * mpmath.hyperu(m + 0.5, m - n + 1, p.z)
+                    )
+                assert hk.integral_Imn_whittaker(m, n, p) == pytest.approx(ref, rel=1e-12), (m, n)
+
     def test_cancellation_guard_falls_back(self, monkeypatch):
         calls = []
         oracle = hk.integral_Imn_whittaker

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -102,9 +103,8 @@ class TestMatrixElements:
         _, sectors = build_hamiltonian(p, BasisSpec(N, 1.0)).solve()
         assert len(sectors) == 2**d
         blocks = dict(_sector_blocks(p, N))
-        for sec, w, size in sectors:
+        for sec, w in sectors:
             ref = np.linalg.eigvalsh(blocks[sec].toarray())
-            assert size == len(ref)
             np.testing.assert_allclose(w, ref, rtol=0, atol=1e-11)
 
     @pytest.mark.parametrize("v", [0.0, 0.4])
@@ -114,7 +114,7 @@ class TestMatrixElements:
         p = ModelParams(g=1.0, v=v, hbar=1.0, t=1.0)
         _, sectors = build_hamiltonian(p, BasisSpec(40, 1.0)).solve()
         blocks = dict(_sector_blocks(p, 40))
-        for sec, w, _ in sectors:
+        for sec, w in sectors:
             ref = np.linalg.eigvalsh(blocks[sec].toarray())
             np.testing.assert_allclose(w, ref, rtol=1e-10, atol=0)
 
@@ -199,35 +199,13 @@ class TestEigenvalues:
     def test_parity_sector_counts(self):
         h = build_hamiltonian(QUARTIC, BasisSpec(12, 1.0))
         ev, sectors = h.solve()
-        assert sum(len(w) for _, w, *_ in sectors) == len(ev) == 144
+        assert sum(len(w) for _, w in sectors) == len(ev) == 144
 
     def test_nonconvergence_error_lists_index(self):
         h = build_hamiltonian(QUARTIC, BasisSpec(16, 0.7))
         with pytest.raises(ConvergenceError) as exc:
             eigenvalues(h, how_many=60, conv_tol=1e-10)
         assert exc.value.first_unconverged is not None
-
-    def test_iterative_sectors_claim_only_computed_levels(self, monkeypatch):
-        # every sector above the cap is solved iteratively for its
-        # ITERATIVE_LEVELS lowest levels, so the merge is complete only below
-        # the lowest sector top; at the matched frequency and away from it
-        p = ModelParams(g=0.05, v=1.0, hbar=1.0, t=1.0)
-        for om in (1.0, 0.7):
-            dense = eigenvalues(build_hamiltonian(p, BasisSpec(40, om)), how_many=4)
-            with monkeypatch.context() as m:
-                m.setattr(spectral, "DENSE_BLOCK_CAP", 100)
-                capped = eigenvalues(build_hamiltonian(p, BasisSpec(40, om)), how_many=4)
-            n = capped.count_converged
-            assert 4 <= n <= dense.count_converged
-            np.testing.assert_allclose(
-                capped.converged(), dense.eigenvalues[:n], rtol=0, atol=dense.conv_tol
-            )
-
-    def test_omega_scan_refuses_partial_spectra(self, monkeypatch):
-        # a scan basis with sectors above the cap would sum missing levels
-        monkeypatch.setattr(spectral, "DENSE_BLOCK_CAP", 50)
-        with pytest.raises(ConvergenceError):
-            trace_maximizing_omega(QUARTIC, t_ref=1.0)
 
     def test_how_many_margin(self):
         h = build_hamiltonian(QUARTIC, BasisSpec(8, 1.0))
@@ -314,18 +292,11 @@ class TestOmegaFreeScan:
 
 class TestLeadingLogStudy:
     def test_slope_and_flags(self):
-        study = leading_log_study(QUARTIC, n_top=44, ladder_steps=3)
+        study = leading_log_study(QUARTIC, n_top=44)
+        assert study.ladder == (20, 28, 36, 44)
         assert study.flags["asymptotic_clear"]
         assert study.flags["truncation_model_ok"]
-        assert study.flags["complete_spectra"]
         assert 0.75 < study.slope < 1.25
-
-    def test_partial_spectra_are_flagged(self, monkeypatch):
-        # every planar block of the ladder is above the cap, so each basis
-        # contributes only its complete prefix and the study says so
-        monkeypatch.setattr(spectral, "DENSE_BLOCK_CAP", 50)
-        study = leading_log_study(QUARTIC, n_top=24, ladder_steps=3, step=4, omega=1.0)
-        assert study.flags["complete_spectra"] is False
 
     def test_model_guard(self):
         with pytest.raises(DomainError):
@@ -377,3 +348,13 @@ class TestThreeCoordinate:
         h = build_hamiltonian(p, BasisSpec(8, 1.0))
         ev, _ = h.solve()
         assert np.allclose(ev[:4], [1.5, 2.5, 2.5, 2.5], atol=1e-12)
+
+    def test_dense_pieces_bounded_at_the_size_cap(self):
+        # every 3-D sector of the largest basis within SIZE_CAP splits, and no
+        # piece that the dense solver gets exceeds 4,000 rows
+        N = spectral.max_cutoff(3) + spectral.ENLARGEMENT
+        assert N**3 <= spectral.SIZE_CAP < (N + 1) ** 3
+        for sec in itertools.product((0, 1), repeat=3):
+            rows = spectral._split_rows(sec, N)
+            assert rows
+            assert max(B.shape[0] for B, _ in rows) <= 4000
