@@ -17,7 +17,7 @@ Routes implemented here:
   :func:`zk_singular`, the power divergences v^-(k - 4 ell) with indices
   m - n = k/2 - 2 ell (ell = 0 the most singular), and
   :func:`zk_diagonal_log`, the purely logarithmic equal-index structures;
-* their resummations v^2 -> v^2 + hbar^2 g^2 t/2, regular as v -> 0:
+* their resummations v^2 -> v^2 + veff2 (hbar^2 g^2 t/2 in the plane), regular as v -> 0:
   :func:`tilde_zk_singular` (the alternating singular p-sums of the same
   ell family), :func:`zk_diagonal_log` at ``params.with_veff()``, the
   closed terms :func:`resummed_term`, and the asymptotic series in
@@ -326,8 +326,8 @@ def zk_diagonal_log(k, m, params):
 
         Z = K (g^2 hbar^4 t^3)^(k/4) [ln(2 g^2/(v^4 t)) - 2C - psi(m+1/2)].
 
-    At ``params.with_veff()`` (v^2 -> hbar^2 g^2 t/2) this is the resummed
-    diagonal structure K lam2^(k/4) [-ln lam2 + 3 ln 2 - 2C - psi(m+1/2)],
+    At a planar ``params.with_veff()`` (v^2 -> hbar^2 g^2 t/2) this is the
+    resummed diagonal structure K lam2^(k/4) [-ln lam2 + 3 ln 2 - 2C - psi(m+1/2)],
     finite and v-independent.  Test oracle: no route calls it.
     """
     _check_order(k)

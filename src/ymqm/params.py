@@ -18,16 +18,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError
+from .kernels import potential
+from .polynomial import PhasePolynomial
 from .special import all_points, power, sqrt
 
 #: validity thresholds for the asymptotic (small-parameter) formulas;
 #: one decade of margin against the leading neglected term
 LAM2_REGIME_MAX = 0.1
 Z_REGIME_MAX = 0.1
+
+
+@lru_cache(maxsize=None)
+def _laplacian_coefficients(n_model):
+    """(c_v, c_g) of LapV = c_v v^2 + c_g g^2 |x|^2, from the model's Potential.lap."""
+    lap, mono = potential(n_model).lap, PhasePolynomial.monomial
+    c_v, c_g = lap.coefficient(v2=1), lap.coefficient(g2=1, x=2)
+    terms = [mono(n_model, c_g, g2=1, **{x: 2}) for x in "xyz"[:n_model]]
+    if lap != sum(terms, mono(n_model, c_v, v2=1)):
+        raise DomainError(f"LapV of the n_model = {n_model} model has other terms")
+    return float(c_v), float(c_g)
 
 
 @dataclass(frozen=True)
@@ -92,11 +106,21 @@ class ModelParams:
             raise DomainError("z undefined at g = 0, or where g^2 underflows to 0")
         return self.t * power(self.v, 4) / (2.0 * g2)
 
+    def regulator(self):
+        """``(veff2, log_c)`` of the resummed regulator exp(-hbar^2 t^2 L/4)
+        of the model, with L = LapV = c_v v^2 + c_g g^2 |x|^2 (planar
+        c_v, c_g = 2, 1; three-coordinate 3, 2): it lifts v^2 in the weight
+        exp(-t v^2 |x|^2/2) by veff2 = c_g hbar^2 g^2 t/2, times the constant
+        exp(log_c), log_c = -c_v hbar^2 t^2 v^2/4."""
+        c_v, c_g = _laplacian_coefficients(self.n_model)
+        h2 = power(self.hbar, 2)
+        veff2 = 0.5 * c_g * h2 * power(self.g, 2) * self.t
+        return veff2, -0.25 * c_v * h2 * power(self.t, 2) * power(self.v, 2)
+
     @property
     def veff2(self):
-        """Effective harmonic strength hbar^2 g^2 t / 2 generated by the
-        resummed channel fluctuations."""
-        return 0.5 * power(self.hbar, 2) * power(self.g, 2) * self.t
+        """The effective harmonic strength of :meth:`regulator`."""
+        return self.regulator()[0]
 
     def _prefactor_lam2(self):
         """lam2 for a prefactor, which diverges where it is 0."""
@@ -139,5 +163,5 @@ class ModelParams:
 
     def with_veff(self):
         """Parameters with the harmonic strength replaced by the effective
-        one, v^2 -> hbar^2 g^2 t / 2 (zero bare v); a test oracle."""
-        return replace(self, v=math.sqrt(self.veff2))
+        one, v^2 -> :attr:`veff2` (zero bare v); a test oracle."""
+        return replace(self, v=sqrt(self.veff2))

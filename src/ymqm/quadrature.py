@@ -10,6 +10,11 @@ even in every coordinate), with R chosen so the Gaussian tail beyond it
 stays below rel_tol / _TAIL_SAFETY.  The radial reductions of the
 three-coordinate model are one-dimensional ``quad`` as well.
 
+``effective=True`` puts the model's resummed regulator into the weight
+(:meth:`ModelParams.regulator`): the moment oracles return the moment at
+v^2 + veff2 without the regulator's constant factor, and
+:func:`phase_space_quadrature` includes that factor.
+
 Every :class:`OracleValue` error is the engine's own estimate plus, where a
 cutoff truncates the domain, the tail bound it was chosen for; an engine
 that does not converge raises :class:`AccuracyError`.
@@ -29,6 +34,7 @@ from scipy.integrate import IntegrationWarning, cubature, quad
 
 from .errors import AccuracyError, DivergentIntegralError, DomainError
 from .reduction import integrate_momenta
+from .special import bessel_i0_scaled
 
 _TAIL_SAFETY = 10.0  # tail-truncation bound kept below rel_tol / safety
 _QUAD_LIMIT = 200  # subintervals per one-dimensional quad
@@ -81,20 +87,12 @@ def _oracle(value, error, spec):
     return OracleValue(value, abs(error) + abs(value) * spec.rel_tol / _TAIL_SAFETY)
 
 
-def _weight_params(params, effective):
-    """(g2, v2_weight, extra): couplings of the coordinate weight
-    exp(-t [v2_w r^2/2 + quartic]).  With ``effective`` the resummed
-    regulator v^2 -> v^2 + hbar^2 g^2 t/2 is applied (times a constant
-    factor exp(-hbar^2 t^2 v^2 / 2) from the harmonic part, returned as
-    ``extra``)."""
-    g2 = params.g**2
-    if effective:
-        v2 = params.v**2 + params.veff2
-        extra = math.exp(-0.5 * params.hbar**2 * params.t**2 * params.v**2)
-    else:
-        v2 = params.v**2
-        extra = 1.0
-    return g2, v2, extra
+def _weight_params(params, effective, d):
+    """(g2, v2) of the weight exp(-t [v2 |x|^2/2 + quartic]) in ``d``
+    coordinates; ``effective`` adds the veff2 of the d-coordinate model."""
+    if effective and params.n_model != d:
+        raise DomainError(f"the {d}-coordinate effective weight needs n_model = {d}")
+    return params.g**2, params.v**2 + (params.veff2 if effective else 0.0)
 
 
 def _weight(X, t, g2, v2):
@@ -113,13 +111,12 @@ def imn_quadrature(m, n, params, spec=QuadratureSpec(), effective=False):
         I_mn = 4 int_0^inf u^(m+n) e^(-t g^2 u^2/2) K_|m-n|(t v^2 u) du,
 
     one adaptive quad over the half-line (exponentially scaled K), accurate
-    at every z = t v^4 / (2 g^2) and at g = 0.  ``effective`` switches on
-    the resummed regulator (the tilde variant).  Returns an
-    :class:`OracleValue`.
+    at every z = t v^4 / (2 g^2) and at g = 0.  ``effective`` gives the
+    tilde variant.  Returns an :class:`OracleValue`.
     """
     if m < 0 or n < 0:
         raise DomainError("m, n must be non-negative")
-    g2, v2, _ = _weight_params(params, effective)
+    g2, v2 = _weight_params(params, effective, 2)
     if v2 <= 0:
         raise DivergentIntegralError(
             "moment integrals diverge along the channels at v = 0"
@@ -152,7 +149,8 @@ def phase_space_quadrature(poly, params, spec=QuadratureSpec(), effective=False)
     """(2 pi hbar)^(-d) int dGamma poly e^(-tH): Gaussian momentum moments
     applied exactly, then one numeric coordinate integral of the reduced
     polynomial against the coordinate weight (no moment-by-moment
-    decomposition, so the route is independent of the closed forms).
+    decomposition, so the route is independent of the closed forms).  With
+    ``effective`` it integrates S_k into the term of the resummed series.
 
     In the channel regime the box cubature misreads its own error, as it
     does for :func:`imn_quadrature`: at g = t = 1 the W_2 integral at
@@ -163,7 +161,7 @@ def phase_space_quadrature(poly, params, spec=QuadratureSpec(), effective=False)
     d = poly.dims
     if d not in (2, 3):
         raise DomainError("phase-space quadrature supports 2 or 3 coordinates")
-    g2, v2, extra = _weight_params(params, effective)
+    g2, v2 = _weight_params(params, effective, d)
     if v2 <= 0:
         raise DivergentIntegralError("phase-space integral diverges at v = 0")
     t = params.t
@@ -172,14 +170,13 @@ def phase_space_quadrature(poly, params, spec=QuadratureSpec(), effective=False)
             f"phase-space cubature refused in the channel regime: "
             f"z = {t * v2 * v2 / (2.0 * g2):.3g} of the weight is below {_CHANNEL_Z:g}"
         )
-    gg2 = params.g**2
     vv2 = params.v**2
     # each entry's symmetrized moment is the mean over its distinct
     # permutations; collect the coefficient of every coordinate monomial
     coeffs = {}
     for e in integrate_momenta(poly).entries:
         perms = set(permutations(e.moments))
-        base = float(e.coeff) * t**e.e_t * gg2**e.e_g2 * vv2**e.e_v2
+        base = float(e.coeff) * t**e.e_t * g2**e.e_g2 * vv2**e.e_v2
         for perm in perms:
             coeffs[perm] = coeffs.get(perm, 0.0) + base / len(perms)
     if not coeffs:
@@ -198,7 +195,7 @@ def phase_space_quadrature(poly, params, spec=QuadratureSpec(), effective=False)
         * params.hbar ** (poly.i_power - d)
         * (2.0 * math.pi) ** (-d)
         * (2.0 * math.pi / t) ** (d / 2.0)
-        * extra
+        * math.exp(params.regulator()[1] if effective else 0.0)
     )
     return _oracle(norm * val, norm * err, spec)
 
@@ -206,36 +203,19 @@ def phase_space_quadrature(poly, params, spec=QuadratureSpec(), effective=False)
 # -- three-coordinate radial integrals ----------------------------------------
 
 
-def radial_integrand_n3(which, r, params, effective):
-    """Integrand of the radial reduction (full-space normalization):
-
-        I_b = (2 pi/t)^(3/2) int_0^inf r^(1|3) e^(-t g^2 r^4/16) I_0(t g^2 r^4/16)
-              e^(-t v^2 r^2/2) (v^2 + g^2 r^2)^(-3/2) dr
-
-    for the x^2 (``which=1``) and x^2 (y^2+z^2) (``which=2``) moments.
-    """
-    from .special import bessel_i0_scaled
-
-    g2, v2, _ = _weight_params(params, effective)
-    t = params.t
-    w = t * g2 * r**4 / 16.0
-    power = 1 if which == 1 else 3
-    return (
-        r**power
-        * bessel_i0_scaled(w)
-        * math.exp(-0.5 * t * v2 * r * r)
-        * (v2 + g2 * r * r) ** -1.5
-    )
-
-
 def radial_quadrature_n3(which, params, spec=QuadratureSpec(), effective=False):
     """The two radial coordinate integrals of the three-coordinate model
-    (``which`` is 1 for the x^2 structure, 2 for x^2 (y^2+z^2)).  At v = 0
-    without the effective regulator the first diverges at r = 0 and is
+    (full-space normalization),
+
+        I_b = (2 pi/t)^(3/2) int_0^inf r^(1|3) e^(-t g^2 r^4/16) I_0(t g^2 r^4/16)
+              e^(-t v^2 r^2/2) (v^2 + g^2 r^2)^(-3/2) dr,
+
+    for the x^2 (``which=1``) and x^2 (y^2+z^2) (``which=2``) moments.  At
+    v = 0 without ``effective`` the first diverges at r = 0 and is
     rejected; the second stays finite."""
     if which not in (1, 2):
         raise DomainError("which must be 1 or 2")
-    g2, v2, _ = _weight_params(params, effective)
+    g2, v2 = _weight_params(params, effective, 3)
     if which == 1 and v2 <= 0:
         # integrand ~ r (g^2 r^2)^(-3/2) = r^-2/g^3 near r = 0
         raise DivergentIntegralError(
@@ -250,12 +230,17 @@ def radial_quadrature_n3(which, params, spec=QuadratureSpec(), effective=False):
     if g2 > 0:
         r0 = max((8.0 * _gauss_cutoff_exponent(spec) / (t * g2)) ** 0.25, 10.0)
     norm = (2.0 * math.pi / t) ** 1.5
+    power = 1 if which == 1 else 3
+
+    def f(r):
+        w = t * g2 * r**4 / 16.0
+        return (
+            r**power * bessel_i0_scaled(w) * math.exp(-0.5 * t * v2 * r * r)
+            * (v2 + g2 * r * r) ** -1.5
+        )
 
     def integral(rcut):
-        points = [r0] if r0 < rcut else None
-        return _line_integral(
-            lambda r: radial_integrand_n3(which, r, params, effective), 0.0, rcut, spec, points
-        )
+        return _line_integral(f, 0.0, rcut, spec, [r0] if r0 < rcut else None)
 
     if v2 > 0:
         # the harmonic factor sets the cutoff; at small v it lies far
@@ -287,7 +272,7 @@ def raw_coordinate_n3(which, params, spec=QuadratureSpec(), effective=False):
     diverges and x^2 (y^2+z^2) has an algebraic channel tail no box holds."""
     if which not in (1, 2):
         raise DomainError("which must be 1 or 2")
-    g2, v2, _ = _weight_params(params, effective)
+    g2, v2 = _weight_params(params, effective, 3)
     if v2 <= 0:
         if which == 1:
             raise DivergentIntegralError(

@@ -1,13 +1,17 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ymqm import params as params_module
 from ymqm.errors import DomainError
+from ymqm.kernels import Potential, potential
 from ymqm.params import ModelParams
+from ymqm.polynomial import PhasePolynomial
 
 
 class TestValidation:
@@ -41,9 +45,40 @@ class TestDerived:
             _ = ModelParams(g=0.0, v=1.0, hbar=1.0, t=1.0).z
 
     def test_effective_strength(self):
-        p = ModelParams(g=2.0, v=0.0, hbar=0.5, t=2.0)
-        assert p.veff2 == pytest.approx(0.5 * 0.25 * 4 * 2)
-        assert p.with_veff().v == pytest.approx(math.sqrt(p.veff2))
+        # exp(-hbar^2 t^2 LapV/4) lifts v^2 by c_g hbar^2 g^2 t/2, where c_g
+        # is 1 in the plane and 2 in three coordinates
+        for n_model, c_g in ((2, 1), (3, 2)):
+            p = ModelParams(g=2.0, v=0.0, hbar=0.5, t=2.0, n_model=n_model)
+            assert p.veff2 == pytest.approx(c_g * 0.5 * 0.25 * 4 * 2)
+            assert p.with_veff().v == pytest.approx(math.sqrt(p.veff2))
+            points = [p, replace(p, g=0.3, t=0.7)]
+            assert ModelParams.grid(points).veff2.tolist() == [q.veff2 for q in points]
+
+    @pytest.mark.parametrize("n_model,c_v,c_g", [(2, 2, 1), (3, 3, 2)])
+    def test_regulator_reads_the_laplacian(self, n_model, c_v, c_g):
+        # LapV = c_v v^2 + c_g g^2 |x|^2 and nothing else
+        mono = PhasePolynomial.monomial
+        lap = mono(n_model, c_v, v2=1)
+        for x in "xyz"[:n_model]:
+            lap = lap + mono(n_model, c_g, g2=1, **{x: 2})
+        assert potential(n_model).lap == lap
+        p = ModelParams(g=0.7, v=1.3, hbar=0.9, t=0.6, n_model=n_model)
+        veff2, log_c = p.regulator()
+        assert veff2 == pytest.approx(c_g * 0.9**2 * 0.7**2 * 0.6 / 2, rel=1e-14)
+        assert log_c == pytest.approx(-c_v * 0.9**2 * 0.6**2 * 1.3**2 / 4, rel=1e-14)
+
+    def test_regulator_refuses_other_laplacian_terms(self, monkeypatch):
+        # the planar model plus x^4 + y^4: LapV gains 12 (x^2 + y^2)
+        mono = PhasePolynomial.monomial
+        V = mono(2, 0.5, g2=1, x=2, y=2) + mono(2, 0.5, v2=1, x=2) + mono(2, 0.5, v2=1, y=2)
+        V = V + mono(2, 1, x=4) + mono(2, 1, y=4)
+        monkeypatch.setattr(params_module, "potential", lambda dims: Potential(dims, V, "test"))
+        params_module._laplacian_coefficients.cache_clear()
+        try:
+            with pytest.raises(DomainError):
+                ModelParams(g=1.0, v=1.0, hbar=1.0, t=1.0).regulator()
+        finally:
+            params_module._laplacian_coefficients.cache_clear()
 
     def test_regime_flags(self):
         assert ModelParams(g=0.1, v=0.1, hbar=1, t=1).lam2_in_regime()

@@ -2,11 +2,12 @@ import math
 from dataclasses import replace
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from ymqm import heatkernel as hk
 from ymqm.errors import AccuracyError, DivergentIntegralError, DomainError
-from ymqm.kernels import conventional_kernels, potential
+from ymqm.kernels import conventional_kernels, potential, resummed_kernels
 from ymqm.params import ModelParams
 from ymqm.polynomial import PhasePolynomial
 from ymqm.quadrature import (
@@ -17,6 +18,7 @@ from ymqm.quadrature import (
     radial_quadrature_n3,
     raw_coordinate_n3,
 )
+from ymqm.spectral import BasisSpec, build_hamiltonian
 
 P1 = ModelParams(g=1.0, v=1.0, hbar=1.0, t=1.0)
 
@@ -184,13 +186,60 @@ class TestErrorBrackets:
                             assert abs(got.value - ref) <= got.error
                             assert abs(got.value - ref) <= rel_tol * ref
 
-    @pytest.mark.parametrize("which,v,effective", [(1, 1.0, False), (2, 0.0, True)])
+    @pytest.mark.parametrize(
+        "which,v,effective", [(1, 1.0, False), (2, 0.0, True), (1, 0.0, True)]
+    )
     def test_raw_and_radial_three_coordinate(self, which, v, effective):
         p = ModelParams(g=1.0, v=v, hbar=1.0, t=1.0, n_model=3)
         spec = QuadratureSpec(rel_tol=1e-6)
         raw = raw_coordinate_n3(which, p, spec, effective=effective)
         radial = radial_quadrature_n3(which, p, spec, effective=effective)
         assert abs(raw.value - radial.value) <= raw.error + radial.error
+
+
+class TestResummedRegulator:
+    """The effective weight is the model's regulator exp(-hbar^2 t^2 LapV/4):
+    the phase-space integrals of the resummed kernels S_k under it sum to
+    the spectral partition function."""
+
+    @staticmethod
+    def residuals(n_model, g, basis_n, k_max):
+        p = ModelParams(g=g, v=1.0, hbar=1.0, t=1.0, n_model=n_model)
+        levels, _ = build_hamiltonian(p, BasisSpec(basis_n, 1.0)).solve()
+        spectral = float(np.exp(-p.t * levels).sum())
+        spec = QuadratureSpec(rel_tol=1e-6)
+        S = resummed_kernels(potential(n_model), k_max)
+        total, out = 0.0, []
+        for k in range(0, k_max + 1, 2):
+            total += phase_space_quadrature(S[k], p, spec, effective=True).value
+            out.append((total - spectral) / spectral)
+        return out
+
+    def test_three_coordinate_partial_sums_converge(self):
+        # the planar regulator in 3-D gave -0.355, +0.142 and +0.350
+        got = self.residuals(3, 0.4, 23, 4)
+        assert got == pytest.approx([-0.5410, -0.1949, -0.05407], abs=1e-3)
+
+    def test_planar_partial_sums_converge(self):
+        got = self.residuals(2, 1.0, 60, 4)
+        assert got == pytest.approx([-0.4868, -0.1739, -0.05547], abs=1e-3)
+
+    @pytest.mark.parametrize("g,t", [(1.0, 1.0), (0.5, 0.6)])
+    def test_planar_leading_term_is_the_resummed_term(self, g, t):
+        p = params(g=g, v=0.0, t=t)
+        got = phase_space_quadrature(PhasePolynomial.one(2), p, effective=True)
+        assert got.value == pytest.approx(hk.resummed_term(0, p), rel=1e-12)
+
+    def test_weight_of_the_model_it_integrates(self):
+        p3 = ModelParams(g=1.0, v=0.0, hbar=1.0, t=1.0, n_model=3)
+        with pytest.raises(DomainError):
+            raw_coordinate_n3(2, params(v=0.0), effective=True)
+        with pytest.raises(DomainError):
+            radial_quadrature_n3(2, params(v=0.0), effective=True)
+        with pytest.raises(DomainError):
+            phase_space_quadrature(PhasePolynomial.one(3), params(), effective=True)
+        with pytest.raises(DomainError):
+            imn_quadrature(1, 0, p3, effective=True)
 
 
 class TestReductionAgainstBruteForce:
@@ -270,13 +319,6 @@ class TestRadialThreeCoordinate:
         for which in (1, 2):
             radial = radial_quadrature_n3(which, self.P3)
             raw = raw_coordinate_n3(which, self.P3)
-            assert radial.value == pytest.approx(raw.value, rel=1e-6)
-
-    def test_effective_mode_matches_raw(self):
-        p = ModelParams(g=1.0, v=0.0, hbar=1.0, t=1.0, n_model=3)
-        for which in (1, 2):
-            radial = radial_quadrature_n3(which, p, effective=True)
-            raw = raw_coordinate_n3(which, p, effective=True)
             assert radial.value == pytest.approx(raw.value, rel=1e-6)
 
     def test_divergence_detection(self):
