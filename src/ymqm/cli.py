@@ -27,9 +27,15 @@ import warnings
 import numpy as np
 
 from . import __version__, heatkernel, spectral
-from .errors import DivergentIntegralError, DomainError, RegimeWarning
+from .errors import DomainError, RegimeWarning
 from .params import ModelParams
-from .quadrature import QuadratureSpec, imn_quadrature, phase_space_quadrature, radial_quadrature_n3
+from .quadrature import (
+    QuadratureSpec,
+    imn_quadrature,
+    phase_space_quadrature,
+    radial_divergence_n3,
+    radial_quadrature_n3,
+)
 from .reduction import integrate_momenta
 
 COMMANDS = ("tf", "wk", "resum", "singular-scan", "n3", "spectrum", "compare", "sweep")
@@ -254,11 +260,7 @@ def rows_n3(cfg, grid):
             "j0_sqrtlam": j0 * math.sqrt(lam),
             "j2": j2,
         }
-        try:
-            radial_quadrature_n3(1, p, spec, effective=False)
-            row["i1_divergent"] = False
-        except DivergentIntegralError:
-            row["i1_divergent"] = True
+        row["i1_divergent"] = radial_divergence_n3(1, p) is not None
         row["i2"] = radial_quadrature_n3(2, p, spec, effective=False).value
         row["flag"] = lam >= 1.0
         rows.append(row)

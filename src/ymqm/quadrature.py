@@ -7,8 +7,12 @@ a Bessel K.  The phase-space integral of a reduced kernel in two or three
 coordinates and the raw three-coordinate structures are one adaptive
 cubature of a vectorized integrand over the box [0, R]^d (the weight is
 even in every coordinate), with R chosen so the Gaussian tail beyond it
-stays below rel_tol / _TAIL_SAFETY.  The radial reductions of the
-three-coordinate model are one-dimensional ``quad`` as well.
+stays below rel_tol / _TAIL_SAFETY.  That cubature, :func:`_cubature`, is
+the product Gauss-Kronrod 21 rule (QUADPACK ``dqk21``) with 2^d bisection
+of the box of largest error first; each box evaluates the integrand once
+per Kronrod node and once per Gauss node, and its error is the Kronrod
+minus the Gauss sum.  The radial reductions of the three-coordinate model
+are one-dimensional ``quad`` as well.
 
 ``effective=True`` puts the model's resummed regulator into the weight
 (:meth:`ModelParams.regulator`): the moment oracles return the moment at
@@ -22,15 +26,17 @@ that does not converge raises :class:`AccuracyError`.
 
 from __future__ import annotations
 
+import heapq
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from functools import lru_cache
+from itertools import combinations, permutations, product
 
 import numpy as np
 from scipy import special as sp
 # the benchmark's traced rounds count calls by patching ``quad`` here (perfbench/spans.py)
-from scipy.integrate import IntegrationWarning, cubature, quad
+from scipy.integrate import IntegrationWarning, quad
 
 from .errors import AccuracyError, DivergentIntegralError, DomainError
 from .reduction import integrate_momenta
@@ -41,6 +47,56 @@ _QUAD_LIMIT = 200  # subintervals per one-dimensional quad
 #: below this z = t v^4 / (2 g^2) of the weight phase_space_quadrature
 #: refuses: the box cubature misses the channels from z ~ 3e-5
 _CHANNEL_Z = 1e-3
+_MAX_SUBDIVISIONS = 10_000  # region bisections per cubature
+
+# QUADPACK dqk21: the 21-point Kronrod abscissae on [-1, 1], descending, and
+# their weights; the odd entries are the 10-point Gauss nodes to within 2 ulp
+_GK21_NODES = np.array([
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+    0,
+    -0.148874338981631210884826001129720,
+    -0.294392862701460198131126603103866,
+    -0.433395394129247190799265943165784,
+    -0.562757134668604683339000099272694,
+    -0.679409568299024406234327365114874,
+    -0.780817726586416897063717578345042,
+    -0.865063366688984510732096688423493,
+    -0.930157491355708226001207180059508,
+    -0.973906528517171720077964012084452,
+    -0.995657163025808080735527280689003,
+])
+_GK21_WEIGHTS = np.array([
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+    0.147739104901338491374841515972068,
+    0.142775938577060080797094273138717,
+    0.134709217311473325928054001771707,
+    0.123491976262065851077958109831074,
+    0.109387158802297641899210590325805,
+    0.093125454583697605535065465083366,
+    0.075039674810919952767043140916190,
+    0.054755896574351996031381300244580,
+    0.032558162307964727478818972459390,
+    0.011694638867371874278064396062192,
+])
 
 
 @dataclass(frozen=True)
@@ -57,16 +113,102 @@ class OracleValue:
         return self.value
 
 
+def _grid(axis, d):
+    """The d-fold Cartesian product of ``axis``, first coordinate slowest."""
+    return np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
+
+
+@lru_cache(maxsize=None)
+def _gk21_product(d):
+    """The d-fold product GK21 rule on [-1, 1]^d: Kronrod nodes + 1, Gauss
+    nodes + 1, Kronrod weights, and Kronrod minus Gauss weights over the
+    Kronrod then the Gauss nodes; a product weight is the ``np.prod`` of its
+    d factors."""
+    x, w = sp.roots_legendre(10)
+    kronrod = np.prod(_grid(_GK21_WEIGHTS, d), axis=-1)
+    gauss = np.prod(_grid(w, d), axis=-1)
+    return (
+        _grid(_GK21_NODES, d) + 1.0,
+        _grid(x, d) + 1.0,
+        kronrod,
+        np.concatenate([kronrod, -gauss]),
+    )
+
+
+class _Region:
+    """A box of the adaptive cubature.  The heap pops the largest error and
+    compares errors alone, as scipy's ``CubatureRegion`` does, so that equal
+    errors leave the heap order, and with it the summation order, as there."""
+
+    __slots__ = ("est", "err", "a", "b")
+
+    def __init__(self, est, err, a, b):
+        self.est, self.err, self.a, self.b = est, err, a, b
+
+    def __lt__(self, other):
+        return self.err > other.err
+
+
 def _cubature(f, d, cut, spec):
     """(value, error) of int_[0, cut]^d f for f mapping (npoints, d) to
-    (npoints,)."""
-    res = cubature(f, np.zeros(d), np.full(d, cut), rtol=spec.rel_tol / _TAIL_SAFETY)
-    if res.status != "converged":
-        raise AccuracyError(
-            f"{d}-D cubature not converged: error {float(res.error):.3g} "
-            f"on {float(res.estimate):.6g}"
-        )
-    return float(res.estimate), float(res.error)
+    (npoints,).
+
+    Adaptive product Gauss-Kronrod 21 cubature with the abscissae and
+    weights of QUADPACK ``dqk21`` and the 10-point Gauss rule of
+    ``roots_legendre``: the region with the largest error is bisected along
+    every axis into 2^d children until the summed error is at most
+    rel_tol / _TAIL_SAFETY of the summed estimate.  A region's estimate is
+    its Kronrod sum and its error the Kronrod minus the Gauss sum, from one
+    call of ``f`` on its 21^d Kronrod nodes and one on its 10^d Gauss nodes.
+
+    Reading the Gauss values off the odd Kronrod nodes instead would move
+    errors in their last bits (the nodes differ by up to 2 ulp, and ``f``
+    rounds a row by the length of its batch through the BLAS tail of a
+    matrix-vector product), and with them the heap order of mirror regions
+    and so the estimate; as it stands every estimate is bit for bit that of
+    ``scipy.integrate.cubature`` with ``rule="gk21"``.  A non-finite
+    estimate or error, or _MAX_SUBDIVISIONS bisections without convergence,
+    raise :class:`AccuracyError`.
+    """
+    kronrod_nodes, gauss_nodes, kronrod, kronrod_gauss = _gk21_product(d)
+    halves = np.array(list(product((False, True), repeat=d)))
+
+    def region(a, b):
+        lengths = b - a
+        fx = f(kronrod_nodes * (lengths * 0.5) + a)
+        fg = f(gauss_nodes * (lengths * 0.5) + a)
+        scale = np.prod(lengths) / 2**d
+        est = float(np.sum(kronrod * scale * fx))
+        err = abs(float(np.sum(kronrod_gauss * scale * np.concatenate([fx, fg]))))
+        if not (math.isfinite(est) and math.isfinite(err)):
+            raise AccuracyError(
+                f"{d}-D cubature met a non-finite integrand on [{a}, {b}]: "
+                f"estimate {est}, error {err}"
+            )
+        return _Region(est, err, a, b)
+
+    first = region(np.zeros(d), np.full(d, float(cut)))
+    heap = [first]
+    est, err = first.est, first.err
+    rtol = spec.rel_tol / _TAIL_SAFETY
+    subdivisions = 0
+    while err > rtol * abs(est):
+        worst = heapq.heappop(heap)
+        est -= worst.est
+        err -= worst.err
+        mid = (worst.a + worst.b) / 2
+        for a, b in zip(np.where(halves, mid, worst.a), np.where(halves, worst.b, mid)):
+            child = region(a, b)
+            est += child.est
+            err += child.err
+            heapq.heappush(heap, child)
+        subdivisions += 1
+        if subdivisions >= _MAX_SUBDIVISIONS:
+            raise AccuracyError(
+                f"{d}-D cubature not converged after {subdivisions} subdivisions: "
+                f"error {err:.3g} on {est:.6g}"
+            )
+    return est, err
 
 
 def _line_integral(f, a, b, spec, points=None):
@@ -203,6 +345,21 @@ def phase_space_quadrature(poly, params, spec=QuadratureSpec(), effective=False)
 # -- three-coordinate radial integrals ----------------------------------------
 
 
+def radial_divergence_n3(which, params, effective=False):
+    """Why the radial integral ``which`` of :func:`radial_quadrature_n3`
+    diverges at ``params``, or None when it is finite; that function raises
+    :class:`DivergentIntegralError` with this reason."""
+    if which not in (1, 2):
+        raise DomainError("which must be 1 or 2")
+    g2, v2 = _weight_params(params, effective, 3)
+    if which == 1 and v2 <= 0:
+        # integrand ~ r (g^2 r^2)^(-3/2) = r^-2/g^3 near r = 0
+        return "the x^2 radial integral diverges at r = 0 for v = 0"
+    if v2 <= 0 and g2 <= 0:
+        return "no decay in the radial weight"
+    return None
+
+
 def radial_quadrature_n3(which, params, spec=QuadratureSpec(), effective=False):
     """The two radial coordinate integrals of the three-coordinate model
     (full-space normalization),
@@ -213,16 +370,10 @@ def radial_quadrature_n3(which, params, spec=QuadratureSpec(), effective=False):
     for the x^2 (``which=1``) and x^2 (y^2+z^2) (``which=2``) moments.  At
     v = 0 without ``effective`` the first diverges at r = 0 and is
     rejected; the second stays finite."""
-    if which not in (1, 2):
-        raise DomainError("which must be 1 or 2")
+    reason = radial_divergence_n3(which, params, effective)
+    if reason is not None:
+        raise DivergentIntegralError(reason)
     g2, v2 = _weight_params(params, effective, 3)
-    if which == 1 and v2 <= 0:
-        # integrand ~ r (g^2 r^2)^(-3/2) = r^-2/g^3 near r = 0
-        raise DivergentIntegralError(
-            "the x^2 radial integral diverges at r = 0 for v = 0"
-        )
-    if v2 <= 0 and g2 <= 0:
-        raise DivergentIntegralError("no decay in the radial weight")
     t = params.t
     # the quartic scale: beyond r0 the Bessel factor has eaten the quartic
     # exponential and only the algebraic r^-2 channel tail is left

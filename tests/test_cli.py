@@ -636,6 +636,22 @@ class TestSweepAndN3:
         assert "# model: n3" in out.read_text().splitlines()
         assert main(["n3", "--model", "n2", "--g", "1", "--t", "0.3"]) == 3
 
+    def test_n3_learns_i1_divergence_without_integrating(self, monkeypatch):
+        # at v > 0 the only radial quad of a row is the x^2 (y^2 + z^2) one
+        from ymqm import quadrature
+
+        calls = []
+        engine = quadrature.quad
+
+        def counted(*args, **kw):
+            calls.append(args[0])
+            return engine(*args, **kw)
+
+        monkeypatch.setattr(quadrature, "quad", counted)
+        _, rows, _, _ = run_cli(["n3", "--g", "0.5", "--v", "0.7", "--t", "0.3:1.5:3"])
+        assert [row["i1_divergent"] for row in rows] == [False] * 3
+        assert len(calls) == 3
+
     def test_n3_columns(self):
         _, rows, _, _ = run_cli(
             ["n3", "--model", "n3", "--g", "1e-6", "--v", "0", "--hbar", "1", "--t", "1"]

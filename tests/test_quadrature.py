@@ -1,11 +1,14 @@
 import math
+import re
 from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.integrate import cubature
 
 from ymqm import heatkernel as hk
+from ymqm import quadrature
 from ymqm.errors import AccuracyError, DivergentIntegralError, DomainError
 from ymqm.kernels import conventional_kernels, potential, resummed_kernels
 from ymqm.params import ModelParams
@@ -15,6 +18,7 @@ from ymqm.quadrature import (
     imn_factorized_g0,
     imn_quadrature,
     phase_space_quadrature,
+    radial_divergence_n3,
     radial_quadrature_n3,
     raw_coordinate_n3,
 )
@@ -125,6 +129,89 @@ class TestPhaseSpaceQuadrature:
             phase_space_quadrature(
                 PhasePolynomial.one(2), params(v=0.0, hbar=0.01), effective=True
             )
+
+
+def captured_cubatures(monkeypatch, call):
+    """The (f, d, cut, spec) of every box cubature that ``call()`` runs."""
+    seen = []
+    engine = quadrature._cubature
+
+    def record(f, d, cut, spec):
+        seen.append((f, d, cut, spec))
+        return engine(f, d, cut, spec)
+
+    monkeypatch.setattr(quadrature, "_cubature", record)
+    call()
+    monkeypatch.undo()
+    return seen
+
+
+class TestCubatureEngine:
+    """``quadrature._cubature`` against ``scipy.integrate.cubature``, the
+    engine it replaced, and on integrals it must get right by construction."""
+
+    W = conventional_kernels(potential(2), 4)
+    # criterion-2 points; at the first, the W_4 estimate moves by an ulp when
+    # the Gauss values are read off the nearby Kronrod nodes
+    POINTS = [params(g=1.1, v=1.2, t=0.9), params(g=0.8, v=1.0, t=1.3)]
+    N3 = [(1, 1.0, False), (2, 0.0, True)]
+
+    def oracle_table(self, monkeypatch):
+        for p in self.POINTS:
+            for k in (0, 2, 4):
+                yield from captured_cubatures(
+                    monkeypatch, lambda: phase_space_quadrature(self.W[k], p)
+                )
+        for which, v, effective in self.N3:
+            p3 = ModelParams(g=1.0, v=v, hbar=1.0, t=1.0, n_model=3)
+            yield from captured_cubatures(
+                monkeypatch,
+                lambda: raw_coordinate_n3(which, p3, QuadratureSpec(1e-6), effective),
+            )
+
+    def test_matches_scipy_cubature(self, monkeypatch):
+        table = list(self.oracle_table(monkeypatch))
+        assert [d for _, d, _, _ in table] == [2] * 6 + [3] * 2
+        for f, d, cut, spec in table:
+            est, err = quadrature._cubature(f, d, cut, spec)
+            ref = cubature(
+                f, np.zeros(d), np.full(d, cut), rule="gk21",
+                rtol=spec.rel_tol / quadrature._TAIL_SAFETY,
+            )
+            assert ref.status == "converged"
+            assert est == float(ref.estimate)
+            assert err == pytest.approx(float(ref.error), rel=1e-6)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_degree_31_exact_in_one_region(self, d):
+        calls = []
+
+        def f(X):
+            calls.append(len(X))
+            return np.prod((1.0 + X) ** 31, axis=1)
+
+        est, err = quadrature._cubature(f, d, 1.0, QuadratureSpec(rel_tol=1e-8))
+        exact = ((2.0**32 - 1.0) / 32.0) ** d
+        assert est == pytest.approx(exact, rel=4e-15)
+        # one region: its Kronrod nodes and its Gauss nodes, each once
+        assert calls == [21**d, 10**d]
+        assert err <= 1e-9 * est
+
+    def test_non_finite_integrand_raises(self):
+        def f(X):
+            return np.where(X[:, 0] > 0.5, np.nan, 1.0)
+
+        with pytest.raises(AccuracyError, match="non-finite"):
+            quadrature._cubature(f, 2, 1.0, QuadratureSpec())
+
+    def test_subdivision_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 3)
+
+        def f(X):
+            return np.sqrt(np.abs(X[:, 0] - 1.0 / 3.0))
+
+        with pytest.raises(AccuracyError, match="after 3 subdivisions"):
+            quadrature._cubature(f, 2, 1.0, QuadratureSpec())
 
 
 def criterion2_grid():
@@ -381,3 +468,16 @@ class TestRadialThreeCoordinate:
     def test_which_validation(self):
         with pytest.raises(DomainError):
             radial_quadrature_n3(3, self.P3)
+        with pytest.raises(DomainError):
+            radial_divergence_n3(3, self.P3)
+
+    @pytest.mark.parametrize("which,g,v,finite", [
+        (1, 1.0, 0.5, True), (1, 1.0, 0.0, False), (2, 1.0, 0.0, True), (2, 0.0, 0.0, False),
+    ])
+    def test_divergence_without_integrating(self, which, g, v, finite):
+        p = ModelParams(g=g, v=v, hbar=1.0, t=1.0, n_model=3)
+        reason = radial_divergence_n3(which, p)
+        assert (reason is None) == finite
+        if not finite:
+            with pytest.raises(DivergentIntegralError, match=re.escape(reason)):
+                radial_quadrature_n3(which, p)
