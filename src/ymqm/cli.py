@@ -246,23 +246,28 @@ def fit_singular_slopes(cfg, rows):
 
 
 def rows_n3(cfg, grid):
-    rows = []
+    """One row per point.  The closed-form columns are evaluated over the
+    whole grid at once, as in :func:`rows_sweep`, reading the J pair once;
+    the radial integrals point by point."""
     spec = QuadratureSpec(rel_tol=cfg.tol_quad)
-    for p in grid:
-        lam = p.lam
-        j0, j2 = heatkernel.radial_Jb(lam)
-        row = {
-            **_param_cols(p),
-            "lam": lam,
-            "tf_n3": heatkernel.tf_term_n3(p),
-            "z2_n3": heatkernel.z2_n3(p),
-            "z2_structure": heatkernel.z2_n3_structure(p),
-            "j0_sqrtlam": j0 * math.sqrt(lam),
-            "j2": j2,
-        }
+    points = ModelParams.grid(grid)
+    lam = points.lam
+    j0, j2 = heatkernel.radial_Jb(lam)
+    cols = {
+        **_param_cols(points),
+        "lam": lam,
+        "tf_n3": heatkernel.tf_term_n3(points),
+        "z2_n3": heatkernel.z2_n3(points, (j0, j2)),
+        "z2_structure": heatkernel.z2_n3_structure(points),
+        "j0_sqrtlam": j0 * np.sqrt(lam),
+        "j2": j2,
+    }
+    rows = []
+    for p, values in zip(grid, zip(*(c.tolist() for c in cols.values()))):
+        row = dict(zip(cols, values))
         row["i1_divergent"] = radial_divergence_n3(1, p) is not None
         row["i2"] = radial_quadrature_n3(2, p, spec, effective=False).value
-        row["flag"] = lam >= 1.0
+        row["flag"] = row["lam"] >= 1.0
         rows.append(row)
     return rows
 

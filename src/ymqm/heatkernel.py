@@ -12,7 +12,8 @@ Routes implemented here:
 
   with exact rational c from I_00 = sqrt(pi/b) E_0(u), I_{m+1,n+1} = -d_b I_mn
   and the integration by parts (2m+1) I_mn = 2a I_{m+1,n} + 2b I_{m+1,n+1}.
-  Where the terms cancel the Whittaker (Laplace-integral) form is used;
+  Where the terms cancel, the Whittaker form (the Laplace integral
+  ``quadrature.laplace_integral``) is used instead;
 * the v -> 0 structures at order hbar^k, each family written once:
   :func:`zk_singular`, the power divergences v^-(k - 4 ell) with indices
   m - n = k/2 - 2 ell (ell = 0 the most singular), and
@@ -23,16 +24,18 @@ Routes implemented here:
   closed terms :func:`resummed_term`, and the asymptotic series in
   lam2 = g^2 hbar^4 t^3 assembled by :func:`series_assemble`;
 * the three-coordinate model: leading term, radial J integrals (a series
-  in upper incomplete gamma functions, with quadrature as the fallback)
+  in upper incomplete gamma functions, with the quadrature module's
+  ``line_integral`` as the fallback)
   and the order-hbar^2 correction.
 
 Dimensionless outputs depend only on lam2 and z = t v^4/(2 g^2).
 
-Grids.  The closed forms that ``ymqm sweep`` evaluates -- :func:`tf_partition_n2`,
-:func:`integral_Imn_closed`, :func:`z2_closed_n2`, :func:`resummed_term`,
-:func:`tf_term_n3`, :func:`radial_Jb` and :func:`z2_n3` -- take a grid of
-parameter points (:meth:`ModelParams.grid`, or an array of lam) as well as
-one point, and return one value per point.  Each point's value is the one
+Grids.  The closed forms that ``ymqm sweep`` and ``ymqm n3`` evaluate --
+:func:`tf_partition_n2`, :func:`integral_Imn_closed`, :func:`z2_closed_n2`,
+:func:`resummed_term`, :func:`tf_term_n3`, :func:`radial_Jb`, :func:`z2_n3`
+and :func:`z2_n3_structure` -- take a grid of parameter points
+(:meth:`ModelParams.grid`, or an array of lam) as well as one point, and
+return one value per point.  Each point's value is the one
 that point gets alone, bit for bit: every power goes through libm ``pow``
 (:func:`special.power`), each point's terms are summed by ``math.fsum`` or
 along its own row, and each guard decides per point, sending the points it
@@ -51,9 +54,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
-from .errors import AccuracyError, DomainError, RegimeWarning
+from .errors import DomainError, RegimeWarning
+from .quadrature import laplace_integral, line_integral
 from .special import (
     EULER_GAMMA,
     all_points,
@@ -63,7 +66,6 @@ from .special import (
     double_factorial,
     gamma_fn,
     gamma_upper,
-    laplace_integral,
     per_point,
     power,
     sqrt,
@@ -539,8 +541,9 @@ def radial_Jb_quadrature(b, lam, rel_tol=1e-11):
 
     The lam-scale boundary layer [0, 100 lam] is resolved explicitly, and
     the algebraic stretch u^(b - 3/2) from there to u = 1, which spans
-    decades as lam -> 0, is integrated in s = ln u.  Raises
-    :class:`AccuracyError` if a piece does not converge.
+    decades as lam -> 0, is integrated in s = ln u.  Each piece is one
+    ``quadrature.line_integral``, which raises ``AccuracyError`` if it does
+    not converge.
     """
     _check_jb(b, lam)
 
@@ -552,26 +555,22 @@ def radial_Jb_quadrature(b, lam, rel_tol=1e-11):
         return u * f(u)
 
     edge = min(1.0, 100.0 * lam)
-    opts = dict(epsabs=0.0, epsrel=rel_tol, limit=300)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        try:
-            total = quad(f, 0.0, edge, **opts)[0]
-            if edge < 1.0:
-                total += quad(stretched, math.log(edge), 0.0, **opts)[0]
-            return total + quad(f, 1.0, 30.0, **opts)[0]
-        except IntegrationWarning as exc:
-            raise AccuracyError(f"J_{b}({lam:g}) quadrature did not converge: {exc}") from None
+    opts = dict(epsrel=rel_tol, what=f"J_{b}({lam:g}) quadrature")
+    total = line_integral(f, 0.0, edge, **opts)[0]
+    if edge < 1.0:
+        total += line_integral(stretched, math.log(edge), 0.0, **opts)[0]
+    return total + line_integral(f, 1.0, 30.0, **opts)[0]
 
 
-def z2_n3(params):
+def z2_n3(params, jpair=None):
     """Order-hbar^2 term of the three-coordinate model with the effective
     harmonic regulator applied:
 
         Z_2 = sqrt(2) t^(-3/4) / (hbar g^(1/2)) * [-J_0(lam) + 4 J_2(lam)].
 
     As lam -> 0 this reproduces -L * Gamma(3/4)^3 / (2^(5/4) pi^(3/2)) * lam^(1/2),
-    the correction to the leading term L.
+    the correction to the leading term L.  ``jpair`` is :func:`radial_Jb`
+    of ``params.lam`` where the caller has it already.
     """
     if params.n_model != 3:
         raise DomainError("z2_n3 requires n_model = 3")
@@ -580,7 +579,7 @@ def z2_n3(params):
     lam = params.lam
     if not all_points(lam < 1.0):
         warnings.warn(f"lam = {np.max(lam):.3g} outside the small-lam regime", RegimeWarning)
-    j0, j2 = radial_Jb(lam)
+    j0, j2 = radial_Jb(lam) if jpair is None else jpair
     return (
         math.sqrt(2.0)
         * power(params.t, -0.75)
@@ -596,5 +595,5 @@ def z2_n3_structure(params):
         -tf_term_n3(params)
         * gamma_fn(0.75) ** 3
         / (2.0**1.25 * math.pi**1.5)
-        * params.lam2**0.25
+        * power(params.lam2, 0.25)
     )

@@ -29,7 +29,8 @@ sums A_x alone and adds its d - 1 images.  In three coordinates (d_xV)^2
 has 6 terms against 13 for (gradV)^2, and the per-axis parts are summed
 once instead of three times; the images cost the rotations of one key per
 orbit of keys and one write per key of the result.  The step checks that
-its sources are invariant, exactly, term by term.
+its sources are invariant: a kernel of an earlier step is so by
+construction, and any other source is checked exactly, term by term.
 
 Multiplying back by the Taylor series of the exponential factor recovers
 the conventional (un-resummed) kernels W_k.  Even-k kernels are even in the

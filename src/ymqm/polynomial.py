@@ -230,7 +230,7 @@ def _t_integral(dims, parts, i_power=0):
     den *= m
     g = gcd(den, *total.values())
     d = {k + unit: n // g for k, n in total.items()}
-    return PhasePolynomial._make(dims, i_power, d, den // g, top + unit)
+    return PhasePolynomial._make(dims, i_power, d, den // g, top + unit, invariant=True)
 
 
 def _field_sum(*tops):
@@ -261,7 +261,7 @@ class PhasePolynomial:
     arithmetic composes it additively.
     """
 
-    __slots__ = ("dims", "i_power", "_d", "_den", "_top")
+    __slots__ = ("dims", "i_power", "_d", "_den", "_top", "_invariant")
 
     def __init__(self, dims, terms=None, i_power=0):
         if dims not in (1, 2, 3):
@@ -279,18 +279,20 @@ class PhasePolynomial:
         d = {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}
         self._set(dims, i_power, d, den, _pack([max(col) for col in zip(*kept)]))
 
-    def _set(self, dims, i_power, d, den, top):
+    def _set(self, dims, i_power, d, den, top, invariant=False):
         self.dims = dims
         self.i_power = i_power
         self._d = d
         self._den = den
         self._top = top
+        self._invariant = invariant
 
     @classmethod
-    def _make(cls, dims, i_power, d, den, top):
-        """A polynomial from canonical ``(d, den)`` and field maxima ``top``."""
+    def _make(cls, dims, i_power, d, den, top, invariant=False):
+        """A polynomial from canonical ``(d, den)`` and field maxima ``top``;
+        ``invariant`` records that it is invariant by construction."""
         p = cls.__new__(cls)
-        p._set(dims, i_power, d, den, top)
+        p._set(dims, i_power, d, den, top, invariant)
         return p
 
     # -- constructors ------------------------------------------------------
@@ -344,10 +346,12 @@ class PhasePolynomial:
     def is_invariant(self):
         """Whether the polynomial equals its image under the rotation of the
         axes, as the kernel recursion needs its potential and sources to.
-        One pass looks up the rotated key of each term, stops at the first
-        whose numerator differs and builds no image; the check is exact,
-        since the rotation maps the keys one to one."""
-        if self.dims == 1:
+        A result of :func:`_t_integral` is invariant by construction and
+        answers at once.  Any other polynomial is scanned: one pass looks up
+        the rotated key of each term, stops at the first whose numerator
+        differs and builds no image; the check is exact, since the rotation
+        maps the keys one to one."""
+        if self._invariant or self.dims == 1:
             return True
         stay, (up, lift, down, drop) = _STAY[self.dims], _ROTATIONS[self.dims][0]
         get = self._d.get

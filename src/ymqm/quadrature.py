@@ -12,7 +12,13 @@ the product Gauss-Kronrod 21 rule (QUADPACK ``dqk21``) with 2^d bisection
 of the box of largest error first; each box evaluates the integrand once
 per Kronrod node and once per Gauss node, and its error is the Kronrod
 minus the Gauss sum.  The radial reductions of the three-coordinate model
-are one-dimensional ``quad`` as well.
+are one-dimensional as well; at v = 0 the x^2 (y^2+z^2) one is a single
+integral over the half-line, its algebraic channel tail included.
+
+Every one-dimensional integral of the package, here and in the closed
+forms' fallbacks (the Whittaker integral :func:`laplace_integral`, which
+lives here, and ``heatkernel.radial_Jb_quadrature``), is one call of
+:func:`line_integral`, the package's only caller of scipy's ``quad``.
 
 ``effective=True`` puts the model's resummed regulator into the weight
 (:meth:`ModelParams.regulator`): the moment oracles return the moment at
@@ -43,7 +49,7 @@ from .reduction import integrate_momenta
 from .special import bessel_i0_scaled
 
 _TAIL_SAFETY = 10.0  # tail-truncation bound kept below rel_tol / safety
-_QUAD_LIMIT = 200  # subintervals per one-dimensional quad
+_QUAD_LIMIT = 400  # subintervals per one-dimensional quad
 #: below this z = t v^4 / (2 g^2) of the weight phase_space_quadrature
 #: refuses: the box cubature misses the channels from z ~ 3e-5
 _CHANNEL_Z = 1e-3
@@ -211,17 +217,50 @@ def _cubature(f, d, cut, spec):
     return est, err
 
 
-def _line_integral(f, a, b, spec, points=None):
-    """(value, error) of a one-dimensional integral by adaptive quad."""
+def line_integral(f, a, b, epsrel, points=None, what="quadrature"):
+    """(value, error) of int_a^b f by adaptive ``quad``, its only caller in
+    the package: no absolute tolerance, at most _QUAD_LIMIT subintervals,
+    and an integration warning raised as :class:`AccuracyError`, whose
+    message names ``what`` was integrated and the interval."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)
         try:
-            return quad(
-                f, a, b, epsabs=0.0, epsrel=spec.rel_tol / _TAIL_SAFETY,
-                limit=_QUAD_LIMIT, points=points,
-            )
+            return quad(f, a, b, epsabs=0.0, epsrel=epsrel, limit=_QUAD_LIMIT, points=points)
         except IntegrationWarning as exc:
-            raise AccuracyError(f"quadrature did not converge: {exc}") from None
+            raise AccuracyError(f"{what} did not converge on [{a:g}, {b:g}]: {exc}") from None
+
+
+def laplace_integral(a, c, z):
+    """int_0^inf u^a (1+u)^c e^{-zu} du with a > -1, z > 0: the Whittaker
+    integral of :func:`special.whittaker_w` and of
+    ``heatkernel.integral_Imn_whittaker``.  Raises :class:`AccuracyError`
+    when a piece does not converge or the error estimate exceeds 1e-10 of
+    the value.  From z = 1 up it is one integral in w = z u, whose integrand
+    w^a (1 + w/z)^c e^{-w} stays bounded however large z grows."""
+
+    opts = dict(epsrel=2e-13, what="Whittaker quadrature")
+
+    def in_w(lo):
+        return line_integral(lambda w: w**a * (1.0 + w / z) ** c * math.exp(-w), lo, math.inf, **opts)
+
+    scalefac = z ** -(a + 1.0)
+    if z >= 1.0:
+        F, err = in_w(0.0)
+        F, err = F * scalefac, err * scalefac
+    else:
+        p1, e1 = line_integral(lambda u: u**a * (1.0 + u) ** c * math.exp(-z * u), 0.0, 1.0, **opts)
+        # tail u in [1, inf) in w = z*u, the power-law stretch
+        # w in [z, 1] stretched logarithmically
+        def stretched(s):
+            w = z * math.exp(s)
+            return w ** (a + 1.0) * (1.0 + math.exp(s)) ** c * math.exp(-w)
+
+        p2a, e2a = line_integral(stretched, 0.0, math.log(1.0 / z), **opts)
+        p2b, e2b = in_w(1.0)
+        F, err = p1 + (p2a + p2b) * scalefac, e1 + (e2a + e2b) * scalefac
+    if not (F > 0) or err > 1e-10 * F:
+        raise AccuracyError("Whittaker quadrature error estimate above target")
+    return F
 
 
 def _oracle(value, error, spec):
@@ -270,7 +309,7 @@ def imn_quadrature(m, n, params, spec=QuadratureSpec(), effective=False):
         a = t * v2 * u
         return u ** (m + n) * math.exp(-0.5 * t * g2 * u * u - a) * sp.kve(nu, a)
 
-    val, err = _line_integral(f, 0.0, math.inf, spec)
+    val, err = line_integral(f, 0.0, math.inf, spec.rel_tol / _TAIL_SAFETY)
     return OracleValue(4.0 * val, 4.0 * err)
 
 
@@ -375,11 +414,6 @@ def radial_quadrature_n3(which, params, spec=QuadratureSpec(), effective=False):
         raise DivergentIntegralError(reason)
     g2, v2 = _weight_params(params, effective, 3)
     t = params.t
-    # the quartic scale: beyond r0 the Bessel factor has eaten the quartic
-    # exponential and only the algebraic r^-2 channel tail is left
-    r0 = math.inf
-    if g2 > 0:
-        r0 = max((8.0 * _gauss_cutoff_exponent(spec) / (t * g2)) ** 0.25, 10.0)
     norm = (2.0 * math.pi / t) ** 1.5
     power = 1 if which == 1 else 3
 
@@ -390,30 +424,24 @@ def radial_quadrature_n3(which, params, spec=QuadratureSpec(), effective=False):
             * (v2 + g2 * r * r) ** -1.5
         )
 
-    def integral(rcut):
-        return _line_integral(f, 0.0, rcut, spec, [r0] if r0 < rcut else None)
-
-    if v2 > 0:
-        # the harmonic factor sets the cutoff; at small v it lies far
-        # beyond r0, which becomes a breakpoint so quad sees the bulk
-        val, err = integral(_gauss_cutoff(0.5 * t * v2, 2, spec))
-        return _oracle(norm * val, norm * err, spec)
-    # which = 2 at v = 0: add the asymptotic tail
-    # int_R^inf r^3 e^-w I_0(w) (g^2 r^2)^(-3/2) dr, w = t g^2 r^4/16, from
-    # e^-w I_0(w) ~ (2 pi w)^(-1/2) (1 + 1/(8w) + 9/(128w^2) + 225/(3072w^3));
-    # the last term is left out and bounds the error.  It falls as R^-13,
-    # so R grows until it is below the tail bound of rel_tol
-    A = math.sqrt(16.0 / (2.0 * math.pi * t * g2)) / g2**1.5
-    rcut = r0
-    while True:
-        s = 1.0 / (t * g2 * rcut**4)
-        tail = A / rcut * (1.0 + 0.4 * s + 2.0 * s * s)
-        tail_err = A / rcut * 300.0 / 13.0 * s**3
-        val, err = integral(rcut)
-        target = abs(val + tail) * spec.rel_tol / _TAIL_SAFETY
-        if tail_err <= target:
-            return _oracle(norm * (val + tail), norm * (err + tail_err), spec)
-        rcut *= 1.05 * (tail_err / target) ** (1.0 / 13.0)
+    epsrel = spec.rel_tol / _TAIL_SAFETY
+    if v2 <= 0:
+        # which = 2 at v = 0: the quartic bulk and the algebraic r^-2
+        # channel tail in one integral over the half-line, cut nowhere, in
+        # units of the quartic scale s (w = 1 at r = s), so that quad sees
+        # the same integrand however small g is
+        s = (16.0 / (t * g2)) ** 0.25
+        val, err = line_integral(lambda x: f(s * x), 0.0, math.inf, epsrel)
+        return OracleValue(norm * s * val, norm * s * err)
+    # the harmonic factor sets the cutoff; at small v it lies far beyond the
+    # quartic scale r0, where the Bessel factor has eaten the quartic
+    # exponential, and r0 becomes a breakpoint so quad sees the bulk
+    rcut = _gauss_cutoff(0.5 * t * v2, 2, spec)
+    r0 = math.inf
+    if g2 > 0:
+        r0 = max((8.0 * _gauss_cutoff_exponent(spec) / (t * g2)) ** 0.25, 10.0)
+    val, err = line_integral(f, 0.0, rcut, epsrel, [r0] if r0 < rcut else None)
+    return _oracle(norm * val, norm * err, spec)
 
 
 def raw_coordinate_n3(which, params, spec=QuadratureSpec(), effective=False):

@@ -6,13 +6,13 @@ defining Laplace-type integral
     W_{kappa,mu}(z) = e^{-z/2} z^{mu+1/2} / Gamma(mu - kappa + 1/2)
                       * int_0^inf u^{mu-kappa-1/2} (1+u)^{mu+kappa-1/2} e^{-zu} du,
 
-valid for mu - kappa + 1/2 > 0, by adaptive quadrature.  Every
-closed-form moment integral is a Whittaker function, but the hot path,
-``heatkernel.integral_Imn_closed``, evaluates the moments as exact-rational
-combinations of the scaled Bessel functions e^u K_0(u) and e^u K_1(u).  The
-Laplace integral (:func:`laplace_integral`) is the oracle those combinations
-are tested against and their fallback where they cancel.
-Everything else is a thin, domain-checked layer over scipy.special.
+valid for mu - kappa + 1/2 > 0; the integral is
+``quadrature.laplace_integral``.  Every closed-form moment integral is a
+Whittaker function, but the hot path, ``heatkernel.integral_Imn_closed``,
+evaluates the moments as exact-rational combinations of the scaled Bessel
+functions e^u K_0(u) and e^u K_1(u), tested against the Laplace integral
+and falling back to it where they cancel.  This module holds no integrals:
+it is a thin, domain-checked layer over scipy.special.
 
 A closed form evaluated over a grid of parameter points takes a float
 array with one entry per point where it would take a number.  The
@@ -25,19 +25,15 @@ differently from the libm ``pow`` behind Python's.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sp
-from scipy.integrate import IntegrationWarning, quad
 
-from .errors import AccuracyError, DomainError
+from .errors import DomainError
 
 #: Euler's constant C
 EULER_GAMMA = float(np.euler_gamma)
-
-_QUAD_OPTS = dict(epsabs=0.0, epsrel=2e-13, limit=400)
 
 
 def all_points(mask):
@@ -84,50 +80,13 @@ class WhittakerArgs:
             raise DomainError("Whittaker argument requires z > 0")
 
 
-def laplace_integral(a, c, z):
-    """int_0^inf u^a (1+u)^c e^{-zu} du with a > -1, z > 0; raises
-    :class:`AccuracyError` when the quadrature does not converge or its error
-    estimate exceeds 1e-10 of the value.  From z = 1 up it is one integral in
-    w = z u, whose integrand w^a (1 + w/z)^c e^{-w} stays bounded however
-    large z grows."""
-
-    def in_w(lo):
-        return quad(lambda w: w**a * (1.0 + w / z) ** c * math.exp(-w), lo, np.inf, **_QUAD_OPTS)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        try:
-            scalefac = z ** -(a + 1.0)
-            if z >= 1.0:
-                F, err = in_w(0.0)
-                F, err = F * scalefac, err * scalefac
-            else:
-                p1, e1 = quad(
-                    lambda u: u**a * (1.0 + u) ** c * math.exp(-z * u),
-                    0.0,
-                    1.0,
-                    **_QUAD_OPTS,
-                )
-                # tail u in [1, inf) in w = z*u, the power-law stretch
-                # w in [z, 1] stretched logarithmically
-                def stretched(s):
-                    w = z * math.exp(s)
-                    return w ** (a + 1.0) * (1.0 + math.exp(s)) ** c * math.exp(-w)
-
-                p2a, e2a = quad(stretched, 0.0, math.log(1.0 / z), **_QUAD_OPTS)
-                p2b, e2b = in_w(1.0)
-                F, err = p1 + (p2a + p2b) * scalefac, e1 + (e2a + e2b) * scalefac
-        except IntegrationWarning as exc:  # pragma: no cover - defensive
-            raise AccuracyError(f"Whittaker quadrature did not converge: {exc}")
-    if not (F > 0) or err > 1e-10 * F:
-        raise AccuracyError("Whittaker quadrature error estimate above target")
-    return F
-
-
 def whittaker_w(args):
     """W_{kappa,mu}(z) for real indices and the :class:`WhittakerArgs`
     ``args``, from the integral representation: a test oracle, spanned by
     the benchmark (``perfbench/spans.py``)."""
+    # quadrature imports this module
+    from .quadrature import laplace_integral
+
     kappa, mu, z = args.kappa, args.mu, args.z
     # W is symmetric under mu -> -mu; pick the branch where the integral exists
     if mu - kappa + 0.5 <= 0:

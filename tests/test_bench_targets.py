@@ -191,3 +191,32 @@ def test_sweep_evaluates_its_grid_at_once(tmp_path, monkeypatch, argv, n_rows, s
         tracer.uninstall()
     assert len(rows) == n_rows and tracer.stats[span][0] == calls
     assert len(formatted) == len(rows) * len(rows[0])
+
+
+def _imports_scipy_integrate(node):
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("scipy.integrate") for alias in node.names)
+    if isinstance(node, ast.ImportFrom) and node.module:
+        return node.module.startswith("scipy.integrate") or (
+            node.module == "scipy" and any(alias.name == "integrate" for alias in node.names)
+        )
+    return False
+
+
+def test_quad_runs_only_in_the_line_integral():
+    # the tracer counts one-dimensional integrals by patching ``quad`` in
+    # ymqm.quadrature: it sees them all only while quadrature.line_integral
+    # is the one caller of quad and no other module reaches scipy.integrate
+    importers, callers = set(), []
+    for path in PACKAGE_FILES:
+        tree = ast.parse(path.read_text())
+        if any(_imports_scipy_integrate(node) for node in ast.walk(tree)):
+            importers.add(path.name)
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "quad" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                ):
+                    callers.append((path.name, getattr(top, "name", None)))
+    assert importers == {"quadrature.py"}
+    assert callers == [("quadrature.py", "line_integral")]

@@ -652,6 +652,31 @@ class TestSweepAndN3:
         assert [row["i1_divergent"] for row in rows] == [False] * 3
         assert len(calls) == 3
 
+    def test_n3_evaluates_the_j_pair_once_over_the_grid(self, monkeypatch):
+        # the j0, j2 columns and z2_n3 share one J pair for the whole grid
+        # (point by point it was read twice per point, 18 calls)
+        from ymqm import heatkernel
+
+        calls = []
+        radial_jb = heatkernel.radial_Jb
+        monkeypatch.setattr(heatkernel, "radial_Jb", lambda lam: calls.append(lam) or radial_jb(lam))
+        _, rows, _, _ = run_cli(["n3", "--g", "0.5:2:3", "--t", "0.3:1.5:3"])
+        assert len(rows) == 9 and len(calls) == 1
+
+    def test_n3_grid_rows_equal_each_point(self):
+        # every column of a grid row is the value of its point alone, bit for
+        # bit; lam reaches 3.7, where z2_n3 warns and the J pair goes to
+        # quadrature
+        from ymqm import cli
+
+        cfg = build_config(["n3", "--g", "0.5:2:3", "--v", "0", "--t", "0.3:1.5:3"])
+        grid = cli.build_grid(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            rows = cli.rows_n3(cfg, grid)
+            alone = [row for p in grid for row in cli.rows_n3(cfg, [p])]
+        assert [repr(r) for r in rows] == [repr(r) for r in alone]
+
     def test_n3_columns(self):
         _, rows, _, _ = run_cli(
             ["n3", "--model", "n3", "--g", "1e-6", "--v", "0", "--hbar", "1", "--t", "1"]

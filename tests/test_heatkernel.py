@@ -4,9 +4,11 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
 from ymqm import heatkernel as hk
-from ymqm.errors import DomainError, RegimeWarning
+from ymqm import quadrature
+from ymqm.errors import AccuracyError, DomainError, RegimeWarning
 from ymqm.params import ModelParams
 from ymqm.special import EULER_GAMMA, digamma, gamma_fn
 
@@ -415,7 +417,8 @@ class TestThreeCoordinate:
         def refuse(*args, **kwargs):
             raise AssertionError("quad ran")
 
-        monkeypatch.setattr(hk, "quad", refuse)
+        # the package's only quad is the one of quadrature.line_integral
+        monkeypatch.setattr(quadrature, "quad", refuse)
         for lam in np.geomspace(1e-10, 0.99, 30):
             p = ModelParams(g=float(lam), v=0.0, hbar=1.0, t=1.0, n_model=3)
             z2 = hk.z2_n3(p)
@@ -425,6 +428,15 @@ class TestThreeCoordinate:
         a = hk.radial_Jb_quadrature(0, 1.0, rel_tol=1e-9)
         b = hk.radial_Jb_quadrature(0, 1.0, rel_tol=1e-12)
         assert a == pytest.approx(b, rel=1e-9)
+
+    def test_jb_quadrature_failure_names_the_integral(self, monkeypatch):
+        def fail(*args, **kwargs):
+            warnings.warn("roundoff", IntegrationWarning)
+
+        monkeypatch.setattr(quadrature, "quad", fail)
+        expected = r"^J_2\(0\.5\) quadrature did not converge on \[0, 1\]"
+        with pytest.raises(AccuracyError, match=expected):
+            hk.radial_Jb_quadrature(2, 0.5)
 
     def test_z2_matches_structure(self):
         p = ModelParams(g=1e-6, v=0.0, hbar=1.0, t=1.0, n_model=3)

@@ -228,6 +228,35 @@ class TestRotationInvariance:
         with pytest.raises(DomainError):
             recursion_step(prev3, 6, potential(3))
 
+    def test_own_kernels_are_not_rescanned(self, monkeypatch):
+        # every S_k is a sum over orbits, invariant by construction: a step
+        # checks an earlier kernel without a pass over its terms, while S_0,
+        # made elsewhere, is scanned
+        class Terms(dict):
+            scanned = False
+
+            def items(self):
+                self.scanned = True
+                return super().items()
+
+        scanned = []
+        check = PhasePolynomial.is_invariant
+
+        def spy(self):
+            terms = self._d
+            self._d = Terms(terms)
+            try:
+                return check(self)
+            finally:
+                if self._d.scanned:
+                    scanned.append(self)
+                self._d = terms
+
+        monkeypatch.setattr(PhasePolynomial, "is_invariant", spy)
+        S = resummed_kernels(potential(3), 8)
+        assert any(p is S[0] for p in scanned)
+        assert not any(p is s for p in scanned for s in S[1:])
+
 
 class TestOrderEightSnapshot:
     """The exact order-8 kernels, pinned by the sha256 of their canonical

@@ -424,12 +424,53 @@ class TestRadialThreeCoordinate:
             raw_coordinate_n3(2, p)
 
     def test_second_structure_meets_tolerance_at_zero_v(self):
-        # at small t the cutoff must grow for the omitted tail term to meet rel_tol
+        # at small t the r^-2 channel tail is long; the one integral still meets rel_tol
         p = ModelParams(g=1.0, v=0.0, hbar=1.0, t=0.3, n_model=3)
         tight = radial_quadrature_n3(2, p, QuadratureSpec(rel_tol=1e-12))
         assert tight.error <= 1e-12 * tight.value
         loose = radial_quadrature_n3(2, p)
         assert abs(tight.value - loose.value) <= loose.error
+
+    @pytest.mark.parametrize("rel_tol", [1e-9, 1e-12])
+    def test_second_structure_at_zero_v_against_mpmath(self, rel_tol):
+        # the one integral over [0, inf), channel tail included, against the
+        # same radial integral in 30-digit mpmath, split at the quartic scale
+        def oracle(g, t):
+            with mp.workdps(30):
+                g, t = mp.mpf(g), mp.mpf(t)
+
+                def f(r):
+                    w = t * g**2 * r**4 / 16
+                    return r**3 * mp.exp(-w) * mp.besseli(0, w) * (g**2 * r**2) ** mp.mpf(-1.5)
+
+                scale = (16 / (t * g**2)) ** mp.mpf(0.25)
+                return float((2 * mp.pi / t) ** 1.5 * mp.quad(f, [0, scale, mp.inf]))
+
+        def closed(g, t):
+            # at v = 0 the integral is (2 pi/t)^(3/2) g^-3 s int_0^inf e^-w I_0(w) dx
+            # with w = x^4 and the quartic scale s = (16/(t g^2))^(1/4)
+            with mp.workdps(30):
+                g, t = mp.mpf(g), mp.mpf(t)
+                s = (16 / (t * g**2)) ** mp.mpf(0.25)
+                shape = mp.gamma(0.25) ** 2 / (
+                    4 * mp.mpf(2) ** 0.25 * mp.sqrt(mp.pi) * mp.gamma(0.75)
+                )
+                return float((2 * mp.pi / t) ** 1.5 * s * shape / g**3)
+
+        def check(g, t, want):
+            p = ModelParams(g=g, v=0.0, hbar=1.0, t=t, n_model=3)
+            got = radial_quadrature_n3(2, p, QuadratureSpec(rel_tol=rel_tol))
+            assert abs(got.value - want) <= got.error, (g, t)
+            assert got.error <= rel_tol * got.value, (g, t)
+
+        for g, t in ((0.1, 0.1), (1.0, 0.3), (1.0, 1.0), (2.0, 0.5), (3.0, 3.0)):
+            check(g, t, oracle(g, t))
+        assert closed(1.0, 0.3) == pytest.approx(oracle(1.0, 0.3), rel=1e-15)
+        # small g puts the quartic scale far out, at 1.7e4 for g = 1e-8 and
+        # 3.6e10 for g = 1e-20, and the closed form stands in for the
+        # mpmath integral
+        for g, t in ((1e-3, 0.5), (1e-6, 1.0), (1e-8, 2.0), (1e-20, 0.1)):
+            check(g, t, closed(g, t))
 
     def test_second_structure_continuous_at_small_v(self):
         # the harmonic cutoff lies near 1/v, far beyond the quartic bulk
