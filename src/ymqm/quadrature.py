@@ -5,15 +5,19 @@ numeric.  A moment integral I_mn is one adaptive ``quad`` along the
 channel-aligned line u = x y, the hyperbolic-angle integral done exactly as
 a Bessel K.  The phase-space integral of a reduced kernel in two or three
 coordinates and the raw three-coordinate structures are one adaptive
-cubature of a vectorized integrand over the box [0, R]^d (the weight is
-even in every coordinate), with R chosen so the Gaussian tail beyond it
-stays below rel_tol / _TAIL_SAFETY.  That cubature, :func:`_cubature`, is
-the product Gauss-Kronrod 21 rule (QUADPACK ``dqk21``) with 2^d bisection
-of the box of largest error first; each box evaluates the integrand once
-per Kronrod node and once per Gauss node, and its error is the Kronrod
-minus the Gauss sum.  The radial reductions of the three-coordinate model
-are one-dimensional as well; at v = 0 the x^2 (y^2+z^2) one is a single
-integral over the half-line, its algebraic channel tail included.
+cubature over the box [0, R]^d (the weight is even in every coordinate),
+with R chosen so the Gaussian tail beyond it stays below
+rel_tol / _TAIL_SAFETY.  That cubature, :func:`_cubature`, is the product
+Gauss-Kronrod 21 rule (QUADPACK ``dqk21``) with 2^d bisection of the box of
+largest error first; each box evaluates the integrand once on its Kronrod
+node grid and once on its Gauss node grid, and its error is the Kronrod
+minus the Gauss sum.  An integrand is a broadcasting function of d
+coordinate arrays, ``f(x_1, ..., x_d)``, called on the box's open node grid
+(axis i holds that axis's nodes along dimension i, as ``np.ix_`` makes
+them), so a factor of one coordinate is computed once per node of its axis
+and not once per grid point.  The radial reductions of the three-coordinate
+model are one-dimensional as well; at v = 0 the x^2 (y^2+z^2) one is a
+single integral over the half-line, its algebraic channel tail included.
 
 Every one-dimensional integral of the package, here and in the closed
 forms' fallbacks (the Whittaker integral :func:`laplace_integral`, which
@@ -119,26 +123,17 @@ class OracleValue:
         return self.value
 
 
-def _grid(axis, d):
-    """The d-fold Cartesian product of ``axis``, first coordinate slowest."""
-    return np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
-
-
 @lru_cache(maxsize=None)
 def _gk21_product(d):
-    """The d-fold product GK21 rule on [-1, 1]^d: Kronrod nodes + 1, Gauss
-    nodes + 1, Kronrod weights, and Kronrod minus Gauss weights over the
-    Kronrod then the Gauss nodes; a product weight is the ``np.prod`` of its
-    d factors."""
+    """The d-fold product GK21 rule on [-1, 1]^d: the 21 Kronrod and the 10
+    Gauss nodes of one axis, each + 1, and the product weights over the node
+    grid (first coordinate slowest), the Kronrod weights and the Kronrod
+    minus Gauss weights over the Kronrod then the Gauss grid.  A product
+    weight is the product of its d factors, first axis first."""
     x, w = sp.roots_legendre(10)
-    kronrod = np.prod(_grid(_GK21_WEIGHTS, d), axis=-1)
-    gauss = np.prod(_grid(w, d), axis=-1)
-    return (
-        _grid(_GK21_NODES, d) + 1.0,
-        _grid(x, d) + 1.0,
-        kronrod,
-        np.concatenate([kronrod, -gauss]),
-    )
+    kronrod = math.prod(np.ix_(*[_GK21_WEIGHTS] * d)).ravel()
+    gauss = math.prod(np.ix_(*[w] * d)).ravel()
+    return _GK21_NODES + 1.0, x + 1.0, kronrod, np.concatenate([kronrod, -gauss])
 
 
 class _Region:
@@ -156,8 +151,8 @@ class _Region:
 
 
 def _cubature(f, d, cut, spec):
-    """(value, error) of int_[0, cut]^d f for f mapping (npoints, d) to
-    (npoints,).
+    """(value, error) of int_[0, cut]^d f for f a function of d coordinate
+    arrays that broadcast against each other, ``f(x_1, ..., x_d)``.
 
     Adaptive product Gauss-Kronrod 21 cubature with the abscissae and
     weights of QUADPACK ``dqk21`` and the 10-point Gauss rule of
@@ -165,24 +160,36 @@ def _cubature(f, d, cut, spec):
     every axis into 2^d children until the summed error is at most
     rel_tol / _TAIL_SAFETY of the summed estimate.  A region's estimate is
     its Kronrod sum and its error the Kronrod minus the Gauss sum, from one
-    call of ``f`` on its 21^d Kronrod nodes and one on its 10^d Gauss nodes.
+    call of ``f`` on its Kronrod node grid and one on its Gauss node grid.
+    The grid is open, as ``np.ix_`` makes it: axis i passes its 21 (or 10)
+    nodes shaped to lie along dimension i, so ``f`` computes a per-axis
+    factor once per node rather than once per grid point, and its result,
+    broadcast to the whole grid, is read in C order (first coordinate
+    slowest).
 
     Reading the Gauss values off the odd Kronrod nodes instead would move
     errors in their last bits (the nodes differ by up to 2 ulp, and ``f``
-    rounds a row by the length of its batch through the BLAS tail of a
-    matrix-vector product), and with them the heap order of mirror regions
-    and so the estimate; as it stands every estimate is bit for bit that of
-    ``scipy.integrate.cubature`` with ``rule="gk21"``.  A non-finite
-    estimate or error, or _MAX_SUBDIVISIONS bisections without convergence,
-    raise :class:`AccuracyError`.
+    may round a grid point by the size of its batch, as the phase-space
+    integrand does through the BLAS tail of one matrix-vector product over
+    the whole grid), and with them the heap order of mirror regions and so
+    the estimate; as it stands every estimate is bit for bit that of
+    ``scipy.integrate.cubature`` with ``rule="gk21"`` on the point form
+    ``lambda X: f(*X.T)``.  A non-finite estimate or error, or
+    _MAX_SUBDIVISIONS bisections without convergence, raise
+    :class:`AccuracyError`.
     """
-    kronrod_nodes, gauss_nodes, kronrod, kronrod_gauss = _gk21_product(d)
+    kronrod_axis, gauss_axis, kronrod, kronrod_gauss = _gk21_product(d)
     halves = np.array(list(product((False, True), repeat=d)))
+
+    def values(axis, a, half):
+        nodes = axis[:, None] * half + a
+        return np.broadcast_to(f(*np.ix_(*nodes.T)), (len(axis),) * d).ravel()
 
     def region(a, b):
         lengths = b - a
-        fx = f(kronrod_nodes * (lengths * 0.5) + a)
-        fg = f(gauss_nodes * (lengths * 0.5) + a)
+        half = lengths * 0.5
+        fx = values(kronrod_axis, a, half)
+        fg = values(gauss_axis, a, half)
         scale = np.prod(lengths) / 2**d
         est = float(np.sum(kronrod * scale * fx))
         err = abs(float(np.sum(kronrod_gauss * scale * np.concatenate([fx, fg]))))
@@ -276,12 +283,12 @@ def _weight_params(params, effective, d):
     return params.g**2, params.v**2 + (params.veff2 if effective else 0.0)
 
 
-def _weight(X, t, g2, v2):
-    """exp(-t [v2 |x|^2/2 + (g2/2) sum over coordinate pairs x_i^2 x_j^2]) at
-    the rows of X."""
-    sq = X * X
-    quart = sum(sq[:, i] * sq[:, j] for i, j in combinations(range(X.shape[1]), 2))
-    return np.exp(-0.5 * t * (v2 * sq.sum(axis=1) + g2 * quart))
+def _weight(xs, t, g2, v2):
+    """exp(-t [v2 |x|^2/2 + (g2/2) sum over coordinate pairs x_i^2 x_j^2]) on
+    the broadcast coordinate arrays ``xs``."""
+    sq = [x * x for x in xs]
+    quart = sum(a * b for a, b in combinations(sq, 2))
+    return np.exp(-0.5 * t * (v2 * sum(sq) + g2 * quart))
 
 
 def imn_quadrature(m, n, params, spec=QuadratureSpec(), effective=False):
@@ -302,12 +309,15 @@ def imn_quadrature(m, n, params, spec=QuadratureSpec(), effective=False):
         raise DivergentIntegralError(
             "moment integrals diverge along the channels at v = 0"
         )
+    # the scalar AMOS routine of the ``sp.kve`` ufunc, without ufunc dispatch
+    from scipy.special.cython_special import kve
+
     t = params.t
     nu = abs(m - n)
 
     def f(u):
         a = t * v2 * u
-        return u ** (m + n) * math.exp(-0.5 * t * g2 * u * u - a) * sp.kve(nu, a)
+        return u ** (m + n) * math.exp(-0.5 * t * g2 * u * u - a) * kve(nu, a)
 
     val, err = line_integral(f, 0.0, math.inf, spec.rel_tol / _TAIL_SAFETY)
     return OracleValue(4.0 * val, 4.0 * err)
@@ -365,9 +375,12 @@ def phase_space_quadrature(poly, params, spec=QuadratureSpec(), effective=False)
     powers = 2 * np.array(list(coeffs), dtype=float)
     weights = np.array(list(coeffs.values()))
 
-    def f(X):
-        monomials = np.prod(X[:, None, :] ** powers, axis=2)
-        return (monomials @ weights) * _weight(X, t, g2, v2)
+    def f(*xs):
+        # each coordinate's powers on its own axis nodes, multiplied out over
+        # the grid first coordinate first; the last index is the monomial
+        monomials = math.prod(x[..., None] ** p for x, p in zip(xs, powers.T))
+        rows = monomials.reshape(-1, len(weights)) @ weights
+        return rows.reshape(monomials.shape[:-1]) * _weight(xs, t, g2, v2)
 
     cut = _gauss_cutoff(0.5 * t * v2, max(map(max, coeffs)) + 1, spec)
     val, err = _cubature(f, d, cut, spec)
@@ -463,10 +476,9 @@ def raw_coordinate_n3(which, params, spec=QuadratureSpec(), effective=False):
         )
     t = params.t
 
-    def f(X):
-        sq = X * X
-        moment = sq[:, 0] if which == 1 else sq[:, 0] * (sq[:, 1] + sq[:, 2])
-        return moment * _weight(X, t, g2, v2)
+    def f(x, y, z):
+        moment = x * x if which == 1 else x * x * (y * y + z * z)
+        return moment * _weight((x, y, z), t, g2, v2)
 
     val, err = _cubature(f, 3, _gauss_cutoff(0.5 * t * v2, 3, spec), spec)
     return _oracle(8.0 * val, 8.0 * err, spec)

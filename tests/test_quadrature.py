@@ -131,6 +131,11 @@ class TestPhaseSpaceQuadrature:
             )
 
 
+N3_POINT = ModelParams(g=1.0, v=1.0, hbar=1.0, t=1.0, n_model=3)
+W3 = conventional_kernels(potential(3), 4)
+SPEC6 = QuadratureSpec(1e-6)
+
+
 def captured_cubatures(monkeypatch, call):
     """The (f, d, cut, spec) of every box cubature that ``call()`` runs."""
     seen = []
@@ -155,6 +160,9 @@ class TestCubatureEngine:
     # the Gauss values are read off the nearby Kronrod nodes
     POINTS = [params(g=1.1, v=1.2, t=0.9), params(g=0.8, v=1.0, t=1.3)]
     N3 = [(1, 1.0, False), (2, 0.0, True)]
+    # the 3-D phase-space path: W_0, W_2 and the effective S_2
+    P3 = replace(N3_POINT, g=0.4)
+    K3 = [(W3[0], False), (W3[2], False), (resummed_kernels(potential(3), 2)[2], True)]
 
     def oracle_table(self, monkeypatch):
         for p in self.POINTS:
@@ -162,6 +170,11 @@ class TestCubatureEngine:
                 yield from captured_cubatures(
                     monkeypatch, lambda: phase_space_quadrature(self.W[k], p)
                 )
+        for kernel, effective in self.K3:
+            yield from captured_cubatures(
+                monkeypatch,
+                lambda: phase_space_quadrature(kernel, self.P3, SPEC6, effective),
+            )
         for which, v, effective in self.N3:
             p3 = ModelParams(g=1.0, v=v, hbar=1.0, t=1.0, n_model=3)
             yield from captured_cubatures(
@@ -171,11 +184,12 @@ class TestCubatureEngine:
 
     def test_matches_scipy_cubature(self, monkeypatch):
         table = list(self.oracle_table(monkeypatch))
-        assert [d for _, d, _, _ in table] == [2] * 6 + [3] * 2
+        assert [d for _, d, _, _ in table] == [2] * 6 + [3] * 5
         for f, d, cut, spec in table:
             est, err = quadrature._cubature(f, d, cut, spec)
+            # scipy passes the points as rows of one (npoints, d) array
             ref = cubature(
-                f, np.zeros(d), np.full(d, cut), rule="gk21",
+                lambda X, f=f: f(*X.T), np.zeros(d), np.full(d, cut), rule="gk21",
                 rtol=spec.rel_tol / quadrature._TAIL_SAFETY,
             )
             assert ref.status == "converged"
@@ -186,20 +200,24 @@ class TestCubatureEngine:
     def test_degree_31_exact_in_one_region(self, d):
         calls = []
 
-        def f(X):
-            calls.append(len(X))
-            return np.prod((1.0 + X) ** 31, axis=1)
+        def f(*xs):
+            calls.append([x.shape for x in xs])
+            return math.prod((1.0 + x) ** 31 for x in xs)
 
         est, err = quadrature._cubature(f, d, 1.0, QuadratureSpec(rel_tol=1e-8))
         exact = ((2.0**32 - 1.0) / 32.0) ** d
         assert est == pytest.approx(exact, rel=4e-15)
-        # one region: its Kronrod nodes and its Gauss nodes, each once
-        assert calls == [21**d, 10**d]
+        # one region: its Kronrod nodes and its Gauss nodes, each once and
+        # each axis as one open-grid vector
+        assert calls == [
+            [tuple(n if j == i else 1 for j in range(d)) for i in range(d)]
+            for n in (21, 10)
+        ]
         assert err <= 1e-9 * est
 
     def test_non_finite_integrand_raises(self):
-        def f(X):
-            return np.where(X[:, 0] > 0.5, np.nan, 1.0)
+        def f(x, y):
+            return np.where(x > 0.5, np.nan, 1.0)
 
         with pytest.raises(AccuracyError, match="non-finite"):
             quadrature._cubature(f, 2, 1.0, QuadratureSpec())
@@ -207,11 +225,40 @@ class TestCubatureEngine:
     def test_subdivision_cap_raises(self, monkeypatch):
         monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 3)
 
-        def f(X):
-            return np.sqrt(np.abs(X[:, 0] - 1.0 / 3.0))
+        def f(x, y):
+            return np.sqrt(np.abs(x - 1.0 / 3.0))
 
         with pytest.raises(AccuracyError, match="after 3 subdivisions"):
             quadrature._cubature(f, 2, 1.0, QuadratureSpec())
+
+
+class TestOracleSnapshot:
+    """The repr of (value, error) of a fixed set of oracle calls, pinned so
+    that a change to how an integrand or the engine computes moves no bit.
+    The planar phase-space values are pinned by the CLI's result snapshot."""
+
+    @pytest.mark.parametrize("call, pinned", [
+        pytest.param(lambda: raw_coordinate_n3(1, N3_POINT, SPEC6),
+                     "(5.004781625942567, 7.957930719902415e-07)", id="raw_n3_x2"),
+        pytest.param(lambda: raw_coordinate_n3(2, replace(N3_POINT, v=0.0), SPEC6, effective=True),
+                     "(3.7428872844474284, 4.4750387940327905e-07)",
+                     id="raw_n3_x2_y2z2_effective"),
+        pytest.param(lambda: imn_quadrature(1, 1, P1),
+                     "(1.41214031825722, 7.466471885209103e-12)", id="imn_11"),
+        pytest.param(lambda: imn_quadrature(3, 0, params(g=0.7, v=0.4, t=1.3)),
+                     "(5537.75629969707, 1.1720550839283057e-08)", id="imn_30"),
+        pytest.param(lambda: imn_quadrature(2, 4, params(g=1.5, v=0.0, t=0.6), effective=True),
+                     "(76.29124816841832, 3.264366954403849e-09)", id="imn_24_effective"),
+        pytest.param(lambda: phase_space_quadrature(W3[2], replace(N3_POINT, g=0.4), SPEC6),
+                     "(-0.13237175905921592, 1.3465864621781728e-08)", id="phase_space_n3_W2"),
+        # W_4 has monomials in all three coordinates, whose factors' order
+        # moves the last bit
+        pytest.param(lambda: phase_space_quadrature(W3[4], replace(N3_POINT, g=0.4), SPEC6),
+                     "(0.010858854309412958, 1.2248897565836455e-09)", id="phase_space_n3_W4"),
+    ])
+    def test_bit_for_bit(self, call, pinned):
+        got = call()
+        assert repr((got.value, got.error)) == pinned
 
 
 def criterion2_grid():
