@@ -267,7 +267,7 @@ def rows_n3(cfg, grid):
         row = dict(zip(cols, values))
         row["i1_divergent"] = radial_divergence_n3(1, p) is not None
         row["i2"] = radial_quadrature_n3(2, p, spec, effective=False).value
-        row["flag"] = row["lam"] >= 1.0
+        row["flag"] = not p.lam_in_regime()
         rows.append(row)
     return rows
 

@@ -577,7 +577,7 @@ def z2_n3(params, jpair=None):
     if not all_points(params.g > 0):
         raise DomainError("g must be positive")
     lam = params.lam
-    if not all_points(lam < 1.0):
+    if not all_points(params.lam_in_regime()):
         warnings.warn(f"lam = {np.max(lam):.3g} outside the small-lam regime", RegimeWarning)
     j0, j2 = radial_Jb(lam) if jpair is None else jpair
     return (

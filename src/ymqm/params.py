@@ -31,6 +31,8 @@ from .special import all_points, power, sqrt
 #: one decade of margin against the leading neglected term
 LAM2_REGIME_MAX = 0.1
 Z_REGIME_MAX = 0.1
+#: the three-coordinate small-lam regime is lam below this, strictly
+LAM_REGIME_MAX = 1.0
 
 
 @lru_cache(maxsize=None)
@@ -144,6 +146,9 @@ class ModelParams:
 
     def lam2_in_regime(self):
         return self.lam2 <= LAM2_REGIME_MAX
+
+    def lam_in_regime(self):
+        return self.lam < LAM_REGIME_MAX
 
     def z_in_regime(self):
         return self.z <= Z_REGIME_MAX

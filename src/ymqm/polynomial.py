@@ -28,12 +28,16 @@ final pass.  The rotation, x -> y -> z with px -> py -> pz together (the
 swap in the plane), moves whole fields of a key, so it is three masks and
 two shifts of the packed integer (:func:`_rotations`).
 
-Each polynomial also carries the packed maxima of its exponent fields, an
-upper bound that the accumulator propagates without looking at the terms.
-It checks the bound once per part and raises ``OverflowError`` when an
-exponent could leave its field; only when the bound trips are the exact
-maxima recomputed from the terms.  Every operation builds a new dict and
-none is mutated after construction, so polynomials may share them.
+The guard bits are the only overflow check.  The accumulator checks the
+keys of each part's factor ``F * x^mono`` before it sums the part; then a
+key of the sum adds a field of at most ``EXP_MASK`` to one of A's, which is
+at most ``EXP_MASK`` less the derivative order, so no field passes 254 or
+carries, and an exponent above ``EXP_MASK`` sets its field's guard bit.
+:func:`_sum` reads the guard bits of every key it wrote, and
+:func:`_t_integral` those of the first key of each orbit, and both raise
+``OverflowError`` on any product term that leaves its field, whether or not
+it cancels.  Every operation builds a new dict and none is mutated after
+construction, so polynomials may share them.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
+from operator import or_
 
 _FIELD_BITS = 8
 #: largest exponent a field holds; the exponent of variable ``name`` in a
@@ -118,20 +123,6 @@ def _key(dims, exponents):
     return _pack(exps)
 
 
-def _max_fields(a, b):
-    """Field-by-field maximum of two packed keys.  A field of ``(a | guards)
-    - b`` keeps its guard bit exactly where a's exponent is at least b's, and
-    no field borrows from its neighbour."""
-    ge = ((a | _GUARDS) - b) & _GUARDS
-    take_a = ge - (ge >> (_FIELD_BITS - 1))
-    return (a & take_a) | (b & ~take_a)
-
-
-def _top_of(A):
-    """Exact packed field maxima of the keys of ``A``."""
-    return reduce(_max_fields, A, 0)
-
-
 def _accumulate(dims, parts):
     """Sum parts, each a tuple ``(c, mono, F, A, var, order)`` standing for
 
@@ -143,25 +134,21 @@ def _accumulate(dims, parts):
 
     The parts are summed into one integer dict over one common denominator,
     and each derivative is taken term by term while its part is summed.
-    Returns ``(numerators, denominator, field maxima)``; the numerators may
-    hold zeros and share a factor with the denominator.  Each part's packed
-    field maxima are checked before it is summed, and the exact maxima are
-    recomputed only when the bound trips."""
+    Returns ``(numerators, denominator)``; the numerators may hold zeros and
+    share a factor with the denominator, and a key may hold an exponent above
+    ``EXP_MASK`` in a set guard bit, which the caller checks.  The guard bits
+    of each part's keys of ``F * x^mono`` are checked before it is summed, so
+    that no field of a key of the sum carries."""
     summands = []
     den = 1
-    top = 0
     for c, mono, F, A, var, order in parts:
         c = Fraction(c)
         if not (c and A._d and F._d):
             continue
         key = _key(dims, mono)
         shift = field_shift(dims, var) if order else 0
-        part_top = _field_sum(A._top, F._top, key)
-        if part_top is None:
-            part_top = _field_sum(_derived_top(A._d, shift, order), _top_of(F._d), key)
-            if part_top is None:
-                raise OverflowError("product exponent outside packed-field range")
-        top = _max_fields(top, part_top)
+        if reduce(or_, (fk + key for fk in F._d), 0) & _GUARDS:
+            raise OverflowError("product exponent outside packed-field range")
         part_den = c.denominator * F._den * A._den
         den = lcm(den, part_den)
         summands.append((A._d, shift, order, c.numerator, part_den, F._d, key - (order << shift)))
@@ -178,17 +165,20 @@ def _accumulate(dims, parts):
             for fk, fn in factor:
                 kk = k + fk
                 out[kk] = get(kk, 0) + n * fn
-    return out, den, top
+    return out, den
 
 
 def _sum(dims, parts, i_power=0):
     """The sum of :func:`_accumulate`'s parts as a polynomial carrying
-    ``i**i_power``.  Normalizing builds at most one dict after the sum."""
-    out, den, top = _accumulate(dims, parts)
+    ``i**i_power``.  Normalizing builds at most one dict after the sum; the
+    guard bits of every key written, cancelled or not, are read in one pass."""
+    out, den = _accumulate(dims, parts)
+    if reduce(or_, out, 0) & _GUARDS:
+        raise OverflowError("product exponent outside packed-field range")
     g = gcd(den, *out.values())
     if g != 1 or 0 in out.values():
         out = {k: n // g for k, n in out.items() if n}
-    return PhasePolynomial._make(dims, i_power, out, den // g, top)
+    return PhasePolynomial._make(dims, i_power, out, den // g)
 
 
 def _t_integral(dims, parts, i_power=0):
@@ -198,19 +188,18 @@ def _t_integral(dims, parts, i_power=0):
     the rotation it takes one value, the sum of the parts' sum over the
     orbit.  The final pass meets each orbit once, at its first key in the
     sum, and writes that value, integrated in t, to every key of the orbit;
-    no image of the whole sum is built.  The rotation leaves t alone, so
-    the sum's field maxima are checked once more for the integration, and
-    the total's field maxima are the maxima of their rotated images."""
-    out, den, top = _accumulate(dims, parts)
+    no image of the whole sum is built.
+
+    The pass reads the guard bits of the first key of each orbit: the
+    rotation moves whole fields and leaves t alone, so every key of an orbit
+    has a guard bit set if its first key has, and the same t.  It raises on
+    a key with a set guard bit, cancelled or not, and on a key at t =
+    ``EXP_MASK`` with a nonzero numerator or orbit sum, whose integral would
+    leave the t field."""
+    out, den = _accumulate(dims, parts)
     shift = field_shift(dims, "t")
     unit = 1 << shift
-    if (top + unit) & _GUARDS:
-        top = _top_of(k for k, n in out.items() if n)
-        if (top + unit) & _GUARDS:
-            raise OverflowError("integrated exponent outside packed-field range")
     stay, rotations = _STAY[dims], _ROTATIONS[dims]
-    for up, lift, down, drop in rotations:
-        top = _max_fields(top, top & stay | (top & up) << lift | (top & down) >> drop)
     divisors = {((k >> shift) & EXP_MASK) + 1 for k in out}
     m = lcm(*divisors)
     scale = {e: m // e for e in divisors}
@@ -220,6 +209,9 @@ def _t_integral(dims, parts, i_power=0):
         if k in total:
             continue
         orbit = [k & stay | (k & up) << a | (k & down) >> b for up, a, down, b in rotations]
+        if (k + unit) & _GUARDS and (k & _GUARDS or n or any(map(get, orbit))):
+            what = "product" if k & _GUARDS else "integrated"
+            raise OverflowError(f"{what} exponent outside packed-field range")
         for image in orbit:
             n += get(image, 0)
         if n:
@@ -230,27 +222,7 @@ def _t_integral(dims, parts, i_power=0):
     den *= m
     g = gcd(den, *total.values())
     d = {k + unit: n // g for k, n in total.items()}
-    return PhasePolynomial._make(dims, i_power, d, den // g, top + unit, invariant=True)
-
-
-def _field_sum(*tops):
-    """Field-by-field sum of packed field maxima, or None if a field of the
-    sum leaves its range.  Checked after each addition, so that a field
-    holds at most 2 * EXP_MASK when its guard bit is read and never carries
-    into the next field."""
-    out = 0
-    for top in tops:
-        out += top
-        if out & _GUARDS:
-            return None
-    return out
-
-
-def _derived_top(A, shift, order):
-    """Exact packed field maxima of the keys of the ``order``-th derivative
-    of ``A`` in the variable at ``shift``."""
-    drop = order << shift
-    return _top_of(k - drop for k in A if ((k >> shift) & EXP_MASK) >= order)
+    return PhasePolynomial._make(dims, i_power, d, den // g, invariant=True)
 
 
 class PhasePolynomial:
@@ -261,38 +233,35 @@ class PhasePolynomial:
     arithmetic composes it additively.
     """
 
-    __slots__ = ("dims", "i_power", "_d", "_den", "_top", "_invariant")
+    __slots__ = ("dims", "i_power", "_d", "_den", "_invariant")
 
     def __init__(self, dims, terms=None, i_power=0):
         if dims not in (1, 2, 3):
             raise ValueError("dims must be 1, 2 or 3")
         coeffs = {}
-        kept = []
         for exps, coeff in (terms or {}).items():
             c = Fraction(coeff)
             if c:
                 coeffs[_pack(exps)] = c
-                kept.append(exps)
         # with every coefficient in lowest terms, the lcm of their
         # denominators is already coprime to the scaled numerators
         den = lcm(*(c.denominator for c in coeffs.values()))
         d = {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}
-        self._set(dims, i_power, d, den, _pack([max(col) for col in zip(*kept)]))
+        self._set(dims, i_power, d, den)
 
-    def _set(self, dims, i_power, d, den, top, invariant=False):
+    def _set(self, dims, i_power, d, den, invariant=False):
         self.dims = dims
         self.i_power = i_power
         self._d = d
         self._den = den
-        self._top = top
         self._invariant = invariant
 
     @classmethod
-    def _make(cls, dims, i_power, d, den, top, invariant=False):
-        """A polynomial from canonical ``(d, den)`` and field maxima ``top``;
-        ``invariant`` records that it is invariant by construction."""
+    def _make(cls, dims, i_power, d, den, invariant=False):
+        """A polynomial from canonical ``(d, den)``; ``invariant`` records
+        that it is invariant by construction."""
         p = cls.__new__(cls)
-        p._set(dims, i_power, d, den, top, invariant)
+        p._set(dims, i_power, d, den, invariant)
         return p
 
     # -- constructors ------------------------------------------------------
@@ -313,7 +282,7 @@ class PhasePolynomial:
         c = Fraction(coeff)
         if not c:
             return cls.zero(dims)
-        return cls._make(dims, 0, {key: c.numerator}, c.denominator, key)
+        return cls._make(dims, 0, {key: c.numerator}, c.denominator)
 
     # -- inspection --------------------------------------------------------
 

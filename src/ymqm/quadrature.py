@@ -224,7 +224,7 @@ def _cubature(f, d, cut, spec):
     return est, err
 
 
-def line_integral(f, a, b, epsrel, points=None, what="quadrature"):
+def line_integral(f, a, b, epsrel, what, points=None):
     """(value, error) of int_a^b f by adaptive ``quad``, its only caller in
     the package: no absolute tolerance, at most _QUAD_LIMIT subintervals,
     and an integration warning raised as :class:`AccuracyError`, whose
@@ -299,8 +299,11 @@ def imn_quadrature(m, n, params, spec=QuadratureSpec(), effective=False):
         I_mn = 4 int_0^inf u^(m+n) e^(-t g^2 u^2/2) K_|m-n|(t v^2 u) du,
 
     one adaptive quad over the half-line (exponentially scaled K), accurate
-    at every z = t v^4 / (2 g^2) and at g = 0.  ``effective`` gives the
-    tilde variant.  Returns an :class:`OracleValue`.
+    at every z = t v^4 / (2 g^2).  At g = 0 and small t v^2 (up to about
+    1e-3) quad may find roundoff in its extrapolation table and raise
+    :class:`AccuracyError`, naming the moment; a value it returns lies within
+    its error of the closed form.  ``effective`` gives the tilde variant.
+    Returns an :class:`OracleValue`.
     """
     if m < 0 or n < 0:
         raise DomainError("m, n must be non-negative")
@@ -319,7 +322,7 @@ def imn_quadrature(m, n, params, spec=QuadratureSpec(), effective=False):
         a = t * v2 * u
         return u ** (m + n) * math.exp(-0.5 * t * g2 * u * u - a) * kve(nu, a)
 
-    val, err = line_integral(f, 0.0, math.inf, spec.rel_tol / _TAIL_SAFETY)
+    val, err = line_integral(f, 0.0, math.inf, spec.rel_tol / _TAIL_SAFETY, f"I_{m}{n} quadrature")
     return OracleValue(4.0 * val, 4.0 * err)
 
 
@@ -438,13 +441,14 @@ def radial_quadrature_n3(which, params, spec=QuadratureSpec(), effective=False):
         )
 
     epsrel = spec.rel_tol / _TAIL_SAFETY
+    what = ("x^2", "x^2 (y^2+z^2)")[which - 1] + " radial quadrature"
     if v2 <= 0:
         # which = 2 at v = 0: the quartic bulk and the algebraic r^-2
         # channel tail in one integral over the half-line, cut nowhere, in
         # units of the quartic scale s (w = 1 at r = s), so that quad sees
         # the same integrand however small g is
         s = (16.0 / (t * g2)) ** 0.25
-        val, err = line_integral(lambda x: f(s * x), 0.0, math.inf, epsrel)
+        val, err = line_integral(lambda x: f(s * x), 0.0, math.inf, epsrel, what)
         return OracleValue(norm * s * val, norm * s * err)
     # the harmonic factor sets the cutoff; at small v it lies far beyond the
     # quartic scale r0, where the Bessel factor has eaten the quartic
@@ -453,7 +457,7 @@ def radial_quadrature_n3(which, params, spec=QuadratureSpec(), effective=False):
     r0 = math.inf
     if g2 > 0:
         r0 = max((8.0 * _gauss_cutoff_exponent(spec) / (t * g2)) ** 0.25, 10.0)
-    val, err = line_integral(f, 0.0, rcut, epsrel, [r0] if r0 < rcut else None)
+    val, err = line_integral(f, 0.0, rcut, epsrel, what, [r0] if r0 < rcut else None)
     return _oracle(norm * val, norm * err, spec)
 
 

@@ -88,9 +88,9 @@ def _planar(*terms):
 
 class TestRecursionOverflow:
     """An exponent that would leave its packed field raises from inside the
-    recursion as it does from the polynomial operators; a bound left loose by
-    a cancellation does not.  Every source is invariant under the swap of
-    the axes, as the recursion requires."""
+    recursion as it does from the polynomial operators; an exponent that a
+    cancellation removed from a source does not.  Every source is invariant
+    under the swap of the axes, as the recursion requires."""
 
     @pytest.mark.parametrize(
         "terms",
@@ -111,6 +111,8 @@ class TestRecursionOverflow:
         assert S2.coefficient(x=EXP_MASK, y=1, py=1, t=2, g2=1) == Fraction(-1, 2)
 
     def test_loose_bound_is_rechecked(self):
+        # big - big leaves no term at x^EXP_MASK, so the recursion over the
+        # source is the recursion over xy alone
         big = _planar({"x": EXP_MASK}, {"y": EXP_MASK})
         xy = _planar({"x": 1}, {"y": 1})
         loose = big - big + xy

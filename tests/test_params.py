@@ -84,6 +84,13 @@ class TestDerived:
         assert ModelParams(g=0.1, v=0.1, hbar=1, t=1).lam2_in_regime()
         assert not ModelParams(g=1.0, v=0.0, hbar=1, t=1).lam2_in_regime()
 
+    def test_three_coordinate_regime_is_strict(self):
+        # lam = g hbar^2 t^(3/2) is 1 exactly at g = hbar = t = 1
+        assert not ModelParams(g=1.0, v=0.0, hbar=1, t=1, n_model=3).lam_in_regime()
+        assert ModelParams(g=0.99, v=0.0, hbar=1, t=1, n_model=3).lam_in_regime()
+        grid = ModelParams.grid([ModelParams(g=g, v=0.0, hbar=1, t=1) for g in (0.5, 1.0, 2.0)])
+        assert grid.lam_in_regime().tolist() == [True, False, False]
+
 
 class TestRescaling:
     @settings(max_examples=30, deadline=None)

@@ -82,8 +82,8 @@ class TestBasics:
         assert (p * PhasePolynomial.monomial(2, 1, x=EXP_MASK - h)).coefficient(x=EXP_MASK) == 1
 
     def test_overflow_check_sees_through_loose_bounds(self):
-        # x^100 cancels, so its field maximum stored for the sum is only an
-        # upper bound; the product check must fall back to the actual terms
+        # x^100 cancels and leaves no term of the sum, so a product with it
+        # may lift x past 100 without raising
         big = PhasePolynomial.monomial(2, 1, x=100)
         p = big - big + PhasePolynomial.monomial(2, 1, x=1)
         assert (p * PhasePolynomial.monomial(2, 3, x=30)).coefficient(x=31) == 3
@@ -97,6 +97,21 @@ class TestBasics:
         for finish in (_sum, _t_integral):
             with pytest.raises(OverflowError):
                 finish(2, [(1, {"x": 2}, p, p, None, 0)])
+
+    def test_t_overflow_reads_the_whole_orbit(self):
+        # the first key of an orbit at t = EXP_MASK may have cancelled while
+        # its image has not, or the two may cancel in the orbit sum; either
+        # way a nonzero term of the sum integrates past the t field
+        one = PhasePolynomial.one(2)
+        xt, yt = (PhasePolynomial.monomial(2, 1, t=EXP_MASK, **{c: 1}) for c in "xy")
+        for signs in ((1, -1, 1), (1, 0, -1)):
+            parts = [(s, {}, one, p, None, 0) for s, p in zip(signs, (xt, xt, yt)) if s]
+            with pytest.raises(OverflowError):
+                _t_integral(2, parts)
+        # a term at t = EXP_MASK that cancels, with nothing left in its
+        # orbit, integrates to nothing
+        parts = [(1, {}, one, xt, None, 0), (-1, {}, one, xt, None, 0)]
+        assert _t_integral(2, parts) == PhasePolynomial.zero(2)
 
     def test_dump_text_canonical(self):
         p = PhasePolynomial.monomial(1, Fraction(-1, 3), x=2) + PhasePolynomial.monomial(
@@ -286,3 +301,76 @@ class TestSumAgainstNaiveReference:
         got = _sum(dims, args, i_power)
         assert_matches(got, ref)
         assert got.i_power == i_power
+
+
+@st.composite
+def parts_at_field_top(draw):
+    """Parts whose exponents lie near EXP_MASK / 2 and EXP_MASK on at most
+    two fields of each monomial, and are 0 or 1 on the others, so that sums
+    of two or three of them fall on either side of the field's top."""
+    dims = draw(st.integers(min_value=1, max_value=3))
+    nvars = len(variable_names(dims))
+    half = EXP_MASK // 2
+    exponent = st.one_of(
+        st.integers(0, 2), st.integers(half - 2, half + 2), st.integers(EXP_MASK - 3, EXP_MASK)
+    )
+
+    def tuples():
+        base = st.tuples(*(st.integers(0, 1) for _ in range(nvars)))
+        top = st.dictionaries(st.integers(0, nvars - 1), exponent, max_size=2)
+        return st.builds(lambda b, f: tuple(f.get(i, e) for i, e in enumerate(b)), base, top)
+
+    coeff = st.builds(
+        Fraction, st.integers(min_value=-6, max_value=6), st.sampled_from([1, 2, 3])
+    ).filter(bool)
+    terms = st.dictionaries(tuples(), coeff, min_size=1, max_size=3)
+    parts = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        parts.append((
+            draw(coeff), draw(tuples()), draw(terms), draw(terms),
+            draw(st.integers(0, nvars - 1)), draw(st.integers(0, 2)),
+        ))
+    if draw(st.booleans()):
+        # the negated first part: its product terms all cancel
+        parts.append((-parts[0][0], *parts[0][1:]))
+    return dims, parts
+
+
+class TestOverflowAtFieldTop:
+    """``OverflowError`` comes exactly when some key of F * x^mono, or some
+    product term of the sum before cancellation, has an exponent above
+    EXP_MASK, and for the t-integral also when a nonzero term of the sum
+    sits at t = EXP_MASK; otherwise the result is the naive reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(parts_at_field_top())
+    def test_sum_and_t_integral(self, case):
+        dims, parts = case
+        names = variable_names(dims)
+        t = names.index("t")
+        ref, args, over = {}, [], False
+        for c, mono, f, a, var, order in parts:
+            derived = a
+            for _ in range(order):
+                derived = naive_diff(derived, var)
+            fm = naive_times_monomial(f, 1, mono)
+            # every product term counts, whether or not it cancels
+            over |= any(e > EXP_MASK for k in fm for e in k)
+            over |= any(x + y > EXP_MASK for k in fm for j in derived for x, y in zip(k, j))
+            ref = naive_add(ref, naive_times_monomial(naive_mul(f, derived), c, mono))
+            args.append((
+                c, dict(zip(names, mono)), PhasePolynomial(dims, f), PhasePolynomial(dims, a),
+                names[var], order,
+            ))
+        if over:
+            with pytest.raises(OverflowError):
+                _sum(dims, args)
+            with pytest.raises(OverflowError):
+                _t_integral(dims, args)
+            return
+        assert_matches(_sum(dims, args), ref)
+        if any(k[t] == EXP_MASK for k in ref):
+            with pytest.raises(OverflowError):
+                _t_integral(dims, args)
+        else:
+            assert_matches(_t_integral(dims, args), naive_integrate(naive_orbit(ref, dims), t))

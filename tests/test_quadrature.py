@@ -67,6 +67,22 @@ class TestMomentQuadrature:
         vals = [imn_quadrature(1, 1, params(t=t)).value for t in (0.5, 1.0, 2.0, 4.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("t", [0.5, 1.0, 1.7])
+    @pytest.mark.parametrize("v", [0.02, 0.05, 0.1, 0.2])
+    def test_free_gaussian_raises_or_holds(self, v, t):
+        # at g = 0 and small t v^2 quad may give up on its extrapolation
+        # table; it must then say which moment failed, and it must never
+        # return a value outside its own error
+        p = params(g=0.0, v=v, t=t)
+        for m in range(6):
+            for n in range(m, 6):
+                try:
+                    got = imn_quadrature(m, n, p)
+                except AccuracyError as exc:
+                    assert f"I_{m}{n} quadrature" in str(exc)
+                    continue
+                assert abs(got.value - imn_factorized_g0(m, n, p)) <= got.error
+
     def test_divergence_at_zero_v(self):
         with pytest.raises(DivergentIntegralError):
             imn_quadrature(1, 0, params(v=0.0))
