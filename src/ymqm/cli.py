@@ -42,21 +42,24 @@ COMMANDS = ("tf", "wk", "resum", "singular-scan", "n3", "spectrum", "compare", "
 ROUTES = ("closed", "symbolic", "quadrature")
 AXES = ("g", "v", "hbar", "t")
 CONFIG_SECTIONS = ("run", "quadrature", "spectral")
-#: each sweep quantity with the model its formula computes: the planar
-#: terms and the resummed ones (in units of the planar prefactor K), or the
-#: three-coordinate terms.  Each formula takes the whole grid at once
-#: (``ModelParams.grid``) and returns one value per point.
+#: each sweep quantity with the model its formula computes and the regime
+#: test of its flag: the planar terms and the resummed ones (in units of the
+#: planar prefactor K), in regime for lam2 <= 0.1, or the three-coordinate
+#: terms, in regime for lam < 1 as in ``n3``.  Each formula and test takes
+#: the whole grid at once (``ModelParams.grid``) and returns one value per
+#: point.
 SWEEP_QUANTITIES = {
-    "tf": ("n2", lambda p: heatkernel.tf_partition_n2(p)),
-    "z2": ("n2", lambda p: heatkernel.z2_closed_n2(p)),
+    "tf": ("n2", lambda p: heatkernel.tf_partition_n2(p), ModelParams.lam2_in_regime),
+    "z2": ("n2", lambda p: heatkernel.z2_closed_n2(p), ModelParams.lam2_in_regime),
     "resum_total": (
         "n2",
         lambda p: heatkernel.resummed_term(0, p)
         + heatkernel.resummed_term(2, p)
         + heatkernel.resummed_term(4, p),
+        ModelParams.lam2_in_regime,
     ),
-    "tf_n3": ("n3", lambda p: heatkernel.tf_term_n3(p)),
-    "z2_n3": ("n3", lambda p: heatkernel.z2_n3(p)),
+    "tf_n3": ("n3", lambda p: heatkernel.tf_term_n3(p), ModelParams.lam_in_regime),
+    "z2_n3": ("n3", lambda p: heatkernel.z2_n3(p), ModelParams.lam_in_regime),
 }
 
 
@@ -351,9 +354,9 @@ def rows_study(cfg, grid):
 def rows_sweep(cfg, grid):
     """One row per point.  Every column is evaluated over the whole grid at
     once, the quantity in one call of its formula."""
-    _, fn = SWEEP_QUANTITIES[cfg.quantity]
+    _, fn, in_regime = SWEEP_QUANTITIES[cfg.quantity]
     points = ModelParams.grid(grid)
-    cols = {**_param_cols(points), cfg.quantity: fn(points), "flag": ~points.lam2_in_regime()}
+    cols = {**_param_cols(points), cfg.quantity: fn(points), "flag": ~in_regime(points)}
     return [dict(zip(cols, row)) for row in zip(*(c.tolist() for c in cols.values()))]
 
 

@@ -206,17 +206,26 @@ def _imports_scipy_integrate(node):
 def test_quad_runs_only_in_the_line_integral():
     # the tracer counts one-dimensional integrals by patching ``quad`` in
     # ymqm.quadrature: it sees them all only while quadrature.line_integral
-    # is the one caller of quad and no other module reaches scipy.integrate
-    importers, callers = set(), []
+    # is the one caller of quad, scipy's quad is bound only inside the
+    # wrapper quadrature.quad, and no other module reaches scipy.integrate
+    importers, callers, bindings = set(), [], set()
     for path in PACKAGE_FILES:
         tree = ast.parse(path.read_text())
-        if any(_imports_scipy_integrate(node) for node in ast.walk(tree)):
-            importers.add(path.name)
         for top in tree.body:
             for node in ast.walk(top):
+                if _imports_scipy_integrate(node):
+                    importers.add(path.name)
+                    bindings.update(
+                        (path.name, getattr(top, "name", None), alias.name, alias.asname)
+                        for alias in node.names
+                    )
                 if isinstance(node, ast.Call) and "quad" in (
                     getattr(node.func, "id", None), getattr(node.func, "attr", None)
                 ):
                     callers.append((path.name, getattr(top, "name", None)))
     assert importers == {"quadrature.py"}
     assert callers == [("quadrature.py", "line_integral")]
+    assert bindings == {
+        ("quadrature.py", "quad", "quad", "scipy_quad"),
+        ("quadrature.py", "line_integral", "IntegrationWarning", None),
+    }

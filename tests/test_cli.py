@@ -629,6 +629,32 @@ class TestSweepAndN3:
         _, rows2, _, _ = run_cli(argv)
         assert len(rows1) == 18 and rows1 == rows2
 
+    def test_sweep_flags_z2_n3_as_n3_does(self):
+        # lam = 0.354 lies inside the three-coordinate regime (lam < 1),
+        # though lam2 = 0.125 is above the planar bound 0.1: both commands
+        # print the same value unflagged and exit 0
+        values = []
+        for argv in (["n3", "--g", "1", "--t", "0.5"],
+                     ["sweep", "--quantity", "z2_n3", "--model", "n3", "--g", "1", "--t", "0.5"]):
+            assert main(argv) == 0
+            status, (row,), _, _ = run_cli(argv)
+            assert status == 0 and row["flag"] is False
+            values.append(row["z2_n3"])
+        assert values == [-0.5438937180054318] * 2
+
+    @pytest.mark.parametrize("quantity, flagged", [("tf", [False, True]), ("z2", [False, True]),
+                                                   ("tf_n3", [False, False]),
+                                                   ("z2_n3", [False, False])])
+    def test_sweep_flag_follows_the_quantity_regime(self, quantity, flagged):
+        # lam2 = 0.064 and 0.125: only the second is outside the planar
+        # regime, and both are inside the three-coordinate one (lam < 1)
+        model = "n3" if quantity.endswith("_n3") else "n2"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            _, rows, _, _ = run_cli(["sweep", "--quantity", quantity, "--model", model,
+                                     "--g", "1", "--v", "1", "--t", "0.4:0.5:2"])
+        assert [row["flag"] for row in rows] == flagged
+
     def test_n3_command_implies_model(self, tmp_path):
         out = tmp_path / "n3.csv"
         status, rows, _, _ = run_cli(["n3", "--g", "1", "--t", "0.3", "--out", str(out)])
@@ -705,7 +731,7 @@ class TestSweepGrid:
         from ymqm import cli, heatkernel
         from ymqm.params import ModelParams
 
-        model, fn = cli.SWEEP_QUANTITIES[quantity]
+        model, fn, _ = cli.SWEEP_QUANTITIES[quantity]
         n_model = 3 if model == "n3" else 2
         rows = self.PLANAR if n_model == 2 else self.N3
         if quantity == "z2_n3":
@@ -735,7 +761,7 @@ class TestSweepGrid:
         from ymqm import cli
         from ymqm.params import ModelParams
 
-        model, fn = cli.SWEEP_QUANTITIES[quantity]
+        model, fn, _ = cli.SWEEP_QUANTITIES[quantity]
         n_model = 3 if model == "n3" else 2
         bad = ModelParams(1e-200, 1.0, 1.0, 1.0, n_model=n_model)
         with pytest.raises(DomainError) as alone:
@@ -817,8 +843,8 @@ class TestResultSnapshot:
          "d8d96499db690c50d4f0cea6a91918b21ec19906dde3cbfd6ef7d54a5fa292b0"),
         ("sweep_z2_n3.csv", ["sweep", "--quantity", "z2_n3", "--model", "n3", "--g", "1:4:3",
                              "--t", "0.2:1.5:3"], 1,
-         "5f6f09e21048bb96a4044477819fb21e43ad05b0f29c51d6013f1d02a6a37411",
-         "9cf764e8261556ce0e2acee46e846725f296aaffb491046f981bc0e602ed8792"),
+         "1ea0aa856f651dc2341a511309465a542c5fe0163f3fe91018a7a9f6e62a3b3b",
+         "1ba0ed407b99f4e088081c94e1884fa224ed0ce2e53b386ad0d7ecbb2e04f255"),
         ("n3.csv", ["n3", "--g", "1", "--t", "0.3:1.5:3"], 1,
          "e421b0fcae166b75ecfadc75df791d8462c6fd32a476a29c379c4d513973f79c",
          "63dbc3f303d682c6fa2cdcac03d1d27f5567696fe1f5a2ecdddd64334737ecc1"),
