@@ -154,7 +154,7 @@ def rows_tf(cfg, grid):
                     **_param_cols(p),
                     "tf_n3": heatkernel.tf_term_n3(p),
                     "route": "closed",
-                    "flag": not p.lam2_in_regime(),
+                    "flag": not p.lam_in_regime(),
                 }
             )
         else:

@@ -5,19 +5,23 @@ numeric.  A moment integral I_mn is one adaptive ``quad`` along the
 channel-aligned line u = x y, the hyperbolic-angle integral done exactly as
 a Bessel K.  The phase-space integral of a reduced kernel in two or three
 coordinates and the raw three-coordinate structures are one adaptive
-cubature over the box [0, R]^d (the weight is even in every coordinate),
-with R chosen so the Gaussian tail beyond it stays below
-rel_tol / _TAIL_SAFETY.  That cubature, :func:`_cubature`, is the product
-Gauss-Kronrod 21 rule (QUADPACK ``dqk21``) with 2^d bisection of the box of
-largest error first; each box evaluates the integrand once on its Kronrod
-node grid and once on its Gauss node grid, and its error is the Kronrod
-minus the Gauss sum.  An integrand is a broadcasting function of d
+cubature over the (x, y) box [0, R]^2 (the weight is even in every
+coordinate), with R chosen so the Gaussian tail beyond it stays below
+rel_tol / _TAIL_SAFETY.  In three coordinates the weight is Gaussian in z
+at fixed (x, y), so :func:`_octant_integral` integrates z in closed form
+first.  That cubature, :func:`_cubature`, is the product Gauss-Kronrod 21
+rule (QUADPACK ``dqk21``) in any dimension d, with 2^d bisection of the box
+of largest error first; each box evaluates the integrand once on its
+Kronrod node grid and once on its Gauss node grid, and its error is the
+Kronrod minus the Gauss sum.  An integrand is a broadcasting function of d
 coordinate arrays, ``f(x_1, ..., x_d)``, called on the box's open node grid
 (axis i holds that axis's nodes along dimension i, as ``np.ix_`` makes
 them), so a factor of one coordinate is computed once per node of its axis
-and not once per grid point.  The radial reductions of the three-coordinate
-model are one-dimensional as well; at v = 0 the x^2 (y^2+z^2) one is a
-single integral over the half-line, its algebraic channel tail included.
+and not once per grid point.  The package runs it with d = 2 only; the
+tests run it with d = 3 as the box oracle of the z-closure.  The radial
+reductions of the three-coordinate model are one-dimensional as well; at
+v = 0 the x^2 (y^2+z^2) one is a single integral over the half-line, its
+algebraic channel tail included.
 
 Every one-dimensional integral of the package, here and in the closed
 forms' fallbacks (the Whittaker integral :func:`laplace_integral`, which
@@ -42,14 +46,14 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 
 import numpy as np
 from scipy import special as sp
 
 from .errors import AccuracyError, DivergentIntegralError, DomainError
 from .reduction import integrate_momenta
-from .special import bessel_i0_scaled
+from .special import bessel_i0_scaled, double_factorial
 
 _TAIL_SAFETY = 10.0  # tail-truncation bound kept below rel_tol / safety
 _QUAD_LIMIT = 400  # subintervals per one-dimensional quad
@@ -293,12 +297,11 @@ def _weight_params(params, effective, d):
     return params.g**2, params.v**2 + (params.veff2 if effective else 0.0)
 
 
-def _weight(xs, t, g2, v2):
-    """exp(-t [v2 |x|^2/2 + (g2/2) sum over coordinate pairs x_i^2 x_j^2]) on
-    the broadcast coordinate arrays ``xs``."""
-    sq = [x * x for x in xs]
-    quart = sum(a * b for a, b in combinations(sq, 2))
-    return np.exp(-0.5 * t * (v2 * sum(sq) + g2 * quart))
+def _planar_weight(x, y, t, g2, v2):
+    """exp(-t [v2 (x^2+y^2)/2 + g2 x^2 y^2/2]) on the broadcast coordinate
+    arrays ``x`` and ``y``."""
+    x2, y2 = x * x, y * y
+    return np.exp(-0.5 * t * (v2 * (x2 + y2) + g2 * (x2 * y2)))
 
 
 def imn_quadrature(m, n, params, spec=QuadratureSpec(), effective=False):
@@ -355,6 +358,9 @@ def phase_space_quadrature(poly, params, spec=QuadratureSpec(), effective=False)
     polynomial against the coordinate weight (no moment-by-moment
     decomposition, so the route is independent of the closed forms).  With
     ``effective`` it integrates S_k into the term of the resummed series.
+    In two coordinates the coordinate integral is one cubature over the
+    (x, y) box; in three it is :func:`_octant_integral`, which integrates z
+    in closed form and leaves the same 2-D cubature.
 
     In the channel regime the box cubature misreads its own error, as it
     does for :func:`imn_quadrature`: at g = t = 1 the W_2 integral at
@@ -385,18 +391,21 @@ def phase_space_quadrature(poly, params, spec=QuadratureSpec(), effective=False)
             coeffs[perm] = coeffs.get(perm, 0.0) + base / len(perms)
     if not coeffs:
         return OracleValue(0.0, 0.0)
-    powers = 2 * np.array(list(coeffs), dtype=float)
-    weights = np.array(list(coeffs.values()))
+    if d == 3:
+        val, err = _octant_integral(coeffs, t, g2, v2, spec)
+    else:
+        powers = 2 * np.array(list(coeffs), dtype=float)
+        weights = np.array(list(coeffs.values()))
 
-    def f(*xs):
-        # each coordinate's powers on its own axis nodes, multiplied out over
-        # the grid first coordinate first; the last index is the monomial
-        monomials = math.prod(x[..., None] ** p for x, p in zip(xs, powers.T))
-        rows = monomials.reshape(-1, len(weights)) @ weights
-        return rows.reshape(monomials.shape[:-1]) * _weight(xs, t, g2, v2)
+        def f(x, y):
+            # each coordinate's powers on its own axis nodes, multiplied out
+            # over the grid; the last index is the monomial
+            monomials = x[..., None] ** powers[:, 0] * y[..., None] ** powers[:, 1]
+            rows = monomials.reshape(-1, len(weights)) @ weights
+            return rows.reshape(monomials.shape[:-1]) * _planar_weight(x, y, t, g2, v2)
 
-    cut = _gauss_cutoff(0.5 * t * v2, max(map(max, coeffs)) + 1, spec)
-    val, err = _cubature(f, d, cut, spec)
+        cut = _gauss_cutoff(0.5 * t * v2, max(map(max, coeffs)) + 1, spec)
+        val, err = _cubature(f, 2, cut, spec)
     norm = (
         2.0**d
         * params.hbar ** (poly.i_power - d)
@@ -405,6 +414,41 @@ def phase_space_quadrature(poly, params, spec=QuadratureSpec(), effective=False)
         * math.exp(params.regulator()[1] if effective else 0.0)
     )
     return _oracle(norm * val, norm * err, spec)
+
+
+def _octant_integral(coeffs, t, g2, v2, spec):
+    """(value, error) of the octant integral
+
+        int_[0, inf)^3 sum_(a,b,c) coeffs[(a, b, c)] x^2a y^2b z^2c e^(-tV),
+        V = v2 (x^2+y^2+z^2)/2 + (g2/2)(x^2 y^2 + y^2 z^2 + z^2 x^2),
+
+    with z integrated in closed form.  At fixed (x, y) the weight is
+    Gaussian in z with A = t (v2 + g2 (x^2+y^2)), and
+
+        int_0^inf z^2c e^(-A z^2/2) dz = (2c-1)!! sqrt(pi/2) A^-(c+1/2)
+
+    exactly, so what is left is one :func:`_cubature` over the (x, y) box
+    [0, R]^2 of the planar weight times sum_(a,b) x^2a y^2b
+    sum_c w_abc (2c-1)!! sqrt(pi/2) A^-(c+1/2), with R sized by the largest
+    power of x or y.  The z-closure is tested against the 3-D box cubature
+    of the same integrand (tests/test_quadrature.py)."""
+    pairs = sorted({key[:2] for key in coeffs})
+    cs = sorted({key[2] for key in coeffs})
+    # table[(a, b), c] = w_abc (2c-1)!! sqrt(pi/2)
+    table = np.zeros((len(pairs), len(cs)))
+    for (a, b, c), w in coeffs.items():
+        table[pairs.index((a, b)), cs.index(c)] += w * double_factorial(2 * c - 1)
+    table *= math.sqrt(0.5 * math.pi)
+    powers = 2 * np.array(pairs, dtype=float)
+    exponents = -(np.array(cs, dtype=float) + 0.5)
+
+    def f(x, y):
+        monomials = x[..., None] ** powers[:, 0] * y[..., None] ** powers[:, 1]
+        closed_z = (t * (v2 + g2 * (x * x + y * y)))[..., None] ** exponents
+        return np.sum((monomials @ table) * closed_z, axis=-1) * _planar_weight(x, y, t, g2, v2)
+
+    cut = _gauss_cutoff(0.5 * t * v2, max(map(max, pairs)) + 1, spec)
+    return _cubature(f, 2, cut, spec)
 
 
 # -- three-coordinate radial integrals ----------------------------------------
@@ -472,8 +516,13 @@ def radial_quadrature_n3(which, params, spec=QuadratureSpec(), effective=False):
 
 
 def raw_coordinate_n3(which, params, spec=QuadratureSpec(), effective=False):
-    """The same structures as a raw 3-D coordinate integral (full space,
-    octant times 8) for cross-checking the radial reduction.  Needs a
+    """The same structures as a raw coordinate integral (full space, octant
+    times 8) for cross-checking the radial reduction: the monomials x^2
+    (``which=1``) and x^2 y^2 + x^2 z^2 (``which=2``) through
+    :func:`_octant_integral`.  The radial route closes z by the same
+    Gaussian integral, so what the pair cross-checks is a Cartesian (x, y)
+    cubature against the polar reduction with its Bessel-I_0 angular
+    closure; the z-closure itself is tested against the 3-D box.  Needs a
     harmonic weight (v > 0 or ``effective``): at v = 0 the x^2 structure
     diverges and x^2 (y^2+z^2) has an algebraic channel tail no box holds."""
     if which not in (1, 2):
@@ -488,13 +537,8 @@ def raw_coordinate_n3(which, params, spec=QuadratureSpec(), effective=False):
             "the raw box misses the algebraic channel tail at v = 0: "
             "use radial_quadrature_n3 or effective=True"
         )
-    t = params.t
-
-    def f(x, y, z):
-        moment = x * x if which == 1 else x * x * (y * y + z * z)
-        return moment * _weight((x, y, z), t, g2, v2)
-
-    val, err = _cubature(f, 3, _gauss_cutoff(0.5 * t * v2, 3, spec), spec)
+    coeffs = {(1, 0, 0): 1.0} if which == 1 else {(1, 1, 0): 1.0, (1, 0, 1): 1.0}
+    val, err = _octant_integral(coeffs, params.t, g2, v2, spec)
     return _oracle(8.0 * val, 8.0 * err, spec)
 
 

@@ -642,6 +642,18 @@ class TestSweepAndN3:
             values.append(row["z2_n3"])
         assert values == [-0.5438937180054318] * 2
 
+    def test_tf_flags_tf_n3_as_n3_does(self):
+        # the same point: tf --model n3 flags tf_n3 by lam < 1 as well
+        values = []
+        for argv in (["n3", "--g", "1", "--t", "0.5"],
+                     ["sweep", "--quantity", "tf_n3", "--model", "n3", "--g", "1", "--t", "0.5"],
+                     ["tf", "--model", "n3", "--g", "1", "--t", "0.5"]):
+            assert main(argv) == 0
+            status, (row,), _, _ = run_cli(argv)
+            assert status == 0 and row["flag"] is False
+            values.append(row["tf_n3"])
+        assert values == [12.104125387365915] * 3
+
     @pytest.mark.parametrize("quantity, flagged", [("tf", [False, True]), ("z2", [False, True]),
                                                    ("tf_n3", [False, False]),
                                                    ("z2_n3", [False, False])])

@@ -22,6 +22,7 @@ from ymqm.quadrature import (
     radial_quadrature_n3,
     raw_coordinate_n3,
 )
+from ymqm.reduction import harmonic_partition_exact
 from ymqm.spectral import BasisSpec, build_hamiltonian
 
 P1 = ModelParams(g=1.0, v=1.0, hbar=1.0, t=1.0)
@@ -176,7 +177,8 @@ class TestCubatureEngine:
     # the Gauss values are read off the nearby Kronrod nodes
     POINTS = [params(g=1.1, v=1.2, t=0.9), params(g=0.8, v=1.0, t=1.3)]
     N3 = [(1, 1.0, False), (2, 0.0, True)]
-    # the 3-D phase-space path: W_0, W_2 and the effective S_2
+    # the three-coordinate phase-space path, a 2-D cubature once z is
+    # closed: W_0, W_2 and the effective S_2
     P3 = replace(N3_POINT, g=0.4)
     K3 = [(W3[0], False), (W3[2], False), (resummed_kernels(potential(3), 2)[2], True)]
 
@@ -200,7 +202,7 @@ class TestCubatureEngine:
 
     def test_matches_scipy_cubature(self, monkeypatch):
         table = list(self.oracle_table(monkeypatch))
-        assert [d for _, d, _, _ in table] == [2] * 6 + [3] * 5
+        assert [d for _, d, _, _ in table] == [2] * 11
         for f, d, cut, spec in table:
             est, err = quadrature._cubature(f, d, cut, spec)
             # scipy passes the points as rows of one (npoints, d) array
@@ -248,6 +250,64 @@ class TestCubatureEngine:
             quadrature._cubature(f, 2, 1.0, QuadratureSpec())
 
 
+def box_octant(coeffs, t, g2, v2, spec):
+    """Test oracle of ``quadrature._octant_integral``: the 3-D box cubature
+    of the raw integrand, z cut off where x and y are."""
+
+    def f(x, y, z):
+        x2, y2, z2 = x * x, y * y, z * z
+        poly = sum(w * x2**a * y2**b * z2**c for (a, b, c), w in coeffs.items())
+        return poly * np.exp(-0.5 * t * (v2 * (x2 + y2 + z2) + g2 * (x2 * y2 + y2 * z2 + z2 * x2)))
+
+    cut = quadrature._gauss_cutoff(0.5 * t * v2, max(map(max, coeffs)) + 1, spec)
+    return quadrature._cubature(f, 3, cut, spec)
+
+
+class TestClosedZ:
+    """The three-coordinate box integrals integrate z in closed form and run
+    a 2-D cubature; the same call with the 3-D box of the raw integrand in
+    place of the z-closure must agree within the two reported errors."""
+
+    P3 = replace(N3_POINT, g=0.4)
+    W6 = conventional_kernels(potential(3), 6)
+    S2 = resummed_kernels(potential(3), 2)[2]
+    CALLS = {
+        **{f"W{k}": (lambda spec, k=k: phase_space_quadrature(
+            TestClosedZ.W6[k], TestClosedZ.P3, spec)) for k in (0, 2, 4, 6)},
+        "S2_effective": lambda spec: phase_space_quadrature(
+            TestClosedZ.S2, TestClosedZ.P3, spec, effective=True),
+        "raw_x2": lambda spec: raw_coordinate_n3(1, N3_POINT, spec),
+        "raw_x2_y2z2_effective": lambda spec: raw_coordinate_n3(
+            2, replace(N3_POINT, v=0.0), spec, effective=True),
+    }
+
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-10])
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_matches_the_3d_box(self, monkeypatch, name, rel_tol):
+        call = self.CALLS[name]
+        spec = QuadratureSpec(rel_tol)
+        seen = captured_cubatures(monkeypatch, lambda: call(spec))
+        # no 3-D cubature runs in the package
+        assert seen and all(d == 2 for _, d, _, _ in seen)
+        got = call(spec)
+        monkeypatch.setattr(quadrature, "_octant_integral", box_octant)
+        box = call(spec)
+        assert abs(got.value - box.value) <= got.error + box.error
+        assert got.error <= rel_tol * abs(got.value)
+
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-10])
+    def test_harmonic_kernels_exact_at_g0(self, rel_tol):
+        # at g = 0 every moment is a Gaussian product:
+        # Z_k = coeff (hbar v t)^wpower exactly
+        p = ModelParams(g=0.0, v=1.2, hbar=1.0, t=0.9, n_model=3)
+        W = conventional_kernels(potential(3, quartic=False), 6)
+        for k in range(0, 7, 2):
+            coeff, wpower = harmonic_partition_exact(W[k], k)
+            exact = float(coeff) * (p.hbar * p.v * p.t) ** wpower
+            got = phase_space_quadrature(W[k], p, QuadratureSpec(rel_tol))
+            assert abs(got.value - exact) <= rel_tol * abs(exact), k
+
+
 class TestOracleSnapshot:
     """The repr of (value, error) of a fixed set of oracle calls, pinned so
     that a change to how an integrand or the engine computes moves no bit.
@@ -255,9 +315,9 @@ class TestOracleSnapshot:
 
     @pytest.mark.parametrize("call, pinned", [
         pytest.param(lambda: raw_coordinate_n3(1, N3_POINT, SPEC6),
-                     "(5.004781625942567, 7.957930719902415e-07)", id="raw_n3_x2"),
+                     "(5.004781625961726, 8.066913019782302e-07)", id="raw_n3_x2"),
         pytest.param(lambda: raw_coordinate_n3(2, replace(N3_POINT, v=0.0), SPEC6, effective=True),
-                     "(3.7428872844474284, 4.4750387940327905e-07)",
+                     "(3.742887284342419, 6.424606843826002e-07)",
                      id="raw_n3_x2_y2z2_effective"),
         pytest.param(lambda: imn_quadrature(1, 1, P1),
                      "(1.41214031825722, 7.466471885209103e-12)", id="imn_11"),
@@ -266,11 +326,11 @@ class TestOracleSnapshot:
         pytest.param(lambda: imn_quadrature(2, 4, params(g=1.5, v=0.0, t=0.6), effective=True),
                      "(76.29124816841832, 3.264366954403849e-09)", id="imn_24_effective"),
         pytest.param(lambda: phase_space_quadrature(W3[2], replace(N3_POINT, g=0.4), SPEC6),
-                     "(-0.13237175905921592, 1.3465864621781728e-08)", id="phase_space_n3_W2"),
-        # W_4 has monomials in all three coordinates, whose factors' order
-        # moves the last bit
+                     "(-0.13237175905921564, 1.3316865929795343e-08)", id="phase_space_n3_W2"),
+        # W_4 has monomials in all three coordinates: several powers of the
+        # closed z per (x, y) monomial
         pytest.param(lambda: phase_space_quadrature(W3[4], replace(N3_POINT, g=0.4), SPEC6),
-                     "(0.010858854309412958, 1.2248897565836455e-09)", id="phase_space_n3_W4"),
+                     "(0.010858854309412838, 1.1382510367404273e-09)", id="phase_space_n3_W4"),
     ])
     def test_bit_for_bit(self, call, pinned):
         got = call()
