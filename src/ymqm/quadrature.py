@@ -11,13 +11,15 @@ rel_tol / _TAIL_SAFETY.  In three coordinates the weight is Gaussian in z
 at fixed (x, y), so :func:`_octant_integral` integrates z in closed form
 first.  That cubature, :func:`_cubature`, is the product Gauss-Kronrod 21
 rule (QUADPACK ``dqk21``) in any dimension d, with 2^d bisection of the box
-of largest error first; each box evaluates the integrand once on its
-Kronrod node grid and once on its Gauss node grid, and its error is the
-Kronrod minus the Gauss sum.  An integrand is a broadcasting function of d
-coordinate arrays, ``f(x_1, ..., x_d)``, called on the box's open node grid
-(axis i holds that axis's nodes along dimension i, as ``np.ix_`` makes
-them), so a factor of one coordinate is computed once per node of its axis
-and not once per grid point.  The package runs it with d = 2 only; the
+of largest error first; a box's error is its Kronrod minus its Gauss sum,
+and each bisection evaluates its 2^d children in one integrand call on all
+their Kronrod node grids and one on all their Gauss node grids.  An
+integrand is a broadcasting function of d coordinate arrays,
+``f(x_1, ..., x_d)``, called on open node grids behind d leading box axes
+(axis i holds its nodes in each box along box dimension i and grid
+dimension i), so a factor of one coordinate is computed once per node of
+its axis and not once per grid point.  It may use the box axes but must
+not mix rows of different boxes.  The package runs it with d = 2 only; the
 tests run it with d = 3 as the box oracle of the z-closure.  The radial
 reductions of the three-coordinate model are one-dimensional as well; at
 v = 0 the x^2 (y^2+z^2) one is a single integral over the half-line, its
@@ -162,48 +164,73 @@ def _cubature(f, d, cut, spec):
     ``roots_legendre``: the region with the largest error is bisected along
     every axis into 2^d children until the summed error is at most
     rel_tol / _TAIL_SAFETY of the summed estimate.  A region's estimate is
-    its Kronrod sum and its error the Kronrod minus the Gauss sum, from one
-    call of ``f`` on its Kronrod node grid and one on its Gauss node grid.
-    The grid is open, as ``np.ix_`` makes it: axis i passes its 21 (or 10)
-    nodes shaped to lie along dimension i, so ``f`` computes a per-axis
-    factor once per node rather than once per grid point, and its result,
-    broadcast to the whole grid, is read in C order (first coordinate
-    slowest).
+    its Kronrod sum and its error the Kronrod minus the Gauss sum.  The
+    2^d children of a bisection (the first region alone at the start) are
+    evaluated together, in one call of ``f`` on all their Kronrod node
+    grids and one on all their Gauss node grids.  The grids are open, as
+    ``np.ix_`` makes them, behind d leading box axes: axis i passes its
+    21 (or 10) nodes in each of its halves, shaped (2, 21) to lie along box
+    dimension i and grid dimension i, so ``f`` computes a per-axis factor
+    once per node rather than once per grid point.  Its result, broadcast
+    to the whole batch, is read in C order: children in the order of
+    ``product((False, True), repeat=d)`` (True the upper half, first axis
+    slowest), then each child's grid, first coordinate slowest.  The
+    children then join the sums and the heap one by one in that order, as
+    if each had been evaluated alone.
+
+    An integrand may use the leading box axes as it likes, but must not
+    mix rows of different boxes: a child's values must be bit for bit what
+    its own grid alone would give.  The phase-space integrand, whose BLAS
+    matrix-vector product rounds its last rows (the row count mod 4) in
+    another order, makes one product per box for that reason
+    (tests/test_quadrature.py checks both integrands of the package).
 
     Reading the Gauss values off the odd Kronrod nodes instead would move
     errors in their last bits (the nodes differ by up to 2 ulp, and ``f``
     may round a grid point by the size of its batch, as the phase-space
-    integrand does through the BLAS tail of one matrix-vector product over
-    the whole grid), and with them the heap order of mirror regions and so
+    integrand does), and with them the heap order of mirror regions and so
     the estimate; as it stands every estimate is bit for bit that of
     ``scipy.integrate.cubature`` with ``rule="gk21"`` on the point form
     ``lambda X: f(*X.T)``.  A non-finite estimate or error, or
     _MAX_SUBDIVISIONS bisections without convergence, raise
-    :class:`AccuracyError`.
+    :class:`AccuracyError`, the former naming the first such box.
     """
     kronrod_axis, gauss_axis, kronrod, kronrod_gauss = _gk21_product(d)
-    halves = np.array(list(product((False, True), repeat=d)))
 
-    def values(axis, a, half):
-        nodes = axis[:, None] * half + a
-        return np.broadcast_to(f(*np.ix_(*nodes.T)), (len(axis),) * d).ravel()
+    def values(axis, lo, half):
+        k, n = lo.shape[1], len(axis)
+        grid = axis * half[..., None] + lo[..., None]  # (axis, box, node)
+        nodes = []
+        for i in range(d):
+            # axis i along box dimension i and grid dimension i
+            shape = [1] * (2 * d)
+            shape[i], shape[d + i] = k, n
+            nodes.append(grid[i].reshape(shape))
+        return np.broadcast_to(f(*nodes), (k,) * d + (n,) * d).reshape(k**d, -1)
 
-    def region(a, b):
-        lengths = b - a
+    def regions(edges):
+        # the product boxes of the per-axis breakpoints, d rows of k + 1
+        lo, hi = edges[:, :-1], edges[:, 1:]
+        lengths = hi - lo
         half = lengths * 0.5
-        fx = values(kronrod_axis, a, half)
-        fg = values(gauss_axis, a, half)
-        scale = np.prod(lengths) / 2**d
-        est = float(np.sum(kronrod * scale * fx))
-        err = abs(float(np.sum(kronrod_gauss * scale * np.concatenate([fx, fg]))))
-        if not (math.isfinite(est) and math.isfinite(err)):
-            raise AccuracyError(
-                f"{d}-D cubature met a non-finite integrand on [{a}, {b}]: "
-                f"estimate {est}, error {err}"
-            )
-        return _Region(est, err, a, b)
+        fx = values(kronrod_axis, lo, half)
+        fg = values(gauss_axis, lo, half)
+        # [box, i]: the box's breakpoint on axis i, boxes in product order
+        pick = np.arange(d), np.array(list(product(range(lo.shape[1]), repeat=d)))
+        scale = (np.prod(lengths[pick], axis=1) / 2**d)[:, None]
+        ests = np.sum(kronrod * scale * fx, axis=1)
+        errs = np.sum(kronrod_gauss * scale * np.concatenate([fx, fg], axis=1), axis=1)
+        boxes = []
+        for est, err, a, b in zip(ests.tolist(), np.abs(errs).tolist(), lo[pick], hi[pick]):
+            if not (math.isfinite(est) and math.isfinite(err)):
+                raise AccuracyError(
+                    f"{d}-D cubature met a non-finite integrand on [{a}, {b}]: "
+                    f"estimate {est}, error {err}"
+                )
+            boxes.append(_Region(est, err, a, b))
+        return boxes
 
-    first = region(np.zeros(d), np.full(d, float(cut)))
+    (first,) = regions(np.array([[0.0, float(cut)]] * d))
     heap = [first]
     est, err = first.est, first.err
     rtol = spec.rel_tol / _TAIL_SAFETY
@@ -213,8 +240,7 @@ def _cubature(f, d, cut, spec):
         est -= worst.est
         err -= worst.err
         mid = (worst.a + worst.b) / 2
-        for a, b in zip(np.where(halves, mid, worst.a), np.where(halves, worst.b, mid)):
-            child = region(a, b)
+        for child in regions(np.stack([worst.a, mid, worst.b], axis=1)):
             est += child.est
             err += child.err
             heapq.heappush(heap, child)
@@ -401,7 +427,8 @@ def phase_space_quadrature(poly, params, spec=QuadratureSpec(), effective=False)
             # each coordinate's powers on its own axis nodes, multiplied out
             # over the grid; the last index is the monomial
             monomials = x[..., None] ** powers[:, 0] * y[..., None] ** powers[:, 1]
-            rows = monomials.reshape(-1, len(weights)) @ weights
+            # one matrix-vector product per box, never across boxes
+            rows = monomials.reshape(monomials.shape[:-3] + (-1, len(weights))) @ weights
             return rows.reshape(monomials.shape[:-1]) * _planar_weight(x, y, t, g2, v2)
 
         cut = _gauss_cutoff(0.5 * t * v2, max(map(max, coeffs)) + 1, spec)

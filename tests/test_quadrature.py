@@ -1,6 +1,7 @@
 import math
 import re
 from dataclasses import replace
+from itertools import product
 
 import mpmath as mp
 import numpy as np
@@ -199,10 +200,14 @@ class TestCubatureEngine:
                 monkeypatch,
                 lambda: raw_coordinate_n3(which, p3, QuadratureSpec(1e-6), effective),
             )
+        # the 3-D box oracle of the x^2 structure: batches of 8 children
+        yield from captured_cubatures(
+            monkeypatch, lambda: box_octant({(1, 0, 0): 1.0}, 1.0, 1.0, 1.0, SPEC6)
+        )
 
     def test_matches_scipy_cubature(self, monkeypatch):
         table = list(self.oracle_table(monkeypatch))
-        assert [d for _, d, _, _ in table] == [2] * 11
+        assert [d for _, d, _, _ in table] == [2] * 11 + [3]
         for f, d, cut, spec in table:
             est, err = quadrature._cubature(f, d, cut, spec)
             # scipy passes the points as rows of one (npoints, d) array
@@ -213,6 +218,17 @@ class TestCubatureEngine:
             assert ref.status == "converged"
             assert est == float(ref.estimate)
             assert err == pytest.approx(float(ref.error), rel=1e-6)
+
+    @staticmethod
+    def grid_shapes(d, boxes, n):
+        """The shapes of the d axis arrays of one integrand call on ``boxes``
+        boxes per axis with ``n`` nodes each: axis i lies along box
+        dimension i and grid dimension i."""
+        return [
+            tuple(boxes if j == i else 1 for j in range(d))
+            + tuple(n if j == i else 1 for j in range(d))
+            for i in range(d)
+        ]
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_degree_31_exact_in_one_region(self, d):
@@ -226,12 +242,35 @@ class TestCubatureEngine:
         exact = ((2.0**32 - 1.0) / 32.0) ** d
         assert est == pytest.approx(exact, rel=4e-15)
         # one region: its Kronrod nodes and its Gauss nodes, each once and
-        # each axis as one open-grid vector
-        assert calls == [
-            [tuple(n if j == i else 1 for j in range(d)) for i in range(d)]
-            for n in (21, 10)
-        ]
+        # each axis as one open-grid vector behind d box axes of length 1
+        assert calls == [self.grid_shapes(d, 1, n) for n in (21, 10)]
         assert err <= 1e-9 * est
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_one_integrand_call_per_grid_per_bisection(self, monkeypatch, d):
+        # s bisections make 2 + 2 s calls: the first region's two, then one
+        # Kronrod and one Gauss call on all 2^d children of each bisection
+        calls = []
+        regions = []
+
+        class Counted(quadrature._Region):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                regions.append(args)
+                super().__init__(*args)
+
+        def f(*xs):
+            calls.append([x.shape for x in xs])
+            return np.sqrt(sum(xs)) * np.exp(-math.prod(xs))
+
+        monkeypatch.setattr(quadrature, "_Region", Counted)
+        quadrature._cubature(f, d, 1.0, QuadratureSpec(rel_tol=1e-8))
+        bisections, rest = divmod(len(regions) - 1, 2**d)
+        assert bisections > 0 and rest == 0
+        assert len(calls) == 2 + 2 * bisections
+        assert calls[:2] == [self.grid_shapes(d, 1, n) for n in (21, 10)]
+        assert calls[2:] == [self.grid_shapes(d, 2, n) for n in (21, 10)] * bisections
 
     def test_non_finite_integrand_raises(self):
         def f(x, y):
@@ -239,6 +278,53 @@ class TestCubatureEngine:
 
         with pytest.raises(AccuracyError, match="non-finite"):
             quadrature._cubature(f, 2, 1.0, QuadratureSpec())
+
+    def test_non_finite_child_named(self):
+        # finite on the first region and on its children; the second
+        # bisection, of [0, 0.5]^2, puts Kronrod nodes below 1e-3 into its
+        # two children at x = 0, and the first of them in child order is named
+        calls = []
+
+        def f(x, y):
+            calls.append(x.shape)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.where(x < 1e-3, np.nan, 1.0 / np.sqrt(x))
+
+        with pytest.raises(AccuracyError, match=r"non-finite integrand on "
+                           r"\[\[0\. 0\.\], \[0\.25 0\.25\]\]"):
+            quadrature._cubature(f, 2, 1.0, QuadratureSpec(rel_tol=1e-10))
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize("n", [21, 10])
+    def test_integrands_never_mix_boxes(self, monkeypatch, n):
+        # a batch of 2^d child grids must give each child bit for bit the
+        # values of its own grid: 21^2 = 441 rows leave one in the BLAS tail
+        # of the planar integrand's matrix-vector product
+        calls = [
+            lambda: phase_space_quadrature(self.W[4], self.POINTS[0]),
+            lambda: phase_space_quadrature(W3[4], self.P3, SPEC6),
+            lambda: raw_coordinate_n3(2, replace(N3_POINT, v=0.0), SPEC6, effective=True),
+        ]
+        axis = quadrature._gk21_product(2)[0 if n == 21 else 1]
+        rng = np.random.default_rng(n)
+        for call in calls:
+            ((f, d, cut, _),) = captured_cubatures(monkeypatch, call)
+            # random bisected boxes; a batch read as one 4 x 441-row product
+            # differs from its children in some 1 in 4 of them
+            for _ in range(25):
+                a = rng.uniform(0.0, 0.5 * cut, size=d)
+                mid = a + rng.uniform(0.05, 0.5) * cut
+                b = mid + rng.uniform(0.05, 0.5) * cut
+                # per axis: (child, node), the lower half first
+                x, y = (
+                    np.stack([axis * ((m - lo) * 0.5) + lo, axis * ((hi - m) * 0.5) + m])
+                    for lo, m, hi in zip(a, mid, b)
+                )
+                batch = f(x.reshape(2, 1, n, 1), y.reshape(1, 2, 1, n))
+                assert batch.shape == (2, 2, n, n)
+                for i, j in product(range(2), repeat=2):
+                    alone = f(x[i][:, None], y[j][None, :])
+                    assert batch[i, j].tobytes() == alone.tobytes()
 
     def test_subdivision_cap_raises(self, monkeypatch):
         monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 3)
