@@ -4,30 +4,33 @@ Momentum integrals are exact Gaussians, so only coordinate integrals are
 numeric.  A moment integral I_mn is one adaptive ``quad`` along the
 channel-aligned line u = x y, the hyperbolic-angle integral done exactly as
 a Bessel K.  The phase-space integral of a reduced kernel in two or three
-coordinates and the raw three-coordinate structures are one adaptive
-cubature over the (x, y) box [0, R]^2 (the weight is even in every
-coordinate), with R chosen so the Gaussian tail beyond it stays below
-rel_tol / _TAIL_SAFETY.  In three coordinates the weight is Gaussian in z
-at fixed (x, y), so :func:`_octant_integral` integrates z in closed form
-first.  That cubature, :func:`_cubature`, is the product Gauss-Kronrod 21
-rule (QUADPACK ``dqk21``) in any dimension d, with 2^d bisection of the box
-of largest error first; a box's error is its Kronrod minus its Gauss sum,
-and each bisection evaluates its 2^d children in one integrand call on all
-their Kronrod node grids and one on all their Gauss node grids.  An
-integrand is a broadcasting function of d coordinate arrays,
-``f(x_1, ..., x_d)``, called on open node grids behind d leading box axes
-(axis i holds its nodes in each box along box dimension i and grid
-dimension i), so a factor of one coordinate is computed once per node of
-its axis and not once per grid point.  It may use the box axes but must
-not mix rows of different boxes.  The package runs it with d = 2 only; the
-tests run it with d = 3 as the box oracle of the z-closure.  The radial
-reductions of the three-coordinate model are one-dimensional as well; at
-v = 0 the x^2 (y^2+z^2) one is a single integral over the half-line, its
-algebraic channel tail included.
+coordinates and the raw three-coordinate structures close their last
+coordinate in closed form: at fixed leading coordinates the weight is
+Gaussian in it, and :func:`_closed_last_axis` integrates it exactly (y in
+two coordinates, z in three).  What is left is one adaptive cubature over
+the box [0, R]^(d-1) of the leading coordinates (the weight is even in
+every coordinate), with R chosen so the Gaussian tail beyond it stays
+below rel_tol / _TAIL_SAFETY: one-dimensional in x for a planar kernel,
+two-dimensional in (x, y) for a three-coordinate one.  That cubature,
+:func:`_cubature`, is the product Gauss-Kronrod 21 rule (QUADPACK
+``dqk21``) in any dimension d, with 2^d bisection of the box of largest
+error first; a box's error is its Kronrod minus its Gauss sum, and each
+bisection evaluates its 2^d children in one integrand call on all their
+Kronrod node grids and one on all their Gauss node grids.  An integrand is
+a broadcasting function of d coordinate arrays, ``f(x_1, ..., x_d)``,
+called on open node grids behind d leading box axes (axis i holds its
+nodes in each box along box dimension i and grid dimension i), so a factor
+of one coordinate is computed once per node of its axis and not once per
+grid point.  It may use the box axes but must not mix rows of different
+boxes.  The package runs it with d = 1 and d = 2 only, one dimension below
+the integral's; the tests run it with d = 2 and 3 as the box oracles of
+the closures.  The radial reductions of the three-coordinate model are
+one-dimensional as well; at v = 0 the x^2 (y^2+z^2) one is a single
+integral over the half-line, its algebraic channel tail included.
 
-Every one-dimensional integral of the package, here and in the closed
-forms' fallbacks (the Whittaker integral :func:`laplace_integral`, which
-lives here, and ``heatkernel.radial_Jb_quadrature``), is one call of
+Every other one-dimensional integral of the package, here and in the
+closed forms' fallbacks (the Whittaker integral :func:`laplace_integral`,
+which lives here, and ``heatkernel.radial_Jb_quadrature``), is one call of
 :func:`line_integral`, the package's only caller of scipy's ``quad``.
 ``scipy.integrate`` loads at the first such call, not at import.
 
@@ -48,7 +51,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 from scipy import special as sp
@@ -60,7 +63,8 @@ from .special import bessel_i0_scaled, double_factorial
 _TAIL_SAFETY = 10.0  # tail-truncation bound kept below rel_tol / safety
 _QUAD_LIMIT = 400  # subintervals per one-dimensional quad
 #: below this z = t v^4 / (2 g^2) of the weight phase_space_quadrature
-#: refuses: the box cubature misses the channels from z ~ 3e-5
+#: refuses: far enough below it the cubature misses a channel peak (the
+#: planar x-cubature by z ~ 5e-9)
 _CHANNEL_Z = 1e-3
 _MAX_SUBDIVISIONS = 10_000  # region bisections per cubature
 
@@ -180,20 +184,21 @@ def _cubature(f, d, cut, spec):
 
     An integrand may use the leading box axes as it likes, but must not
     mix rows of different boxes: a child's values must be bit for bit what
-    its own grid alone would give.  The phase-space integrand, whose BLAS
-    matrix-vector product rounds its last rows (the row count mod 4) in
-    another order, makes one product per box for that reason
-    (tests/test_quadrature.py checks both integrands of the package).
+    its own grid alone would give.  A BLAS product over rows of several
+    boxes may round its last rows in another order than over one box's
+    rows alone; the package's integrand, :func:`_closed_last_axis`, makes
+    one product per box row (tests/test_quadrature.py checks it in d = 1
+    and d = 2).
 
     Reading the Gauss values off the odd Kronrod nodes instead would move
     errors in their last bits (the nodes differ by up to 2 ulp, and ``f``
-    may round a grid point by the size of its batch, as the phase-space
-    integrand does), and with them the heap order of mirror regions and so
-    the estimate; as it stands every estimate is bit for bit that of
-    ``scipy.integrate.cubature`` with ``rule="gk21"`` on the point form
-    ``lambda X: f(*X.T)``.  A non-finite estimate or error, or
-    _MAX_SUBDIVISIONS bisections without convergence, raise
-    :class:`AccuracyError`, the former naming the first such box.
+    may round a grid point by the size of its grid), and with them the
+    heap order of mirror regions and so the estimate; as it stands every
+    estimate is bit for bit that of ``scipy.integrate.cubature`` with
+    ``rule="gk21"`` on the point form ``lambda X: f(*X.T)``.  A non-finite
+    estimate or error, or _MAX_SUBDIVISIONS bisections without
+    convergence, raise :class:`AccuracyError`, the former naming the first
+    such box.
     """
     kronrod_axis, gauss_axis, kronrod, kronrod_gauss = _gk21_product(d)
 
@@ -323,13 +328,6 @@ def _weight_params(params, effective, d):
     return params.g**2, params.v**2 + (params.veff2 if effective else 0.0)
 
 
-def _planar_weight(x, y, t, g2, v2):
-    """exp(-t [v2 (x^2+y^2)/2 + g2 x^2 y^2/2]) on the broadcast coordinate
-    arrays ``x`` and ``y``."""
-    x2, y2 = x * x, y * y
-    return np.exp(-0.5 * t * (v2 * (x2 + y2) + g2 * (x2 * y2)))
-
-
 def imn_quadrature(m, n, params, spec=QuadratureSpec(), effective=False):
     """I_mn = 4 int_0^inf int_0^inf x^2m y^2n exp[-(t/2)(v^2(x^2+y^2)+g^2x^2y^2)]
     in hyperbolic coordinates u = x y, w = ln(x/y), which align with the
@@ -384,15 +382,18 @@ def phase_space_quadrature(poly, params, spec=QuadratureSpec(), effective=False)
     polynomial against the coordinate weight (no moment-by-moment
     decomposition, so the route is independent of the closed forms).  With
     ``effective`` it integrates S_k into the term of the resummed series.
-    In two coordinates the coordinate integral is one cubature over the
-    (x, y) box; in three it is :func:`_octant_integral`, which integrates z
-    in closed form and leaves the same 2-D cubature.
+    The coordinate integral is :func:`_closed_last_axis`, which integrates
+    the last coordinate in closed form and leaves one cubature in the
+    others: 1-D in x for two coordinates, 2-D in (x, y) for three.
 
-    In the channel regime the box cubature misreads its own error, as it
-    does for :func:`imn_quadrature`: at g = t = 1 the W_2 integral at
-    v = 0.1 (z = 5e-5) is off by 2.9e-7 relative with 2e-10 reported.
-    There is no channel route for a whole kernel, so below z = 1e-3 of the
-    weight the call raises :class:`AccuracyError`.
+    Deep in the channel regime the cubature misreads its own error, as it
+    does for :func:`imn_quadrature`.  With y closed, the W_2 integral at
+    g = t = 1, v = 0.1 (z = 5e-5) is within 1.3e-16 relative with 1.1e-10
+    reported, but at v = 0.01 (z = 5e-9) W_8 is half its value with
+    1.7e-10 reported: the x-cubature misses the peak of width v/g that the
+    closed y leaves at x = 0.  There is no channel route for a whole
+    kernel, so below z = 1e-3 of the weight the call raises
+    :class:`AccuracyError`.
     """
     d = poly.dims
     if d not in (2, 3):
@@ -417,22 +418,7 @@ def phase_space_quadrature(poly, params, spec=QuadratureSpec(), effective=False)
             coeffs[perm] = coeffs.get(perm, 0.0) + base / len(perms)
     if not coeffs:
         return OracleValue(0.0, 0.0)
-    if d == 3:
-        val, err = _octant_integral(coeffs, t, g2, v2, spec)
-    else:
-        powers = 2 * np.array(list(coeffs), dtype=float)
-        weights = np.array(list(coeffs.values()))
-
-        def f(x, y):
-            # each coordinate's powers on its own axis nodes, multiplied out
-            # over the grid; the last index is the monomial
-            monomials = x[..., None] ** powers[:, 0] * y[..., None] ** powers[:, 1]
-            # one matrix-vector product per box, never across boxes
-            rows = monomials.reshape(monomials.shape[:-3] + (-1, len(weights))) @ weights
-            return rows.reshape(monomials.shape[:-1]) * _planar_weight(x, y, t, g2, v2)
-
-        cut = _gauss_cutoff(0.5 * t * v2, max(map(max, coeffs)) + 1, spec)
-        val, err = _cubature(f, 2, cut, spec)
+    val, err = _closed_last_axis(coeffs, d, t, g2, v2, spec)
     norm = (
         2.0**d
         * params.hbar ** (poly.i_power - d)
@@ -443,39 +429,49 @@ def phase_space_quadrature(poly, params, spec=QuadratureSpec(), effective=False)
     return _oracle(norm * val, norm * err, spec)
 
 
-def _octant_integral(coeffs, t, g2, v2, spec):
-    """(value, error) of the octant integral
+def _closed_last_axis(coeffs, d, t, g2, v2, spec):
+    """(value, error) of the orthant integral
 
-        int_[0, inf)^3 sum_(a,b,c) coeffs[(a, b, c)] x^2a y^2b z^2c e^(-tV),
-        V = v2 (x^2+y^2+z^2)/2 + (g2/2)(x^2 y^2 + y^2 z^2 + z^2 x^2),
+        int_[0, inf)^d sum_e coeffs[e] prod_i x_i^(2 e_i) e^(-tV),
+        V = v2 |x|^2/2 + (g2/2) sum_(i<j) x_i^2 x_j^2,
 
-    with z integrated in closed form.  At fixed (x, y) the weight is
-    Gaussian in z with A = t (v2 + g2 (x^2+y^2)), and
+    in d = 2 or 3 coordinates, with the last coordinate s integrated in
+    closed form.  At fixed leading coordinates the weight is Gaussian in s
+    with A = t (v2 + g2 sum_(i<d) x_i^2), and
 
-        int_0^inf z^2c e^(-A z^2/2) dz = (2c-1)!! sqrt(pi/2) A^-(c+1/2)
+        int_0^inf s^2c e^(-A s^2/2) ds = (2c-1)!! sqrt(pi/2) A^-(c+1/2)
 
-    exactly, so what is left is one :func:`_cubature` over the (x, y) box
-    [0, R]^2 of the planar weight times sum_(a,b) x^2a y^2b
-    sum_c w_abc (2c-1)!! sqrt(pi/2) A^-(c+1/2), with R sized by the largest
-    power of x or y.  The z-closure is tested against the 3-D box cubature
-    of the same integrand (tests/test_quadrature.py)."""
-    pairs = sorted({key[:2] for key in coeffs})
-    cs = sorted({key[2] for key in coeffs})
-    # table[(a, b), c] = w_abc (2c-1)!! sqrt(pi/2)
-    table = np.zeros((len(pairs), len(cs)))
-    for (a, b, c), w in coeffs.items():
-        table[pairs.index((a, b)), cs.index(c)] += w * double_factorial(2 * c - 1)
+    exactly, so what is left is one :func:`_cubature` over the box
+    [0, R]^(d-1) of the leading coordinates: their own weight (e^(-t v2 x^2/2)
+    for d = 2, the planar weight for d = 3) times sum_e' x^(2e')
+    sum_c w_e'c (2c-1)!! sqrt(pi/2) A^-(c+1/2), with R sized by the largest
+    leading power.  The closure is tested against the d-D box cubature of
+    the same integrand (tests/test_quadrature.py)."""
+    leading = sorted({key[:-1] for key in coeffs})
+    cs = sorted({key[-1] for key in coeffs})
+    # table[e', c] = w_e'c (2c-1)!! sqrt(pi/2)
+    table = np.zeros((len(leading), len(cs)))
+    for key, w in coeffs.items():
+        table[leading.index(key[:-1]), cs.index(key[-1])] += w * double_factorial(2 * key[-1] - 1)
     table *= math.sqrt(0.5 * math.pi)
-    powers = 2 * np.array(pairs, dtype=float)
+    powers = 2 * np.array(leading, dtype=float)
     exponents = -(np.array(cs, dtype=float) + 0.5)
 
-    def f(x, y):
-        monomials = x[..., None] ** powers[:, 0] * y[..., None] ** powers[:, 1]
-        closed_z = (t * (v2 + g2 * (x * x + y * y)))[..., None] ** exponents
-        return np.sum((monomials @ table) * closed_z, axis=-1) * _planar_weight(x, y, t, g2, v2)
+    def f(*xs):
+        sq = [x * x for x in xs]
+        r2 = sum(sq)
+        monomials = math.prod(x[..., None] ** p for x, p in zip(xs, powers.T))
+        closed = (t * (v2 + g2 * r2))[..., None] ** exponents
+        # the leading coordinates' own weight, with no quartic term in one
+        quartic = sum(a * b for a, b in combinations(sq, 2))
+        weight = np.exp(-0.5 * t * (v2 * r2 + g2 * quartic))
+        # numpy multiplies each stacked (node, monomial) matrix alone, one
+        # box's nodes (d = 2) or one x-node's row of a box (d = 3), so no
+        # BLAS call sees two boxes
+        return np.sum((monomials @ table) * closed, axis=-1) * weight
 
-    cut = _gauss_cutoff(0.5 * t * v2, max(map(max, pairs)) + 1, spec)
-    return _cubature(f, 2, cut, spec)
+    cut = _gauss_cutoff(0.5 * t * v2, max(map(max, leading)) + 1, spec)
+    return _cubature(f, d - 1, cut, spec)
 
 
 # -- three-coordinate radial integrals ----------------------------------------
@@ -546,12 +542,13 @@ def raw_coordinate_n3(which, params, spec=QuadratureSpec(), effective=False):
     """The same structures as a raw coordinate integral (full space, octant
     times 8) for cross-checking the radial reduction: the monomials x^2
     (``which=1``) and x^2 y^2 + x^2 z^2 (``which=2``) through
-    :func:`_octant_integral`.  The radial route closes z by the same
-    Gaussian integral, so what the pair cross-checks is a Cartesian (x, y)
-    cubature against the polar reduction with its Bessel-I_0 angular
-    closure; the z-closure itself is tested against the 3-D box.  Needs a
-    harmonic weight (v > 0 or ``effective``): at v = 0 the x^2 structure
-    diverges and x^2 (y^2+z^2) has an algebraic channel tail no box holds."""
+    :func:`_closed_last_axis` with d = 3, which closes z and runs a 2-D
+    cubature.  The radial route closes z by the same Gaussian integral, so
+    what the pair cross-checks is a Cartesian (x, y) cubature against the
+    polar reduction with its Bessel-I_0 angular closure; the z-closure
+    itself is tested against the 3-D box.  Needs a harmonic weight (v > 0
+    or ``effective``): at v = 0 the x^2 structure diverges and
+    x^2 (y^2+z^2) has an algebraic channel tail no box holds."""
     if which not in (1, 2):
         raise DomainError("which must be 1 or 2")
     g2, v2 = _weight_params(params, effective, 3)
@@ -565,7 +562,7 @@ def raw_coordinate_n3(which, params, spec=QuadratureSpec(), effective=False):
             "use radial_quadrature_n3 or effective=True"
         )
     coeffs = {(1, 0, 0): 1.0} if which == 1 else {(1, 1, 0): 1.0, (1, 0, 1): 1.0}
-    val, err = _octant_integral(coeffs, params.t, g2, v2, spec)
+    val, err = _closed_last_axis(coeffs, 3, params.t, g2, v2, spec)
     return _oracle(8.0 * val, 8.0 * err, spec)
 
 

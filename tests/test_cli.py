@@ -835,8 +835,8 @@ class TestResultSnapshot:
         ("compare.json", ["compare", "--routes", "closed,symbolic,quadrature",
                           "--k", "0,2", "--g", "1.1", "--v", "1.2", "--t", "0.9",
                           "--format", "json"], 0,
-         "6c883852bdf6cc042b81257cab3fc907a271e0231318589e5e8accbda6f1dad3",
-         "3e665ef99ada47a411f25d373a02b8bb035fd21132e074b82ec5cf69bbf0408c"),
+         "2211b1e6e6a144d232a15f18e45098f80737ff9d3c960c93d879ab4d9b5e8a84",
+         "c75e9746daf0c148f1d22d3fc7c5720f58660c280de6f226131c8d0185bbc2b6"),
         ("resum.csv", ["resum", "--kmax", "4", "--full-sums", "--g", "1",
                        "--t", "0.05:0.2:3"], 0,
          "d60de9cf3acc9d0d8f5a5473f529764bd0bbde9337e182e4aee4c7544b721fcc",

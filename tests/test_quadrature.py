@@ -1,7 +1,7 @@
 import math
 import re
 from dataclasses import replace
-from itertools import product
+from itertools import combinations, product
 
 import mpmath as mp
 import numpy as np
@@ -129,9 +129,8 @@ class TestPhaseSpaceQuadrature:
         assert 0.0 < got.value < 1.0
 
     def test_channel_regime_refused(self):
-        # the box cubature misses the channels and under-reports its error:
-        # W_2 at v = 0.1 (z = 5e-5) was off by 2.9e-7 and W_0 at v = 0.05 by
-        # 1.7e-7, each reporting 2e-10
+        # deep in the channel regime the cubature under-reports its error:
+        # W_8 at v = 0.01 (z = 5e-9) is off by half, reporting 2e-10
         W = conventional_kernels(potential(2), 2)
         for k, v in ((2, 0.1), (0, 0.05)):
             with pytest.raises(AccuracyError):
@@ -178,8 +177,9 @@ class TestCubatureEngine:
     # the Gauss values are read off the nearby Kronrod nodes
     POINTS = [params(g=1.1, v=1.2, t=0.9), params(g=0.8, v=1.0, t=1.3)]
     N3 = [(1, 1.0, False), (2, 0.0, True)]
-    # the three-coordinate phase-space path, a 2-D cubature once z is
-    # closed: W_0, W_2 and the effective S_2
+    # the planar path above is a 1-D cubature once y is closed; the
+    # three-coordinate one a 2-D cubature once z is: W_0, W_2 and the
+    # effective S_2
     P3 = replace(N3_POINT, g=0.4)
     K3 = [(W3[0], False), (W3[2], False), (resummed_kernels(potential(3), 2)[2], True)]
 
@@ -202,12 +202,12 @@ class TestCubatureEngine:
             )
         # the 3-D box oracle of the x^2 structure: batches of 8 children
         yield from captured_cubatures(
-            monkeypatch, lambda: box_octant({(1, 0, 0): 1.0}, 1.0, 1.0, 1.0, SPEC6)
+            monkeypatch, lambda: box_integral({(1, 0, 0): 1.0}, 3, 1.0, 1.0, 1.0, SPEC6)
         )
 
     def test_matches_scipy_cubature(self, monkeypatch):
         table = list(self.oracle_table(monkeypatch))
-        assert [d for _, d, _, _ in table] == [2] * 11 + [3]
+        assert [d for _, d, _, _ in table] == [1] * 6 + [2] * 5 + [3]
         for f, d, cut, spec in table:
             est, err = quadrature._cubature(f, d, cut, spec)
             # scipy passes the points as rows of one (npoints, d) array
@@ -298,33 +298,35 @@ class TestCubatureEngine:
     @pytest.mark.parametrize("n", [21, 10])
     def test_integrands_never_mix_boxes(self, monkeypatch, n):
         # a batch of 2^d child grids must give each child bit for bit the
-        # values of its own grid: 21^2 = 441 rows leave one in the BLAS tail
-        # of the planar integrand's matrix-vector product
+        # values of its own grid: a BLAS product over the rows of several
+        # boxes may round its last rows in another order
         calls = [
             lambda: phase_space_quadrature(self.W[4], self.POINTS[0]),
             lambda: phase_space_quadrature(W3[4], self.P3, SPEC6),
             lambda: raw_coordinate_n3(2, replace(N3_POINT, v=0.0), SPEC6, effective=True),
         ]
-        axis = quadrature._gk21_product(2)[0 if n == 21 else 1]
+        axis = quadrature._gk21_product(1)[0 if n == 21 else 1]
         rng = np.random.default_rng(n)
         for call in calls:
             ((f, d, cut, _),) = captured_cubatures(monkeypatch, call)
-            # random bisected boxes; a batch read as one 4 x 441-row product
-            # differs from its children in some 1 in 4 of them
+            # random bisected boxes, laid out as the engine lays them out
             for _ in range(25):
                 a = rng.uniform(0.0, 0.5 * cut, size=d)
                 mid = a + rng.uniform(0.05, 0.5) * cut
                 b = mid + rng.uniform(0.05, 0.5) * cut
                 # per axis: (child, node), the lower half first
-                x, y = (
+                axes = [
                     np.stack([axis * ((m - lo) * 0.5) + lo, axis * ((hi - m) * 0.5) + m])
                     for lo, m, hi in zip(a, mid, b)
-                )
-                batch = f(x.reshape(2, 1, n, 1), y.reshape(1, 2, 1, n))
-                assert batch.shape == (2, 2, n, n)
-                for i, j in product(range(2), repeat=2):
-                    alone = f(x[i][:, None], y[j][None, :])
-                    assert batch[i, j].tobytes() == alone.tobytes()
+                ]
+                batch = f(*(x.reshape(s) for x, s in zip(axes, self.grid_shapes(d, 2, n))))
+                assert batch.shape == (2,) * d + (n,) * d
+                for child in product(range(2), repeat=d):
+                    alone = f(*(
+                        x[i : i + 1].reshape(s)
+                        for x, i, s in zip(axes, child, self.grid_shapes(d, 1, n))
+                    ))
+                    assert batch[child].tobytes() == alone.reshape(batch[child].shape).tobytes()
 
     def test_subdivision_cap_raises(self, monkeypatch):
         monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 3)
@@ -336,17 +338,67 @@ class TestCubatureEngine:
             quadrature._cubature(f, 2, 1.0, QuadratureSpec())
 
 
-def box_octant(coeffs, t, g2, v2, spec):
-    """Test oracle of ``quadrature._octant_integral``: the 3-D box cubature
-    of the raw integrand, z cut off where x and y are."""
+def box_integral(coeffs, d, t, g2, v2, spec):
+    """Test oracle of ``quadrature._closed_last_axis``: the d-D box cubature
+    of the raw integrand, the last coordinate cut off where the others are."""
 
-    def f(x, y, z):
-        x2, y2, z2 = x * x, y * y, z * z
-        poly = sum(w * x2**a * y2**b * z2**c for (a, b, c), w in coeffs.items())
-        return poly * np.exp(-0.5 * t * (v2 * (x2 + y2 + z2) + g2 * (x2 * y2 + y2 * z2 + z2 * x2)))
+    def f(*xs):
+        sq = [x * x for x in xs]
+        poly = sum(w * math.prod(s**e for s, e in zip(sq, key)) for key, w in coeffs.items())
+        quartic = sum(a * b for a, b in combinations(sq, 2))
+        return poly * np.exp(-0.5 * t * (v2 * sum(sq) + g2 * quartic))
 
     cut = quadrature._gauss_cutoff(0.5 * t * v2, max(map(max, coeffs)) + 1, spec)
-    return quadrature._cubature(f, 3, cut, spec)
+    return quadrature._cubature(f, d, cut, spec)
+
+
+def assert_closure_matches_box(monkeypatch, call, rel_tol, d):
+    """``call(spec)`` runs only (d-1)-D cubatures, meets rel_tol, and agrees
+    within the two reported errors with the same call when the d-D box of
+    the raw integrand replaces the closure of the last coordinate."""
+    spec = QuadratureSpec(rel_tol)
+    seen = captured_cubatures(monkeypatch, lambda: call(spec))
+    assert seen and all(dim == d - 1 for _, dim, _, _ in seen)
+    got = call(spec)
+    monkeypatch.setattr(quadrature, "_closed_last_axis", box_integral)
+    box = call(spec)
+    assert abs(got.value - box.value) <= got.error + box.error
+    assert got.error <= rel_tol * abs(got.value)
+
+
+class TestClosedY:
+    """The planar phase-space integral integrates y in closed form and runs
+    a 1-D cubature in x; the same call with the (x, y) box of the raw
+    integrand in place of the y-closure must agree within the two reported
+    errors."""
+
+    P = params(g=1.1, v=1.2, t=0.9)
+    W8 = conventional_kernels(potential(2), 8)
+    S4 = resummed_kernels(potential(2), 4)
+    CALLS = {
+        **{f"W{k}": (lambda spec, k=k: phase_space_quadrature(
+            TestClosedY.W8[k], TestClosedY.P, spec)) for k in (0, 2, 4, 6, 8)},
+        **{f"S{k}_effective": (lambda spec, k=k: phase_space_quadrature(
+            TestClosedY.S4[k], TestClosedY.P, spec, effective=True)) for k in (2, 4)},
+    }
+
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-10])
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_matches_the_2d_box(self, monkeypatch, name, rel_tol):
+        # no 2-D cubature runs for a planar kernel
+        assert_closure_matches_box(monkeypatch, self.CALLS[name], rel_tol, 2)
+
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-10])
+    def test_harmonic_kernels_exact_at_g0(self, rel_tol):
+        # at g = 0 every moment is a Gaussian product:
+        # Z_k = coeff (hbar v t)^wpower exactly
+        p = params(g=0.0, v=1.2, t=0.9)
+        W = conventional_kernels(potential(2, quartic=False), 8)
+        for k in range(0, 9, 2):
+            coeff, wpower = harmonic_partition_exact(W[k], k)
+            exact = float(coeff) * (p.hbar * p.v * p.t) ** wpower
+            got = phase_space_quadrature(W[k], p, QuadratureSpec(rel_tol))
+            assert abs(got.value - exact) <= rel_tol * abs(exact), k
 
 
 class TestClosedZ:
@@ -370,16 +422,8 @@ class TestClosedZ:
     @pytest.mark.parametrize("rel_tol", [1e-6, 1e-10])
     @pytest.mark.parametrize("name", list(CALLS))
     def test_matches_the_3d_box(self, monkeypatch, name, rel_tol):
-        call = self.CALLS[name]
-        spec = QuadratureSpec(rel_tol)
-        seen = captured_cubatures(monkeypatch, lambda: call(spec))
         # no 3-D cubature runs in the package
-        assert seen and all(d == 2 for _, d, _, _ in seen)
-        got = call(spec)
-        monkeypatch.setattr(quadrature, "_octant_integral", box_octant)
-        box = call(spec)
-        assert abs(got.value - box.value) <= got.error + box.error
-        assert got.error <= rel_tol * abs(got.value)
+        assert_closure_matches_box(monkeypatch, self.CALLS[name], rel_tol, 3)
 
     @pytest.mark.parametrize("rel_tol", [1e-6, 1e-10])
     def test_harmonic_kernels_exact_at_g0(self, rel_tol):
@@ -396,8 +440,7 @@ class TestClosedZ:
 
 class TestOracleSnapshot:
     """The repr of (value, error) of a fixed set of oracle calls, pinned so
-    that a change to how an integrand or the engine computes moves no bit.
-    The planar phase-space values are pinned by the CLI's result snapshot."""
+    that a change to how an integrand or the engine computes moves no bit."""
 
     @pytest.mark.parametrize("call, pinned", [
         pytest.param(lambda: raw_coordinate_n3(1, N3_POINT, SPEC6),
@@ -411,6 +454,10 @@ class TestOracleSnapshot:
                      "(5537.75629969707, 1.1720550839283057e-08)", id="imn_30"),
         pytest.param(lambda: imn_quadrature(2, 4, params(g=1.5, v=0.0, t=0.6), effective=True),
                      "(76.29124816841832, 3.264366954403849e-09)", id="imn_24_effective"),
+        pytest.param(lambda: phase_space_quadrature(TestCubatureEngine.W[2], P1),
+                     "(-0.11287756720677627, 1.1289136398018083e-11)", id="phase_space_W2"),
+        pytest.param(lambda: phase_space_quadrature(TestCubatureEngine.W[4], P1),
+                     "(0.009562539706113295, 9.673490457826243e-13)", id="phase_space_W4"),
         pytest.param(lambda: phase_space_quadrature(W3[2], replace(N3_POINT, g=0.4), SPEC6),
                      "(-0.13237175905921564, 1.3316865929795343e-08)", id="phase_space_n3_W2"),
         # W_4 has monomials in all three coordinates: several powers of the
