@@ -14,18 +14,21 @@ the whole orbit.
 At frequency omega the 1-D operators are x^2 = (hbar/omega) X and
 p^2 = hbar omega P, so every block is omega K + (v^2/omega) X +
 (g^2/omega^2) Q in its kinetic, harmonic and quartic parts K, X and Q at
-omega = 1.  A basis keeps those parts, and the rows that split its blocks,
-built once; solving it at a frequency forms each block there and solves it
-completely, split by the permutations that leave its sector unchanged:
-when all three axes share a parity (3-D 000 and 111), into the irreps A1,
-A2 and E of S3, whose two-dimensional E gives each of its levels twice;
-when two axes share a parity, into the symmetric and antisymmetric halves
-under their swap.  In its natural order a planar piece is a band matrix
-about N/2 wide, so it is solved from its upper band by LAPACK's band
-solver; a 3-D piece, whose band is about N^2/4 wide, by dense LAPACK.
-Within ``SIZE_CAP`` a dense piece has at most 3,990 rows (the symmetric
-half of sector 001 at 39 levels per axis).  The omega scan solves one such
-basis at each of its frequencies.
+omega = 1.  Each block is split by the permutations that leave its sector
+unchanged: when all three axes share a parity (3-D 000 and 111), into the
+irreps A1, A2 and E of S3, whose two-dimensional E gives each of its levels
+twice; when two axes share a parity, into the symmetric and antisymmetric
+halves under their swap.  A basis is built once, free of omega: the three
+parts of every piece, projected by its split rows, kept as their values at
+the piece's nonzero positions on and above the diagonal.  Solving a basis
+at a frequency then costs, per piece, one scaled sum of the three parts,
+scattered into the layout of its solver, and one LAPACK call, with no
+sparse work; the omega scan solves one such basis at each of its
+frequencies.  In its natural order a planar piece is a band matrix about
+N/2 wide, solved from its upper band by LAPACK's band solver; a 3-D piece,
+whose band is about N^2/4 wide, by dense LAPACK.  Within ``SIZE_CAP`` a
+dense piece has at most 3,990 rows (the symmetric half of sector 001 at 39
+levels per axis).
 
 Every computed eigenvalue is variational (an upper bound that decreases
 monotonically with the cutoff), hence every truncated partition sum is a
@@ -74,6 +77,14 @@ class BasisSpec:
 
 @dataclass
 class SpectrumResult:
+    """Levels of a basis and its convergence study (:func:`eigenvalues`).
+
+    ``eigenvalues`` are the lowest n levels of the enlarged basis, with
+    ``ENLARGEMENT`` more levels per axis than ``basis``, where n is the
+    dimension of ``basis``; ``basis`` and ``sectors`` (the per-sector levels)
+    describe the base basis itself.  The first ``count_converged`` levels
+    moved by at most ``conv_tol`` under the enlargement."""
+
     eigenvalues: np.ndarray
     basis: BasisSpec
     conv_tol: float
@@ -103,27 +114,30 @@ def _parity_slices(N):
     return {0: np.arange(0, N, 2), 1: np.arange(1, N, 2)}
 
 
-def _kron_sum(terms):
-    """CSR matrix of sum_k c_k A_k1 (x) A_k2 (x) ... for ``terms`` of
-    (c_k, [A_k1, A_k2, ...]) with square factors: the nonzeros of each
-    Kronecker product come from index arithmetic on those of its (banded)
-    factors."""
+def _kron_sum(parts):
+    """CSR matrix ``[A_0 | A_1 | ...]`` (n x len(parts) n) of the square
+    matrices A_p = sum_k c_k A_k1 (x) A_k2 (x) ... for ``parts`` of term
+    lists of (c_k, [A_k1, A_k2, ...]) with square factors: the nonzeros of
+    each Kronecker product come from index arithmetic on those of its
+    (banded) factors."""
     from scipy.sparse import csr_matrix
 
-    n = math.prod(m.shape[0] for m in terms[0][1])
+    n = math.prod(m.shape[0] for m in parts[0][0][1])
     rows, cols, vals = [], [], []
-    for coeff, factors in terms:
-        r, c, v = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp), np.array([coeff])
-        for m in factors:
-            fr, fc = np.nonzero(m)
-            r = (r[:, None] * m.shape[0] + fr).ravel()
-            c = (c[:, None] * m.shape[0] + fc).ravel()
-            v = (v[:, None] * m[fr, fc]).ravel()
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
+    for part, terms in enumerate(parts):
+        for coeff, factors in terms:
+            r, c, v = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp), np.array([coeff])
+            for m in factors:
+                fr, fc = np.nonzero(m)
+                r = (r[:, None] * m.shape[0] + fr).ravel()
+                c = (c[:, None] * m.shape[0] + fc).ravel()
+                v = (v[:, None] * m[fr, fc]).ravel()
+            rows.append(r)
+            cols.append(c + part * n)
+            vals.append(v)
     return csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, len(parts) * n),
     )
 
 
@@ -154,7 +168,7 @@ def _orbit_rows(tuples, perms, pattern, shape):
     """CSR matrix whose unit row r is sum_i pattern[i] e_(tuples[r]
     permuted by perms[i]), over the product basis of the given per-axis
     shape; repeated permuted tuples add up."""
-    from scipy.sparse import csr_matrix, diags
+    from scipy.sparse import csr_matrix
 
     m = len(tuples)
     cols = np.concatenate([np.ravel_multi_index(tuples[:, p].T, shape) for p in perms])
@@ -162,7 +176,10 @@ def _orbit_rows(tuples, perms, pattern, shape):
     B = csr_matrix(
         (np.repeat(np.asarray(pattern, float), m), (rows, cols)), shape=(m, math.prod(shape))
     )
-    return diags(1.0 / np.sqrt(B.multiply(B).sum(axis=1).A1)) @ B
+    # every row keeps at least one stored entry, so reduceat sums each row
+    norms = np.sqrt(np.add.reduceat(B.data**2, B.indptr[:-1]))
+    B.data *= np.repeat(1.0 / norms, np.diff(B.indptr))
+    return B
 
 
 def _swap_rows(sec, N):
@@ -234,17 +251,35 @@ def _split_rows(sec, N):
     return [(B, 1) for B in _swap_rows(sec, N) or ()]
 
 
-def _upper_band(h):
-    """The diagonal and the superdiagonals up to the last nonzero one of the
-    symmetric sparse matrix h, in the upper band layout of
-    ``eigvals_banded``."""
-    h = h.tocoo()
-    keep = (h.col >= h.row) & (h.data != 0)
-    r, c, v = h.row[keep], h.col[keep], h.data[keep]
-    width = int(np.max(c - r, initial=0))
-    band = np.zeros((width + 1, h.shape[0]))
-    band[width - (c - r), c] = v
-    return band
+def _project(B, M):
+    """``[B K B^T | B X B^T | B Q B^T]`` of the split rows B (m x n) and the
+    parts ``M = [K | X | Q]`` (n x 3n): ``(B M) (I_3 (x) B^T)``, the
+    block-diagonal B^T built from B's nonzeros by index arithmetic."""
+    from scipy.sparse import csr_matrix
+
+    m, n = B.shape
+    nz = B.tocoo()
+    shift = np.repeat(np.arange(3), nz.nnz)
+    bt = csr_matrix(
+        (np.tile(nz.data, 3), (np.tile(nz.col, 3) + n * shift, np.tile(nz.row, 3) + m * shift)),
+        shape=(3 * n, 3 * m),
+    )
+    return (B @ M) @ bt
+
+
+def _piece_parts(P):
+    """The omega-free parts of the piece whose ``[K | X | Q]`` is the
+    sparse P (m x 3m): ``(m, rows, cols, values)`` with the positions on or
+    above the diagonal where any part is nonzero and each part's
+    ``(3, nnz)`` values there."""
+    m = P.shape[0]
+    P = P.tocoo()
+    part, col = np.divmod(P.col, m)
+    upper = col >= P.row
+    pos, at = np.unique(P.row[upper] * m + col[upper], return_inverse=True)
+    values = np.zeros((3, pos.size))
+    values[part[upper], at] = P.data[upper]
+    return (m, *np.divmod(pos, m), values)
 
 
 def eigh(a, **kwargs):
@@ -263,26 +298,45 @@ def eigvals_banded(a_band, **kwargs):
     return scipy_eigvals_banded(a_band, **kwargs)
 
 
-def _piece_levels(h, d):
-    """All levels of the sparse piece h of the d-axis model: a planar piece
-    from its upper band (:func:`_upper_band`) by ``eigvals_banded``; a 3-D
-    piece densified by ``eigh``, which beat the band solver there (3-D bands
-    are about N^2/4 wide), in Fortran order so that ``eigh`` overwrites it
-    instead of a copy."""
+def _piece_levels(parts, d, coeffs):
+    """All levels of the piece ``sum_p coeffs[p] parts[p]`` of the d-axis
+    model, from its :func:`_piece_parts`.  The sum is taken part by part,
+    without fused multiply-adds, so that terms which cancel exactly give
+    exact zeros.  A planar piece is solved by ``eigvals_banded`` from its
+    upper band up to the last nonzero superdiagonal (at g = 0 and
+    omega = v every off-diagonal cancels, leaving only the diagonal); a 3-D
+    piece by ``eigh``, which beat the band solver there (3-D bands are about
+    N^2/4 wide), from its upper triangle in a Fortran-order array that
+    ``eigh`` overwrites instead of a copy."""
+    m, rows, cols, values = parts
+    h = coeffs[0] * values[0]
+    h += coeffs[1] * values[1]
+    h += coeffs[2] * values[2]
     if d == 2:
-        return eigvals_banded(_upper_band(h), overwrite_a_band=True)
-    return eigh(h.toarray(order="F"), eigvals_only=True, overwrite_a=True)
+        nz = h != 0
+        offset = (cols - rows)[nz]
+        width = int(np.max(offset, initial=0))
+        band = np.zeros((width + 1, m))
+        band[width - offset, cols[nz]] = h[nz]
+        return eigvals_banded(band, overwrite_a_band=True)
+    a = np.zeros((m, m), order="F")
+    a[rows, cols] = h
+    return eigh(a, lower=False, eigvals_only=True, overwrite_a=True)
 
 
 class HamiltonianBlocks:
     """The parity blocks of H = T + V in the product basis, kept free of the
     basis frequency so that any frequency can be solved.
 
-    ``blocks`` holds ``(sec, K, (X, Q))`` for one sector of each orbit of
-    permuted parities (its sorted member): the sparse kinetic, harmonic and
-    quartic parts at omega = 1, so that at frequency omega the block is
-    omega K + (v^2/omega) X + (g^2/omega^2) Q.  The rows that split each
-    block (:func:`_split_rows`) are built once with it."""
+    ``blocks`` holds ``(sec, M, pieces)`` for one sector of each orbit of
+    permuted parities (its sorted member).  M is the sparse ``[K | X | Q]``
+    (n x 3n) of the block's kinetic, harmonic and quartic parts at
+    omega = 1, so that at frequency omega the block is omega K +
+    (v^2/omega) X + (g^2/omega^2) Q.  ``pieces`` holds ``(parts, copies)``
+    for each piece ``B H B^T`` of the rows that split the block
+    (:func:`_split_rows`), or for the whole block when none do: its three
+    parts, projected once (:func:`_project`), at its nonzero positions on
+    and above the diagonal (:func:`_piece_parts`)."""
 
     def __init__(self, params, basis):
         d = params.n_model
@@ -292,12 +346,12 @@ class HamiltonianBlocks:
         self.params = params
         self.basis = basis
         self.blocks = []
-        self._rows = []
         for sec, kinetic, harmonic, quartic in _sector_terms(d, *_one_axis_ops(N, params.hbar)):
             if list(sec) != sorted(sec):
                 continue  # the orbit is solved as its sorted member
-            self.blocks.append((sec, _kron_sum(kinetic), (_kron_sum(harmonic), _kron_sum(quartic))))
-            self._rows.append(_split_rows(sec, N))
+            M = _kron_sum((kinetic, harmonic, quartic))
+            pieces = [(_project(B, M), copies) for B, copies in _split_rows(sec, N)] or [(M, 1)]
+            self.blocks.append((sec, M, [(_piece_parts(P), c) for P, c in pieces]))
 
     @property
     def dimension(self):
@@ -307,16 +361,19 @@ class HamiltonianBlocks:
         """Sorted merged spectrum at basis frequency ``omega`` and per-sector
         ``(sec, w)``, one entry per parity sector.
 
-        Each orbit's block is solved once, completely, from the pieces of
-        :func:`_split_rows` (:func:`_piece_levels`), and every sector of the
-        orbit gets its sorted, read-only levels w."""
+        Each orbit's block is solved once, completely, piece by piece
+        (:func:`_piece_levels`): one scaled sum of the piece's parts and one
+        LAPACK call, no sparse work.  Every sector of the orbit gets the
+        sorted, read-only levels w."""
         d = self.params.n_model
-        a, b = self.params.v**2 / omega, self.params.g**2 / omega**2
+        v, g = self.params.v, self.params.g
+        # v (v / omega) is exactly v at omega = v, where v^2 / omega need not be
+        coeffs = (omega, v * (v / omega), g**2 / omega**2)
         solved = {}
-        for (sec, K, (X, Q)), rows in zip(self.blocks, self._rows):
-            H = omega * K + a * X + b * Q
-            pieces = [(B @ H @ B.T, copies) for B, copies in rows] or [(H, 1)]
-            w = np.sort(np.concatenate([np.tile(_piece_levels(h, d), c) for h, c in pieces]))
+        for sec, _, pieces in self.blocks:
+            w = np.sort(np.concatenate(
+                [np.tile(_piece_levels(parts, d, coeffs), c) for parts, c in pieces]
+            ))
             w.flags.writeable = False
             solved[sec] = w
         sectors = [(sec, solved[tuple(sorted(sec))]) for sec in itertools.product((0, 1), repeat=d)]
@@ -555,7 +612,12 @@ _SPECTRUM_FORMAT = "ymqm-spectrum-v1"
 
 def save_spectrum(spectrum, path):
     """Columnar text format: self-describing header, then
-    ``index eigenvalue converged`` rows."""
+    ``index eigenvalue converged`` rows.
+
+    The rows are the spectrum's ``eigenvalues``: the lowest levels of the
+    enlarged basis, one per state of the base basis.  The header's
+    ``cutoff_per_axis`` and ``oscillator_scale`` describe the base basis,
+    which has ``ENLARGEMENT`` fewer levels per axis."""
     p = spectrum.params
     with open(path, "w") as fh:
         fh.write(f"# format: {_SPECTRUM_FORMAT}\n")

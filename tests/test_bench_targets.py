@@ -146,7 +146,10 @@ def test_build_counters_read_real_handles(d, N):
     tracer = spans.Tracer()
     tracer._after("spectral.build")((HamiltonianBlocks(params, basis), params, basis), None)
     assert tracer.counters["spectral.dimension"] == N**d
-    assert tracer.counters["spectral.bytes_assembled"] > 0
+    # 16 n^2 bytes per block of one sector of each orbit (n = T.shape[0])
+    even, odd = (N + 1) // 2, N // 2
+    sizes = [even ** (d - k) * odd**k for k in range(d + 1)]
+    assert tracer.counters["spectral.bytes_assembled"] == sum(16 * n**2 for n in sizes)
 
 
 def test_recursion_span_covers_every_order():

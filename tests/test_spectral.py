@@ -21,17 +21,15 @@ HARMONIC = ModelParams(g=0.0, v=1.0, hbar=1.0, t=1.0)
 QUARTIC = ModelParams(g=1.0, v=0.0, hbar=1.0, t=1.0)
 
 
-def _sector_blocks(p, N):
-    """Sparse block of every parity sector at unit basis frequency,
-    permuted members included, assembled from the Kronecker terms of each
-    sector: the reference that the solved levels are checked against."""
+def _sector_blocks(p, N, omega=1.0):
+    """Sparse block omega K + (v^2/omega) X + (g^2/omega^2) Q of every
+    parity sector at basis frequency omega, permuted members included,
+    assembled from the Kronecker terms of each sector: the reference that
+    the solved levels are checked against."""
     x2, p2 = spectral._one_axis_ops(N, p.hbar)
-    for sec, kinetic, harmonic, quartic in spectral._sector_terms(p.n_model, x2, p2):
-        yield sec, (
-            spectral._kron_sum(kinetic)
-            + p.v**2 * spectral._kron_sum(harmonic)
-            + p.g**2 * spectral._kron_sum(quartic)
-        )
+    for sec, *terms in spectral._sector_terms(p.n_model, x2, p2):
+        K, X, Q = (spectral._kron_sum([t]) for t in terms)
+        yield sec, omega * K + (p.v**2 / omega) * X + (p.g**2 / omega**2) * Q
 
 
 class TestMatrixElements:
@@ -49,10 +47,13 @@ class TestMatrixElements:
         assert np.count_nonzero(x2 - np.diag(np.diag(x2))) == 8
 
     def test_hamiltonian_symmetric(self):
+        # each block keeps its parts side by side, M = [K | X | Q]
         h = build_hamiltonian(QUARTIC, BasisSpec(12, 1.0))
-        for _, K, (X, Q) in h.blocks:
-            for m in (K, X, Q):
-                m = m.toarray()
+        for _, M, _ in h.blocks:
+            n = M.shape[0]
+            assert M.shape == (n, 3 * n)
+            for i in range(3):
+                m = M[:, i * n:(i + 1) * n].toarray()
                 assert np.allclose(m, m.T, atol=1e-13)
 
     def test_swap_symmetry_of_spectrum(self):
@@ -98,14 +99,17 @@ class TestMatrixElements:
     @pytest.mark.parametrize("g, v", [(1.0, 0.4), (0.0, 1.0), (1.0, 0.0)])
     def test_swap_split_matches_whole_block(self, d, N, g, v):
         # the symmetric and antisymmetric halves together carry exactly the
-        # levels of the undivided parity block
+        # levels of the undivided parity block, at the frequency of the
+        # build and at two others, each against the block formed there
         p = ModelParams(g=g, v=v, hbar=1.0, t=1.0, n_model=d)
-        _, sectors = build_hamiltonian(p, BasisSpec(N, 1.0)).solve()
-        assert len(sectors) == 2**d
-        blocks = dict(_sector_blocks(p, N))
-        for sec, w in sectors:
-            ref = np.linalg.eigvalsh(blocks[sec].toarray())
-            np.testing.assert_allclose(w, ref, rtol=0, atol=1e-11)
+        h = build_hamiltonian(p, BasisSpec(N, 1.0))
+        for om in (1.0, 0.6, 1.7):
+            _, sectors = h.levels(om)
+            assert len(sectors) == 2**d
+            blocks = dict(_sector_blocks(p, N, om))
+            for sec, w in sectors:
+                ref = np.linalg.eigvalsh(blocks[sec].toarray())
+                np.testing.assert_allclose(w, ref, rtol=0, atol=1e-11)
 
     @pytest.mark.parametrize("v", [0.0, 0.4])
     def test_planar_band_solve_matches_dense_block(self, v):
@@ -134,6 +138,25 @@ class TestMatrixElements:
         _, sectors = build_hamiltonian(p, BasisSpec(10, 1.0)).solve()
         assert len(seen) == calls
         assert len(sectors) == 2**d
+
+    @pytest.mark.parametrize("v", [1.0, 0.7, 0.1])
+    def test_harmonic_pieces_solve_from_the_diagonal(self, monkeypatch, v):
+        # at g = 0 and omega = v every off-diagonal of every planar piece
+        # cancels exactly, so each is solved from a one-row band; at
+        # v = 0.1, v^2/v is not v in floating point
+        shapes = []
+
+        def recording(a, *args, real=spectral.eigvals_banded, **kwargs):
+            shapes.append(a.shape)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "eigvals_banded", recording)
+        p = ModelParams(g=0.0, v=v, hbar=1.0, t=1.0)
+        ev, _ = build_hamiltonian(p, BasisSpec(24, v)).solve()
+        assert len(shapes) == 5
+        assert {shape[0] for shape in shapes} == {1}
+        assert sum(shape[1] for shape in shapes) == 24**2 - 12**2
+        np.testing.assert_allclose(ev[:6], v * np.array([1, 2, 2, 3, 3, 3]), rtol=1e-14)
 
     @pytest.mark.parametrize("N", [9, 10])
     def test_s3_e_levels_twice_in_the_whole_block(self, N):
@@ -288,6 +311,32 @@ class TestOmegaFreeScan:
                 zs.append(np.sum(np.exp(-t_ref * ev)))
             best = float(spectral._omega_grid(p)[int(np.argmax(zs))])
             assert trace_maximizing_omega(p, t_ref) == best
+
+    @pytest.mark.parametrize("p, cutoff", SCAN_CASES)
+    def test_levels_run_no_sparse_work(self, monkeypatch, p, cutoff):
+        # once built, a basis is solved at any frequency without making a
+        # sparse matrix, and gives the levels of a fresh build there
+        import scipy.sparse
+
+        N = cutoff or spectral.SCAN_CUTOFF
+        h = build_hamiltonian(p, BasisSpec(N, 1.0))
+        fresh = {om: build_hamiltonian(p, BasisSpec(N, om)).solve() for om in (0.45, 2.2)}
+
+        def no_sparse(*args, **kwargs):
+            raise AssertionError("a sparse matrix was made")
+
+        for name in scipy.sparse.__all__:
+            cls = getattr(scipy.sparse, name)
+            if isinstance(cls, type) and issubclass(cls, (scipy.sparse.spmatrix, scipy.sparse.sparray)):
+                monkeypatch.setattr(cls, "__init__", no_sparse)
+        with pytest.raises(AssertionError, match="sparse matrix was made"):
+            scipy.sparse.csr_matrix((2, 2))
+        for om, (merged, sectors) in fresh.items():
+            got, got_sectors = h.levels(om)
+            np.testing.assert_array_equal(got, merged)
+            for (sec, w), (ref_sec, ref) in zip(got_sectors, sectors):
+                assert sec == ref_sec
+                np.testing.assert_array_equal(w, ref)
 
 
 class TestLeadingLogStudy:
