@@ -108,38 +108,50 @@ def build_grid(cfg):
 
 @functools.lru_cache(maxsize=None)
 def _cached_kernel(k):
-    """Momentum reduction and kernel W_k of the planar quartic+Higgs model."""
+    """Momentum reduction of the kernel W_k of the planar quartic+Higgs model."""
     from .kernels import conventional_kernels, potential
 
     W = conventional_kernels(potential(2, quartic=True, higgs=True), k)
-    return integrate_momenta(W[k]), W[k]
+    return integrate_momenta(W[k])
 
 
-def eval_zk_route(route, k, params, cfg):
-    """One route's value of the order-k partition term (planar model)."""
+def eval_zk_route(route, k, params, cfg, moments):
+    """One route's value of the order-k partition term (planar model).
+
+    Every route but the closed forms of k = 0 and 2 starts from the
+    reduction of W_k held by :func:`_cached_kernel`.  The quadrature route
+    integrates it whole; the symbolic route sums its entries with each
+    moment I_mn from :func:`imn_quadrature`, and the closed route from
+    k = 4 on with each from :func:`heatkernel.integral_Imn_closed`.  Each
+    distinct moment is integrated once and read by every entry that holds
+    it: ``moments``, a dict keyed by ``(route, (m, n))``, holds the moments
+    of ``params`` integrated so far and gains the new ones, so that the
+    orders of one point share them too.  A route reads only its own keys."""
     if params.n_model != 2:
         raise DomainError("the order-k routes cover the planar model only")
     spec = QuadratureSpec(rel_tol=cfg.tol_quad)
-    if route == "closed":
-        if k == 0:
-            return heatkernel.tf_partition_n2(params)
-        if k == 2:
-            return heatkernel.z2_closed_n2(params)
-        red, _ = _cached_kernel(k)
-        return red.partition_value(
-            params, lambda mn: heatkernel.integral_Imn_closed(max(mn), min(mn), params)
-        )
-    if route == "symbolic":
-        red, _ = _cached_kernel(k)
-
-        def moment(mn):
-            return imn_quadrature(mn[0], mn[1], params, spec).value
-
-        return red.partition_value(params, moment)
+    if route == "closed" and k == 0:
+        return heatkernel.tf_partition_n2(params)
+    if route == "closed" and k == 2:
+        return heatkernel.z2_closed_n2(params)
     if route == "quadrature":
-        _, kernel = _cached_kernel(k)
-        return phase_space_quadrature(kernel, params, spec).value
-    raise DomainError(f"route {route!r} not usable here")
+        return phase_space_quadrature(_cached_kernel(k), params, spec).value
+    if route == "closed":
+        def integrate(mn):
+            return heatkernel.integral_Imn_closed(max(mn), min(mn), params)
+    elif route == "symbolic":
+        def integrate(mn):
+            return imn_quadrature(mn[0], mn[1], params, spec).value
+    else:
+        raise DomainError(f"route {route!r} not usable here")
+
+    def moment(mn):
+        key = (route, mn)
+        if key not in moments:
+            moments[key] = integrate(mn)
+        return moments[key]
+
+    return _cached_kernel(k).partition_value(params, moment)
 
 
 # -- commands --------------------------------------------------------------------
@@ -175,13 +187,19 @@ def rows_tf(cfg, grid):
 
 
 def rows_wk_compare(cfg, grid):
+    """One row per point and order: each route's value and the largest
+    relative discrepancy between them.  Every point has its own moment
+    table (:func:`eval_zk_route`), so a route integrates each distinct
+    moment of the requested orders once per point, and nothing is kept
+    from one point or request to the next."""
     rows = []
     for p in grid:
+        moments = {}
         for k in cfg.ks:
             row = {**_param_cols(p), "k": k}
             vals = {}
             for route in cfg.routes:
-                vals[route] = float(eval_zk_route(route, k, p, cfg))
+                vals[route] = float(eval_zk_route(route, k, p, cfg, moments))
                 row[f"z{k}_{route}"] = vals[route]
             disc = 0.0
             names = sorted(vals)
@@ -533,10 +551,13 @@ def _positive(text, zero_ok=False):
     raise argparse.ArgumentTypeError(f"{text!r} is not a finite {kind} number")
 
 
+@functools.lru_cache(maxsize=1)
 def make_parser():
     """Every option, declared once with its type, allowed values and default.
     The option groups run, quadrature and spectral are the sections of a
-    ``--config`` file, whose keys are the long options of the group."""
+    ``--config`` file, whose keys are the long options of the group.  The
+    parser does not depend on argv, so it is built once per process; its
+    callers only read it."""
     ap = _Parser(
         prog="ymqm",
         description="partition sums of the coupled quartic oscillators: "

@@ -57,14 +57,14 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import AccuracyError, DivergentIntegralError, DomainError
-from .reduction import integrate_momenta
+from .reduction import MomentReduction, integrate_momenta
 from .special import bessel_i0_scaled, double_factorial
 
 _TAIL_SAFETY = 10.0  # tail-truncation bound kept below rel_tol / safety
 _QUAD_LIMIT = 400  # subintervals per one-dimensional quad
-#: below this z = t v^4 / (2 g^2) of the weight phase_space_quadrature
-#: refuses: far enough below it the cubature misses a channel peak (the
-#: planar x-cubature by z ~ 5e-9)
+#: below this z = t v^4 / (2 g^2) of the weight _closed_last_axis refuses:
+#: far enough below it the cubature misses a channel peak (the planar
+#: x-cubature by z ~ 5e-9, the three-coordinate (x, y) one by z ~ 5e-5)
 _CHANNEL_Z = 1e-3
 _MAX_SUBDIVISIONS = 10_000  # region bisections per cubature
 
@@ -382,36 +382,27 @@ def phase_space_quadrature(poly, params, spec=QuadratureSpec(), effective=False)
     polynomial against the coordinate weight (no moment-by-moment
     decomposition, so the route is independent of the closed forms).  With
     ``effective`` it integrates S_k into the term of the resummed series.
-    The coordinate integral is :func:`_closed_last_axis`, which integrates
-    the last coordinate in closed form and leaves one cubature in the
-    others: 1-D in x for two coordinates, 2-D in (x, y) for three.
-
-    Deep in the channel regime the cubature misreads its own error, as it
-    does for :func:`imn_quadrature`.  With y closed, the W_2 integral at
-    g = t = 1, v = 0.1 (z = 5e-5) is within 1.3e-16 relative with 1.1e-10
-    reported, but at v = 0.01 (z = 5e-9) W_8 is half its value with
-    1.7e-10 reported: the x-cubature misses the peak of width v/g that the
-    closed y leaves at x = 0.  There is no channel route for a whole
-    kernel, so below z = 1e-3 of the weight the call raises
-    :class:`AccuracyError`.
+    ``poly`` is a kernel or its :class:`MomentReduction`: a kernel is
+    reduced by :func:`integrate_momenta` first, so a reduction made once
+    can be integrated at many points.  The coordinate integral is
+    :func:`_closed_last_axis`, which integrates the last coordinate in
+    closed form and leaves one cubature in the others: 1-D in x for two
+    coordinates, 2-D in (x, y) for three.  It refuses the channel regime,
+    below z = 1e-3 of the weight, with :class:`AccuracyError`.
     """
-    d = poly.dims
+    red = poly if isinstance(poly, MomentReduction) else integrate_momenta(poly)
+    d = red.dims
     if d not in (2, 3):
         raise DomainError("phase-space quadrature supports 2 or 3 coordinates")
     g2, v2 = _weight_params(params, effective, d)
     if v2 <= 0:
         raise DivergentIntegralError("phase-space integral diverges at v = 0")
     t = params.t
-    if t * v2 * v2 < 2.0 * _CHANNEL_Z * g2:
-        raise AccuracyError(
-            f"phase-space cubature refused in the channel regime: "
-            f"z = {t * v2 * v2 / (2.0 * g2):.3g} of the weight is below {_CHANNEL_Z:g}"
-        )
     vv2 = params.v**2
     # each entry's symmetrized moment is the mean over its distinct
     # permutations; collect the coefficient of every coordinate monomial
     coeffs = {}
-    for e in integrate_momenta(poly).entries:
+    for e in red.entries:
         perms = set(permutations(e.moments))
         base = float(e.coeff) * t**e.e_t * g2**e.e_g2 * vv2**e.e_v2
         for perm in perms:
@@ -421,7 +412,7 @@ def phase_space_quadrature(poly, params, spec=QuadratureSpec(), effective=False)
     val, err = _closed_last_axis(coeffs, d, t, g2, v2, spec)
     norm = (
         2.0**d
-        * params.hbar ** (poly.i_power - d)
+        * params.hbar ** (red.order_k - d)
         * (2.0 * math.pi) ** (-d)
         * (2.0 * math.pi / t) ** (d / 2.0)
         * math.exp(params.regulator()[1] if effective else 0.0)
@@ -446,7 +437,25 @@ def _closed_last_axis(coeffs, d, t, g2, v2, spec):
     for d = 2, the planar weight for d = 3) times sum_e' x^(2e')
     sum_c w_e'c (2c-1)!! sqrt(pi/2) A^-(c+1/2), with R sized by the largest
     leading power.  The closure is tested against the d-D box cubature of
-    the same integrand (tests/test_quadrature.py)."""
+    the same integrand (tests/test_quadrature.py).
+
+    Deep in the channel regime the cubature misreads its own error, as the
+    quad of :func:`imn_quadrature` does, and returns a wrong value with a
+    small error: it misses the narrow peak that the closed last coordinate
+    leaves along the leading axes.  At g = t = 1 the planar W_2 integral at
+    v = 0.1 (z = 5e-5) is within 1.3e-16 relative with 1.1e-10 reported,
+    but W_8 at v = 0.01 (z = 5e-9) is half its value with 1.7e-10
+    reported.  The three-coordinate x^2 structure is 2.9e-7 off at v = 0.1
+    with 2e-10 reported, and 0 with error 0 at v = 1e-3.  There is no
+    channel route for a whole kernel or for a raw structure, so below
+    z = t v2^2 / (2 g2) = _CHANNEL_Z of the weight the call raises
+    :class:`AccuracyError`: the one channel check of
+    :func:`phase_space_quadrature` and :func:`raw_coordinate_n3`."""
+    if t * v2 * v2 < 2.0 * _CHANNEL_Z * g2:
+        raise AccuracyError(
+            f"{d - 1}-D cubature refused in the channel regime: "
+            f"z = {t * v2 * v2 / (2.0 * g2):.3g} of the weight is below {_CHANNEL_Z:g}"
+        )
     leading = sorted({key[:-1] for key in coeffs})
     cs = sorted({key[-1] for key in coeffs})
     # table[e', c] = w_e'c (2c-1)!! sqrt(pi/2)
@@ -548,7 +557,9 @@ def raw_coordinate_n3(which, params, spec=QuadratureSpec(), effective=False):
     polar reduction with its Bessel-I_0 angular closure; the z-closure
     itself is tested against the 3-D box.  Needs a harmonic weight (v > 0
     or ``effective``): at v = 0 the x^2 structure diverges and
-    x^2 (y^2+z^2) has an algebraic channel tail no box holds."""
+    x^2 (y^2+z^2) has an algebraic channel tail no box holds.  Below
+    z = 1e-3 of the weight the cubature misses the channel peak, and
+    :func:`_closed_last_axis` raises :class:`AccuracyError`."""
     if which not in (1, 2):
         raise DomainError("which must be 1 or 2")
     g2, v2 = _weight_params(params, effective, 3)

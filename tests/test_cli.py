@@ -97,6 +97,49 @@ class TestCompare:
             assert [r["k"] for r in rows] == [4, 6]
             assert all(math.isfinite(r[f"z{r['k']}_closed"]) for r in rows)
 
+    def test_symbolic_integrates_each_moment_once_per_point(self, monkeypatch):
+        # W_0, W_2 and W_4 share moments between and within their reductions;
+        # a point integrates each distinct one once, a two-point grid each
+        # once per point, and a repeated request all of them again
+        from ymqm import cli
+
+        reductions = [cli._cached_kernel(k) for k in (0, 2, 4)]
+        distinct = sorted({e.moments for red in reductions for e in red.entries})
+        assert len(distinct) < sum(len(red.entries) for red in reductions)
+        calls = []
+        imn = cli.imn_quadrature
+        monkeypatch.setattr(
+            cli, "imn_quadrature", lambda m, n, *a: calls.append((m, n)) or imn(m, n, *a)
+        )
+        argv = ["compare", "--routes", "symbolic", "--k", "0,2,4", "--g", "1.1", "--t", "0.8"]
+        for v, points in (("0.9", 1), ("0.9", 1), ("0.9:1.2:2", 2)):
+            calls.clear()
+            assert main([*argv, "--v", v]) == 0
+            assert sorted(calls) == sorted(distinct * points)
+
+    def test_routes_equal_their_direct_evaluation(self):
+        # the shared moments and the cached reduction change no bit: each
+        # route's z4 is its per-entry sum or its whole-kernel cubature
+        from ymqm import heatkernel
+        from ymqm.kernels import conventional_kernels, potential
+        from ymqm.params import ModelParams
+        from ymqm.quadrature import QuadratureSpec, imn_quadrature, phase_space_quadrature
+        from ymqm.reduction import integrate_momenta
+
+        _, rows, _, _ = run_cli(["compare", "--routes", "closed,symbolic,quadrature",
+                                 "--k", "0,2,4", "--g", "1.1", "--v", "0.9", "--t", "0.8"])
+        p = ModelParams(g=1.1, v=0.9, hbar=1.0, t=0.8)
+        spec = QuadratureSpec()
+        W4 = conventional_kernels(potential(2, quartic=True, higgs=True), 4)[4]
+        red = integrate_momenta(W4)
+        assert rows[2]["z4_symbolic"] == red.partition_value(
+            p, lambda mn: imn_quadrature(mn[0], mn[1], p, spec).value
+        )
+        assert rows[2]["z4_closed"] == red.partition_value(
+            p, lambda mn: heatkernel.integral_Imn_closed(mn[0], mn[1], p)
+        )
+        assert rows[2]["z4_quadrature"] == phase_space_quadrature(W4, p, spec).value
+
 
 class TestResum:
     def test_constant_column(self):
@@ -283,6 +326,16 @@ class TestConfigFile:
             "quadrature": {"tol_quad", "disc_tol"},
             "spectral": {"tol_conv", "basis_n", "omega"},
         }
+
+    def test_parser_built_once_keeps_no_request(self):
+        # one parser serves every request of a process; a request leaves
+        # nothing in it for the next
+        from ymqm.cli import make_parser
+
+        assert make_parser() is make_parser()
+        build_config(["compare", "--routes", "symbolic", "--k", "4,6", "--tol-quad", "1e-6"])
+        cfg = build_config(["compare"])
+        assert (cfg.routes, cfg.ks, cfg.tol_quad) == (("closed", "quadrature"), (2,), 1e-9)
 
 
 class TestExitCodes:

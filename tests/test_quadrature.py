@@ -671,6 +671,14 @@ class TestRadialThreeCoordinate:
         with pytest.raises(DivergentIntegralError):
             raw_coordinate_n3(1, p)
 
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_raw_channel_regime_refused(self, which):
+        # the (x, y) cubature of x^2 at g = t = 1 was 2.9e-7 off at v = 0.1
+        # (z = 5e-5) with 2e-10 reported, and 0 with error 0 at v = 1e-3
+        for v in (0.1, 1e-3):
+            with pytest.raises(AccuracyError, match="channel regime"):
+                raw_coordinate_n3(which, replace(self.P3, v=v))
+
     def test_second_structure_finite_at_zero_v(self):
         p = ModelParams(g=1.0, v=0.0, hbar=1.0, t=1.0, n_model=3)
         val = radial_quadrature_n3(2, p)
