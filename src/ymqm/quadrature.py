@@ -62,10 +62,6 @@ from .special import bessel_i0_scaled, double_factorial
 
 _TAIL_SAFETY = 10.0  # tail-truncation bound kept below rel_tol / safety
 _QUAD_LIMIT = 400  # subintervals per one-dimensional quad
-#: below this z = t v^4 / (2 g^2) of the weight _closed_last_axis refuses:
-#: far enough below it the cubature misses a channel peak (the planar
-#: x-cubature by z ~ 5e-9, the three-coordinate (x, y) one by z ~ 5e-5)
-_CHANNEL_Z = 1e-3
 _MAX_SUBDIVISIONS = 10_000  # region bisections per cubature
 
 # QUADPACK dqk21: the 21-point Kronrod abscissae on [-1, 1], descending, and
@@ -387,8 +383,7 @@ def phase_space_quadrature(poly, params, spec=QuadratureSpec(), effective=False)
     can be integrated at many points.  The coordinate integral is
     :func:`_closed_last_axis`, which integrates the last coordinate in
     closed form and leaves one cubature in the others: 1-D in x for two
-    coordinates, 2-D in (x, y) for three.  It refuses the channel regime,
-    below z = 1e-3 of the weight, with :class:`AccuracyError`.
+    coordinates, 2-D in (x, y) for three.
     """
     red = poly if isinstance(poly, MomentReduction) else integrate_momenta(poly)
     d = red.dims
@@ -436,26 +431,13 @@ def _closed_last_axis(coeffs, d, t, g2, v2, spec):
     [0, R]^(d-1) of the leading coordinates: their own weight (e^(-t v2 x^2/2)
     for d = 2, the planar weight for d = 3) times sum_e' x^(2e')
     sum_c w_e'c (2c-1)!! sqrt(pi/2) A^-(c+1/2), with R sized by the largest
-    leading power.  The closure is tested against the d-D box cubature of
-    the same integrand (tests/test_quadrature.py).
-
-    Deep in the channel regime the cubature misreads its own error, as the
-    quad of :func:`imn_quadrature` does, and returns a wrong value with a
-    small error: it misses the narrow peak that the closed last coordinate
-    leaves along the leading axes.  At g = t = 1 the planar W_2 integral at
-    v = 0.1 (z = 5e-5) is within 1.3e-16 relative with 1.1e-10 reported,
-    but W_8 at v = 0.01 (z = 5e-9) is half its value with 1.7e-10
-    reported.  The three-coordinate x^2 structure is 2.9e-7 off at v = 0.1
-    with 2e-10 reported, and 0 with error 0 at v = 1e-3.  There is no
-    channel route for a whole kernel or for a raw structure, so below
-    z = t v2^2 / (2 g2) = _CHANNEL_Z of the weight the call raises
-    :class:`AccuracyError`: the one channel check of
-    :func:`phase_space_quadrature` and :func:`raw_coordinate_n3`."""
-    if t * v2 * v2 < 2.0 * _CHANNEL_Z * g2:
-        raise AccuracyError(
-            f"{d - 1}-D cubature refused in the channel regime: "
-            f"z = {t * v2 * v2 / (2.0 * g2):.3g} of the weight is below {_CHANNEL_Z:g}"
-        )
+    leading power.  Each cubature axis runs in u with x = s sinh(u), Jacobian
+    s cosh(u), over [0, asinh(R/s)]: linear in x within the scale
+    s = 1/sqrt(g2/v2 + t v2), the narrower of the channel peak's width v/g
+    and the Gaussian's, and logarithmic beyond it, so the nodes resolve the
+    peak that the closed last coordinate leaves along the leading axes at
+    every z = t v2^2 / (2 g2).  The closure is tested against the d-D box
+    cubature of the same integrand (tests/test_quadrature.py)."""
     leading = sorted({key[:-1] for key in coeffs})
     cs = sorted({key[-1] for key in coeffs})
     # table[e', c] = w_e'c (2c-1)!! sqrt(pi/2)
@@ -466,7 +448,11 @@ def _closed_last_axis(coeffs, d, t, g2, v2, spec):
     powers = 2 * np.array(leading, dtype=float)
     exponents = -(np.array(cs, dtype=float) + 0.5)
 
-    def f(*xs):
+    s = 1.0 / math.sqrt(g2 / v2 + t * v2)
+
+    def f(*us):
+        xs = [s * np.sinh(u) for u in us]
+        jacobian = math.prod(s * np.cosh(u) for u in us)
         sq = [x * x for x in xs]
         r2 = sum(sq)
         monomials = math.prod(x[..., None] ** p for x, p in zip(xs, powers.T))
@@ -477,10 +463,10 @@ def _closed_last_axis(coeffs, d, t, g2, v2, spec):
         # numpy multiplies each stacked (node, monomial) matrix alone, one
         # box's nodes (d = 2) or one x-node's row of a box (d = 3), so no
         # BLAS call sees two boxes
-        return np.sum((monomials @ table) * closed, axis=-1) * weight
+        return np.sum((monomials @ table) * closed, axis=-1) * weight * jacobian
 
     cut = _gauss_cutoff(0.5 * t * v2, max(map(max, leading)) + 1, spec)
-    return _cubature(f, d - 1, cut, spec)
+    return _cubature(f, d - 1, math.asinh(cut / s), spec)
 
 
 # -- three-coordinate radial integrals ----------------------------------------
@@ -557,9 +543,7 @@ def raw_coordinate_n3(which, params, spec=QuadratureSpec(), effective=False):
     polar reduction with its Bessel-I_0 angular closure; the z-closure
     itself is tested against the 3-D box.  Needs a harmonic weight (v > 0
     or ``effective``): at v = 0 the x^2 structure diverges and
-    x^2 (y^2+z^2) has an algebraic channel tail no box holds.  Below
-    z = 1e-3 of the weight the cubature misses the channel peak, and
-    :func:`_closed_last_axis` raises :class:`AccuracyError`."""
+    x^2 (y^2+z^2) has an algebraic channel tail no box holds."""
     if which not in (1, 2):
         raise DomainError("which must be 1 or 2")
     g2, v2 = _weight_params(params, effective, 3)

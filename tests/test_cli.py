@@ -62,13 +62,12 @@ class TestCompare:
         assert "0 FLAG" in text
 
     def test_flagged_row_counts(self):
-        # at v = 1 the two routes agree to the last bit, so no tolerance
-        # flags that point; at v = 1.1 they differ by 8e-16
+        # at v = 1.1 the closed and symbolic routes differ by 5.9e-15
         status, rows, _, text = run_cli(
             [
                 "compare",
                 "--routes",
-                "closed,quadrature",
+                "closed,symbolic",
                 "--k",
                 "2",
                 "--g",
@@ -340,9 +339,9 @@ class TestConfigFile:
 
 class TestExitCodes:
     def test_route_failure_is_exit_two(self, capsys):
-        # the phase-space cubature refuses the channel regime (z = 5e-9)
-        code = main(["compare", "--routes", "quadrature", "--k", "0", "--g", "1", "--v", "0.01",
-                     "--t", "1"])
+        # the order-k routes cover the planar model only
+        code = main(["compare", "--model", "n3", "--routes", "quadrature", "--k", "0", "--g", "1",
+                     "--v", "1", "--t", "1"])
         err = capsys.readouterr().err
         assert code == 2
         assert json.loads(err.splitlines()[-1])["error"] == "route"
@@ -888,8 +887,8 @@ class TestResultSnapshot:
         ("compare.json", ["compare", "--routes", "closed,symbolic,quadrature",
                           "--k", "0,2", "--g", "1.1", "--v", "1.2", "--t", "0.9",
                           "--format", "json"], 0,
-         "2211b1e6e6a144d232a15f18e45098f80737ff9d3c960c93d879ab4d9b5e8a84",
-         "c75e9746daf0c148f1d22d3fc7c5720f58660c280de6f226131c8d0185bbc2b6"),
+         "aae52644cd7abd3350831efdbaf3c6fbbf6cc78025c2b0227042e4489ed9af57",
+         "b2776a4323a6fe5fa03bfca913f50283841a7b916eb85e201e6c79bd91aeea75"),
         ("resum.csv", ["resum", "--kmax", "4", "--full-sums", "--g", "1",
                        "--t", "0.05:0.2:3"], 0,
          "d60de9cf3acc9d0d8f5a5473f529764bd0bbde9337e182e4aee4c7544b721fcc",

@@ -10,6 +10,7 @@ from scipy.integrate import cubature
 
 from ymqm import heatkernel as hk
 from ymqm import quadrature
+from ymqm.cli import _cached_kernel
 from ymqm.errors import AccuracyError, DivergentIntegralError, DomainError
 from ymqm.kernels import conventional_kernels, potential, resummed_kernels
 from ymqm.params import ModelParams
@@ -128,24 +129,21 @@ class TestPhaseSpaceQuadrature:
         # bound Z <= (hbar v t)^-3
         assert 0.0 < got.value < 1.0
 
-    def test_channel_regime_refused(self):
-        # deep in the channel regime the cubature under-reports its error:
-        # W_8 at v = 0.01 (z = 5e-9) is off by half, reporting 2e-10
-        W = conventional_kernels(potential(2), 2)
-        for k, v in ((2, 0.1), (0, 0.05)):
-            with pytest.raises(AccuracyError):
-                phase_space_quadrature(W[k], params(v=v))
+    def test_channel_singularities(self):
+        # the paper's v^-k growth of Z_k as v -> 0 at g = t = 1: the slope of
+        # log|Z_k| against log v over v in [1e-3, 1e-2] (z down to 5e-13)
+        vs = np.geomspace(1e-3, 1e-2, 6)
+        for k in (2, 4, 6, 8):
+            zk = [phase_space_quadrature(_cached_kernel(k), params(v=v)).value for v in vs]
+            slope = np.polyfit(np.log(vs), np.log(np.abs(zk)), 1)[0]
+            assert abs(slope + k) <= 1e-3, k
 
     def test_channel_regime_uses_effective_weight(self):
-        # the resummed regulator lifts v^2 by hbar^2 g^2 t / 2, out of the
-        # channel regime; it is the weight's z that decides
-        p = params(v=0.1)
+        # at v = 0 the resummed regulator's v^2 = hbar^2 g^2 t / 2 alone
+        # keeps the weight finite: z = 1.25e-9 at hbar = 0.01
+        p = params(v=0.0, hbar=0.01)
         got = phase_space_quadrature(PhasePolynomial.one(2), p, effective=True)
-        assert got.value > 0.0
-        with pytest.raises(AccuracyError):
-            phase_space_quadrature(
-                PhasePolynomial.one(2), params(v=0.0, hbar=0.01), effective=True
-            )
+        assert abs(got.value - hk.resummed_term(0, p)) <= got.error
 
 
 N3_POINT = ModelParams(g=1.0, v=1.0, hbar=1.0, t=1.0, n_model=3)
@@ -444,9 +442,9 @@ class TestOracleSnapshot:
 
     @pytest.mark.parametrize("call, pinned", [
         pytest.param(lambda: raw_coordinate_n3(1, N3_POINT, SPEC6),
-                     "(5.004781625961726, 8.066913019782302e-07)", id="raw_n3_x2"),
+                     "(5.004781625941715, 9.198725374067984e-07)", id="raw_n3_x2"),
         pytest.param(lambda: raw_coordinate_n3(2, replace(N3_POINT, v=0.0), SPEC6, effective=True),
-                     "(3.742887284342419, 6.424606843826002e-07)",
+                     "(3.742887284394973, 4.999816511420787e-07)",
                      id="raw_n3_x2_y2z2_effective"),
         pytest.param(lambda: imn_quadrature(1, 1, P1),
                      "(1.41214031825722, 7.466471885209103e-12)", id="imn_11"),
@@ -455,15 +453,15 @@ class TestOracleSnapshot:
         pytest.param(lambda: imn_quadrature(2, 4, params(g=1.5, v=0.0, t=0.6), effective=True),
                      "(76.29124816841832, 3.264366954403849e-09)", id="imn_24_effective"),
         pytest.param(lambda: phase_space_quadrature(TestCubatureEngine.W[2], P1),
-                     "(-0.11287756720677627, 1.1289136398018083e-11)", id="phase_space_W2"),
+                     "(-0.11287756720677627, 1.3692466051834637e-11)", id="phase_space_W2"),
         pytest.param(lambda: phase_space_quadrature(TestCubatureEngine.W[4], P1),
-                     "(0.009562539706113295, 9.673490457826243e-13)", id="phase_space_W4"),
+                     "(0.009562539706113295, 9.774762876638355e-13)", id="phase_space_W4"),
         pytest.param(lambda: phase_space_quadrature(W3[2], replace(N3_POINT, g=0.4), SPEC6),
-                     "(-0.13237175905921564, 1.3316865929795343e-08)", id="phase_space_n3_W2"),
+                     "(-0.13237175905921603, 1.8007281736524563e-08)", id="phase_space_n3_W2"),
         # W_4 has monomials in all three coordinates: several powers of the
         # closed z per (x, y) monomial
         pytest.param(lambda: phase_space_quadrature(W3[4], replace(N3_POINT, g=0.4), SPEC6),
-                     "(0.010858854309412838, 1.1382510367404273e-09)", id="phase_space_n3_W4"),
+                     "(0.010858854309412946, 1.59169532584366e-09)", id="phase_space_n3_W4"),
     ])
     def test_bit_for_bit(self, call, pinned):
         got = call()
@@ -494,6 +492,19 @@ class TestErrorBrackets:
             for k, closed in ((0, hk.tf_partition_n2(p)), (2, hk.z2_closed_n2(p))):
                 got = phase_space_quadrature(W[k], p)
                 assert abs(got.value - closed) <= got.error
+        # the channel regime at g = t = 1, z from 5e-5 down to 5e-17: W_0 ...
+        # W_8 against the closed moments and the symbolic route's quad ones
+        for v in (0.1, 0.03, 0.01, 1e-3, 1e-4):
+            p = params(v=v)
+            moments = {
+                "closed": lambda mn: hk.integral_Imn_closed(max(mn), min(mn), p),
+                "symbolic": lambda mn: imn_quadrature(*mn, p).value,
+            }
+            for k in range(0, 9, 2):
+                red = _cached_kernel(k)
+                got = phase_space_quadrature(red, p)
+                for route, moment in moments.items():
+                    assert abs(got.value - red.partition_value(p, moment)) <= got.error, (v, k, route)
 
     def test_channel_route(self):
         # the channel regime at g = t = 1: z from 0.5 down to 3e-6
@@ -659,10 +670,13 @@ class TestRadialThreeCoordinate:
     P3 = ModelParams(g=1.0, v=0.5, hbar=1.0, t=1.0, n_model=3)
 
     def test_matches_raw_quadrature(self):
-        for which in (1, 2):
-            radial = radial_quadrature_n3(which, self.P3)
-            raw = raw_coordinate_n3(which, self.P3)
-            assert radial.value == pytest.approx(raw.value, rel=1e-6)
+        # down into the channel regime: z = v^4/2 from 3e-2 to 5e-13
+        for v in (0.5, 0.1, 0.03, 0.01, 1e-3):
+            p = replace(self.P3, v=v)
+            for which in (1, 2):
+                radial = radial_quadrature_n3(which, p)
+                raw = raw_coordinate_n3(which, p)
+                assert abs(radial.value - raw.value) <= radial.error + raw.error, (v, which)
 
     def test_divergence_detection(self):
         p = ModelParams(g=1.0, v=0.0, hbar=1.0, t=1.0, n_model=3)
@@ -670,14 +684,6 @@ class TestRadialThreeCoordinate:
             radial_quadrature_n3(1, p)
         with pytest.raises(DivergentIntegralError):
             raw_coordinate_n3(1, p)
-
-    @pytest.mark.parametrize("which", [1, 2])
-    def test_raw_channel_regime_refused(self, which):
-        # the (x, y) cubature of x^2 at g = t = 1 was 2.9e-7 off at v = 0.1
-        # (z = 5e-5) with 2e-10 reported, and 0 with error 0 at v = 1e-3
-        for v in (0.1, 1e-3):
-            with pytest.raises(AccuracyError, match="channel regime"):
-                raw_coordinate_n3(which, replace(self.P3, v=v))
 
     def test_second_structure_finite_at_zero_v(self):
         p = ModelParams(g=1.0, v=0.0, hbar=1.0, t=1.0, n_model=3)
