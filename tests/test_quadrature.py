@@ -138,6 +138,21 @@ class TestPhaseSpaceQuadrature:
             slope = np.polyfit(np.log(vs), np.log(np.abs(zk)), 1)[0]
             assert abs(slope + k) <= 1e-3, k
 
+    def test_channel_regime_accurate(self):
+        # the channel regime at g = t = 1, z from 5e-5 down to 5e-17: W_0 ...
+        # W_8 against the closed moments and the symbolic route's quad ones
+        for v in (0.1, 0.03, 0.01, 1e-3, 1e-4):
+            p = params(v=v)
+            moments = {
+                "closed": lambda mn: hk.integral_Imn_closed(max(mn), min(mn), p),
+                "symbolic": lambda mn: imn_quadrature(*mn, p).value,
+            }
+            for k in range(0, 9, 2):
+                red = _cached_kernel(k)
+                got = phase_space_quadrature(red, p)
+                for route, moment in moments.items():
+                    assert abs(got.value - red.partition_value(p, moment)) <= got.error, (v, k, route)
+
     def test_channel_regime_uses_effective_weight(self):
         # at v = 0 the resummed regulator's v^2 = hbar^2 g^2 t / 2 alone
         # keeps the weight finite: z = 1.25e-9 at hbar = 0.01
@@ -492,19 +507,6 @@ class TestErrorBrackets:
             for k, closed in ((0, hk.tf_partition_n2(p)), (2, hk.z2_closed_n2(p))):
                 got = phase_space_quadrature(W[k], p)
                 assert abs(got.value - closed) <= got.error
-        # the channel regime at g = t = 1, z from 5e-5 down to 5e-17: W_0 ...
-        # W_8 against the closed moments and the symbolic route's quad ones
-        for v in (0.1, 0.03, 0.01, 1e-3, 1e-4):
-            p = params(v=v)
-            moments = {
-                "closed": lambda mn: hk.integral_Imn_closed(max(mn), min(mn), p),
-                "symbolic": lambda mn: imn_quadrature(*mn, p).value,
-            }
-            for k in range(0, 9, 2):
-                red = _cached_kernel(k)
-                got = phase_space_quadrature(red, p)
-                for route, moment in moments.items():
-                    assert abs(got.value - red.partition_value(p, moment)) <= got.error, (v, k, route)
 
     def test_channel_route(self):
         # the channel regime at g = t = 1: z from 0.5 down to 3e-6
@@ -670,13 +672,10 @@ class TestRadialThreeCoordinate:
     P3 = ModelParams(g=1.0, v=0.5, hbar=1.0, t=1.0, n_model=3)
 
     def test_matches_raw_quadrature(self):
-        # down into the channel regime: z = v^4/2 from 3e-2 to 5e-13
-        for v in (0.5, 0.1, 0.03, 0.01, 1e-3):
-            p = replace(self.P3, v=v)
-            for which in (1, 2):
-                radial = radial_quadrature_n3(which, p)
-                raw = raw_coordinate_n3(which, p)
-                assert abs(radial.value - raw.value) <= radial.error + raw.error, (v, which)
+        for which in (1, 2):
+            radial = radial_quadrature_n3(which, self.P3)
+            raw = raw_coordinate_n3(which, self.P3)
+            assert abs(radial.value - raw.value) <= radial.error + raw.error, which
 
     def test_divergence_detection(self):
         p = ModelParams(g=1.0, v=0.0, hbar=1.0, t=1.0, n_model=3)
@@ -684,6 +683,15 @@ class TestRadialThreeCoordinate:
             radial_quadrature_n3(1, p)
         with pytest.raises(DivergentIntegralError):
             raw_coordinate_n3(1, p)
+
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_raw_channel_regime_accurate(self, which):
+        # down into the channel regime: z = v^4/2 from 5e-5 to 5e-13
+        for v in (0.1, 0.03, 0.01, 1e-3):
+            p = replace(self.P3, v=v)
+            radial = radial_quadrature_n3(which, p)
+            raw = raw_coordinate_n3(which, p)
+            assert abs(radial.value - raw.value) <= radial.error + raw.error, v
 
     def test_second_structure_finite_at_zero_v(self):
         p = ModelParams(g=1.0, v=0.0, hbar=1.0, t=1.0, n_model=3)
